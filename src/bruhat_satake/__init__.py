@@ -57,7 +57,6 @@ from .padic import (
     BlockMatrix,
     Level,
     LevelFlavor,
-    PRational,
     anticanonical_radius,
     block_matrix,
     factor_P_Gamma1,

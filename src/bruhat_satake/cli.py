@@ -17,7 +17,9 @@ import io
 import json
 import math
 import random
+import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import click
@@ -54,12 +56,17 @@ def _filename(command: str, params: dict, fmt: str) -> str:
     return "_".join(tokens) + "." + fmt
 
 
+def _fail(message) -> None:
+    """Report an invalid configuration on one stderr line and exit 2."""
+    click.echo(f"error: {message}", err=True)
+    sys.exit(2)
+
+
 def _emit(command: str, params: dict, build, fmt: str, output_dir: str | None, name_params=None):
     try:
         body = build()
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+        _fail(exc)
     report = {"schema": SCHEMA, "command": command, "params": params, **body}
     data = _render(report, fmt)
     sys.stdout.buffer.write(data)
@@ -297,16 +304,64 @@ def satake_verify(kind, n, twist, fmt, output_dir):
 # ------------------------------------------------------------------- padic
 
 
-def _load_matrix(kind, n, p, matrix, matrix_file):
+_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?")
+
+
+def _matrix_text(matrix, matrix_file):
+    """The JSON text of --matrix or --matrix-file (read once), or None."""
     if matrix and matrix_file:
         raise ValueError("pass --matrix or --matrix-file, not both")
-    text = matrix
-    if matrix_file:
-        text = Path(matrix_file).read_text()
+    if not matrix_file:
+        return matrix
+    try:
+        return Path(matrix_file).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read --matrix-file {matrix_file}: {exc.strerror}") from None
+
+
+def _entry(x) -> Fraction:
+    """One matrix entry, exactly: a JSON integer or an 'a/b' string."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    if isinstance(x, str) and _RATIONAL.fullmatch(x.strip()):
+        num, _, den = x.strip().partition("/")
+        if den and int(den) == 0:
+            raise ValueError(f"matrix entry {x!r} has a zero denominator")
+        return Fraction(int(num), int(den or 1))
+    raise ValueError(f"matrix entries must be integers or 'a/b' strings, got {type(x).__name__} {json.dumps(x)}")
+
+
+def _load_matrix(kind, n, p, text):
     if text is None:
         return None
-    rows = json.loads(text)
-    return padic.block_matrix(_group_kind(kind, n), p, rows)
+    try:
+        rows = json.loads(text)
+    except RecursionError:
+        raise ValueError("the matrix JSON is nested too deeply") from None
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("the matrix must be a JSON list of rows")
+    return padic.block_matrix(_group_kind(kind, n), p, [[_entry(x) for x in row] for row in rows])
+
+
+def _padic_setup(kind, n, p, m, seed, count, matrix, matrix_file):
+    """Check the options shared by the padic commands and read the matrix once.
+
+    Returns the report params, the file-name params (with a digest of the
+    matrix text in place of the matrix) and the matrix text or None.
+    """
+    try:
+        if m < 1:
+            raise ValueError(f"--m must be at least 1, got {m}")
+        if count < 1:
+            raise ValueError(f"--count must be at least 1, got {count}")
+        text = _matrix_text(matrix, matrix_file)
+    except ValueError as exc:
+        _fail(exc)
+    params = {"kind": kind, "n": n, "p": p, "m": m, "seed": seed, "count": count}
+    name_params = dict(params)
+    if text is not None:
+        name_params["digest"] = hashlib.sha256(text.encode()).hexdigest()[:12]
+    return params, name_params, text
 
 
 def _h_str(h):
@@ -342,12 +397,13 @@ def padic_group():
 @_common
 def padic_h(kind, n, p, m, seed, count, matrix, matrix_file, fmt, output_dir):
     """The invariant h(g) = min v_p(D^{-1}C), or a seeded invariance suite."""
+    params, name_params, text = _padic_setup(kind, n, p, m, seed, count, matrix, matrix_file)
 
     def build():
-        g = _load_matrix(kind, n, p, matrix, matrix_file)
+        g = _load_matrix(kind, n, p, text)
         if g is not None:
             h = padic.h_invariant(g)
-            rows = [{"h": _h_str(h), "in_P_Gamma1": padic.h_invariant(g) >= m}]
+            rows = [{"h": _h_str(h), "in_P_Gamma1": h >= m}]
             return {"rows": rows, "ok": True}
         gk = _group_kind(kind, n)
         rng = random.Random(seed)
@@ -368,11 +424,6 @@ def padic_h(kind, n, p, m, seed, count, matrix, matrix_file, fmt, output_dir):
             rows.append({"sample": idx, "h": _h_str(h), "passed": passed})
         return {"rows": rows, "ok": ok}
 
-    params = {"kind": kind, "n": n, "p": p, "m": m, "seed": seed, "count": count}
-    name_params = dict(params)
-    if matrix or matrix_file:
-        text = matrix if matrix else Path(matrix_file).read_text()
-        name_params["digest"] = hashlib.sha256(text.encode()).hexdigest()[:12]
     _emit("padic h", params, build, fmt, output_dir, name_params=name_params)
 
 
@@ -386,9 +437,10 @@ def padic_h(kind, n, p, m, seed, count, matrix, matrix_file, fmt, output_dir):
 @_common
 def padic_factor(kind, n, p, m, seed, count, matrix, matrix_file, fmt, output_dir):
     """Split g into its parabolic and congruence factors."""
+    params, name_params, text = _padic_setup(kind, n, p, m, seed, count, matrix, matrix_file)
 
     def build():
-        g = _load_matrix(kind, n, p, matrix, matrix_file)
+        g = _load_matrix(kind, n, p, text)
         if g is not None:
             p_part, g1_part = padic.factor_P_Gamma1(g, m)
             ok = (p_part * g1_part).rows == g.rows
@@ -413,11 +465,6 @@ def padic_factor(kind, n, p, m, seed, count, matrix, matrix_file, fmt, output_di
             rows.append({"sample": idx, "passed": passed})
         return {"rows": rows, "ok": ok}
 
-    params = {"kind": kind, "n": n, "p": p, "m": m, "seed": seed, "count": count}
-    name_params = dict(params)
-    if matrix or matrix_file:
-        text = matrix if matrix else Path(matrix_file).read_text()
-        name_params["digest"] = hashlib.sha256(text.encode()).hexdigest()[:12]
     _emit("padic factor", params, build, fmt, output_dir, name_params=name_params)
 
 

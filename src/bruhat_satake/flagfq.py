@@ -32,7 +32,6 @@ from .weyl import (
     all_elements,
     all_subsets_j,
     longest_element,
-    sigma,
     simple_reflections,
 )
 
@@ -109,33 +108,6 @@ def is_in_group(kind: GroupKind, mat: np.ndarray, q: int) -> bool:
         J = symplectic_form(kind.n) % q
         return bool(((mat.T @ J @ mat) % q == J).all())
     return True
-
-
-@dataclass(frozen=True)
-class GroupElementFq:
-    """A single element of GL_{2n}(F_q) or Sp_{2n}(F_q), validated."""
-
-    kind: GroupKind
-    q: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if not is_in_group(self.kind, self.mat, self.q):
-            raise ValueError("matrix is not in the group")
-
-    @property
-    def mat(self) -> np.ndarray:
-        return np.array(self.rows, dtype=np.int64)
-
-    def __mul__(self, other: "GroupElementFq") -> "GroupElementFq":
-        if (self.kind, self.q) != (other.kind, other.q):
-            raise ValueError("mismatched group data")
-        return group_element(self.kind, self.q, (self.mat @ other.mat) % self.q)
-
-
-def group_element(kind: GroupKind, q: int, mat) -> GroupElementFq:
-    arr = np.asarray(mat, dtype=np.int64) % q
-    return GroupElementFq(kind, q, tuple(tuple(int(x) for x in row) for row in arr))
 
 
 def _unit(m: int, i: int, j: int, val: int = 1) -> np.ndarray:
@@ -280,9 +252,15 @@ def _weyl_matrix_table(kind: GroupKind, q: int) -> dict[tuple[int, ...], np.ndar
     return table
 
 
-def weyl_matrix(w: WeylElement, q: int) -> GroupElementFq:
-    """A lift of w to G(F_q); coset statements are insensitive to the torus part."""
-    return group_element(w.kind, q, _weyl_matrix_table(w.kind, q)[w.perm])
+def weyl_matrix(w: WeylElement, q: int) -> np.ndarray:
+    """A lift of w to G(F_q); coset statements are insensitive to the torus part.
+
+    Each lift is checked for group membership on every call.
+    """
+    mat = _weyl_matrix_table(w.kind, q)[w.perm]
+    if not is_in_group(w.kind, mat, q):
+        raise ValueError("matrix is not in the group")
+    return mat.copy()
 
 
 # --------------------------------------------------------------------- points
@@ -321,9 +299,9 @@ def base_point(kind: GroupKind, q: int) -> Subspace:
     return subspace_from_rows(np.eye(n, 2 * n, dtype=np.int64), q)
 
 
-def act(g: GroupElementFq, U: Subspace) -> Subspace:
-    """g . U, i.e. the row span of M g^T."""
-    return subspace_from_rows((U.mat @ g.mat.T) % g.q, g.q)
+def act(g: np.ndarray, U: Subspace) -> Subspace:
+    """g . U, i.e. the row span of M g^T, for a group matrix g over F_{U.q}."""
+    return subspace_from_rows((U.mat @ g.T) % U.q, U.q)
 
 
 def is_isotropic(U: Subspace, n: int) -> bool:
@@ -481,13 +459,13 @@ def cover_lemma_check(kind: GroupKind, q: int) -> dict:
     B = _borel_matrices(kind, q)
     Bbar = B.transpose(0, 2, 1) % q
     pbar_p, pbar_p_keys = _product_set(Pbar, P, q)
-    w0_mat = weyl_matrix(longest_element(kind), q).mat
+    w0_mat = weyl_matrix(longest_element(kind), q)
     p_w0_p, _ = _product_set(kernels.matmul_mod(P, w0_mat, q), P, q)
 
     covered: set[bytes] = set()
     lower_ok = upper_ok = True
     for w in all_elements(kind):
-        wm = weyl_matrix(w, q).mat
+        wm = weyl_matrix(w, q)
         target_lower = _translate_keys(wm, pbar_p, q)
         covered |= target_lower
         if not _left_right_keys(Bbar, wm, P, q) <= target_lower:

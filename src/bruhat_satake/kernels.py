@@ -1,32 +1,18 @@
-"""Batched dense linear algebra over small prime fields.
+"""Batched dense linear algebra over small prime fields, in numpy.
 
 The finite flag sweeps reduce to three bulk operations on stacks of small
 integer matrices mod q: stack matmul, stack reduced row echelon form, and
-stack rank.  Each has two interchangeable implementations, a numba-jitted
-loop nest and a pure numpy one.  Selection order:
-
-    1. env var BRUHAT_SATAKE_KERNELS set to "numba" or "numpy";
-    2. otherwise numba when it imports, else numpy.
-
-``set_backend`` overrides at runtime (used by the benchmark and tests).
-All functions take and return int64 arrays; entries are reduced mod q on
-entry, and q must be one of the primes 2, 3, 5.
+stack rank.  Each is one numpy routine whose Python loops run only over
+the shape of a single matrix, never over the stack.  All functions take
+and return int64 arrays; entries are reduced mod q on entry, and q must
+be one of the primes 2, 3, 5.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 PRIMES = (2, 3, 5)
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
 
 
 def _check_q(q: int) -> None:
@@ -39,20 +25,13 @@ def _inverse_table(q: int) -> np.ndarray:
     return np.array([0] + [pow(x, q - 2, q) for x in range(1, q)], dtype=np.int64)
 
 
-# ---------------------------------------------------------------- numpy path
+def _rref_stack(m: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon form of every matrix in the stack, in place.
 
-
-def _matmul_mod_numpy(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    return (a @ b) % q
-
-
-def _rref_mod_numpy(mats: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced row echelon form of every matrix in the stack.
-
+    ``m`` is an int64 stack already reduced mod q that the caller owns.
     Vectorized across the stack: the loops run only over the r*c grid of
     one matrix shape, doing whole-stack work per step.
     """
-    m = (mats % q).astype(np.int64).copy()
     count, rows, cols = m.shape
     inv = _inverse_table(q)
     pivot_row = np.zeros(count, dtype=np.int64)
@@ -81,89 +60,9 @@ def _rref_mod_numpy(mats: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     return m, pivot_row
 
 
-# ---------------------------------------------------------------- numba path
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _matmul_mod_numba(a, b, q):  # pragma: no cover - exercised via dispatch
-        count, rows, mid = a.shape
-        cols = b.shape[2]
-        out = np.empty((count, rows, cols), dtype=np.int64)
-        for s in range(count):
-            for i in range(rows):
-                for j in range(cols):
-                    acc = 0
-                    for k in range(mid):
-                        acc += a[s, i, k] * b[s, k, j]
-                    out[s, i, j] = acc % q
-        return out
-
-    @njit(cache=True)
-    def _rref_mod_numba(mats, q):  # pragma: no cover - exercised via dispatch
-        m = mats % q
-        count, rows, cols = m.shape
-        inv = np.zeros(q, dtype=np.int64)
-        for x in range(1, q):
-            acc = 1
-            for _ in range(q - 2):
-                acc = (acc * x) % q
-            inv[x] = acc
-        ranks = np.zeros(count, dtype=np.int64)
-        for s in range(count):
-            lead = 0
-            for col in range(cols):
-                if lead >= rows:
-                    break
-                src = -1
-                for i in range(lead, rows):
-                    if m[s, i, col] != 0:
-                        src = i
-                        break
-                if src < 0:
-                    continue
-                for j in range(cols):
-                    tmp = m[s, src, j]
-                    m[s, src, j] = m[s, lead, j]
-                    m[s, lead, j] = tmp
-                scale = inv[m[s, lead, col]]
-                for j in range(cols):
-                    m[s, lead, j] = (m[s, lead, j] * scale) % q
-                for i in range(rows):
-                    if i != lead and m[s, i, col] != 0:
-                        f = m[s, i, col]
-                        for j in range(cols):
-                            m[s, i, j] = (m[s, i, j] - f * m[s, lead, j]) % q
-                lead += 1
-            ranks[s] = lead
-        return m, ranks
-
-
-# ------------------------------------------------------------------ dispatch
-
-_backend = None
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if _HAVE_NUMBA else ("numpy",)
-
-
-def set_backend(name: str) -> None:
-    global _backend
-    if name not in available_backends():
-        raise ValueError(f"backend {name!r} not available; have {available_backends()}")
-    _backend = name
-
-
 def backend_name() -> str:
-    global _backend
-    if _backend is None:
-        wanted = os.environ.get("BRUHAT_SATAKE_KERNELS")
-        if wanted:
-            set_backend(wanted)
-        else:
-            _backend = "numba" if _HAVE_NUMBA else "numpy"
-    return _backend
+    """The kernel implementation in use; numpy is the only one."""
+    return "numpy"
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -171,11 +70,7 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     _check_q(q)
     a = np.ascontiguousarray(a, dtype=np.int64) % q
     b = np.ascontiguousarray(b, dtype=np.int64) % q
-    if b.ndim == 2:
-        b = np.broadcast_to(b, (a.shape[0],) + b.shape)
-    if backend_name() == "numba":
-        return _matmul_mod_numba(np.ascontiguousarray(a), np.ascontiguousarray(b), q)
-    return _matmul_mod_numpy(a, b, q)
+    return (a @ b) % q
 
 
 def rref_mod(mats: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -185,14 +80,11 @@ def rref_mod(mats: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     matrices have equal row spans iff their RREFs are equal arrays.
     """
     _check_q(q)
-    mats = np.ascontiguousarray(mats, dtype=np.int64) % q
+    mats = np.ascontiguousarray(mats, dtype=np.int64) % q  # a fresh array
     single = mats.ndim == 2
     if single:
         mats = mats[None]
-    if backend_name() == "numba":
-        out, ranks = _rref_mod_numba(np.ascontiguousarray(mats), q)
-    else:
-        out, ranks = _rref_mod_numpy(mats, q)
+    out, ranks = _rref_stack(mats, q)
     if single:
         return out[0], ranks[0]
     return out, ranks

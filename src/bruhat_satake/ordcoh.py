@@ -255,9 +255,3 @@ def ordinary_part_of_hecke_gamma(d: int, lam: Lambda, a: int = 2) -> tuple[int, 
         e = ordinary_projector(U, lam)
         ranks.append(rank_mod_p(e, lam.p))
     return tuple(ranks)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

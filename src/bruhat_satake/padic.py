@@ -2,8 +2,7 @@
 
 Matrices are kept over the rationals (stdlib ``Fraction``), since the
 parabolic factor of a coset factorization picks up denominators that are
-not powers of p.  ``PRational`` is the small subring Z[1/p] used for
-parsing and valuation bookkeeping.
+not powers of p.
 
 The central quantity is ``h_invariant(g) = min_{i,j} v_p((D^{-1}C)_{ij})``
 for the lower-left block C and lower-right block D of g.  It is invariant
@@ -53,79 +52,6 @@ def _is_prime(p: int) -> bool:
             return False
         d += 1
     return True
-
-
-@dataclass(frozen=True)
-class PRational:
-    """An element num / p^exp of Z[1/p], kept with p-reduced numerator.
-
-    >>> PRational.make(2, 12, 2)
-    PRational(p=2, num=3, exp=0)
-    >>> PRational.parse("3/4", 2).valuation
-    -2
-    """
-
-    p: int
-    num: int
-    exp: int
-
-    def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.num == 0:
-            if self.exp != 0:
-                raise ValueError("zero is stored with exponent 0")
-        elif self.num % self.p == 0 and self.exp > 0:
-            raise ValueError("numerator must be p-reduced against the exponent")
-
-    @staticmethod
-    def make(p: int, num: int, exp: int = 0) -> "PRational":
-        if num == 0:
-            return PRational(p, 0, 0)
-        while num % p == 0 and exp > 0:
-            num //= p
-            exp -= 1
-        return PRational(p, num, exp)
-
-    @staticmethod
-    def from_fraction(x, p: int) -> "PRational":
-        x = Fraction(x)
-        den = x.denominator
-        exp = 0
-        while den % p == 0:
-            den //= p
-            exp += 1
-        if den != 1:
-            raise ValueError(f"{x} does not lie in Z[1/{p}]")
-        return PRational.make(p, x.numerator, exp)
-
-    @staticmethod
-    def parse(text: str, p: int) -> "PRational":
-        return PRational.from_fraction(Fraction(text.strip()), p)
-
-    def to_fraction(self) -> Fraction:
-        return Fraction(self.num, self.p**self.exp)
-
-    @property
-    def valuation(self):
-        if self.num == 0:
-            return math.inf
-        return valuation(self.num, self.p) - self.exp
-
-    def __add__(self, other: "PRational") -> "PRational":
-        self._check(other)
-        return PRational.from_fraction(self.to_fraction() + other.to_fraction(), self.p)
-
-    def __mul__(self, other: "PRational") -> "PRational":
-        self._check(other)
-        return PRational.from_fraction(self.to_fraction() * other.to_fraction(), self.p)
-
-    def __neg__(self) -> "PRational":
-        return PRational(self.p, -self.num, self.exp)
-
-    def _check(self, other):
-        if self.p != other.p:
-            raise ValueError("mixed primes")
 
 
 # -------------------------------------------------------- exact matrix core
@@ -271,6 +197,8 @@ def from_blocks(kind: GroupKind, p: int, A, B, C, D) -> BlockMatrix:
 
 def gamma(kind: GroupKind, p: int) -> BlockMatrix:
     """The contracting diagonal element diag(p 1_n, 1_n) or diag(p 1_n, p^{-1} 1_n)."""
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
     n = kind.n
     hi = Fraction(1) if kind.family is Family.TYPE_A else Fraction(1, p)
     rows = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
@@ -493,9 +421,3 @@ def random_parabolic_element(kind: GroupKind, p: int, rng: random.Random) -> Blo
     levi = from_blocks(kind, p, A, _zeros(n), _zeros(n), _transpose(_mat_inverse(A)))
     upper = from_blocks(kind, p, _identity(n), S, _zeros(n), _identity(n))
     return levi * upper
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -151,16 +151,6 @@ def negative_roots(kind: GroupKind) -> frozenset[Root]:
     return all_roots(kind) - positive_roots(kind)
 
 
-def simple_roots(kind: GroupKind) -> list[Root]:
-    """chi_{i,i+1} for i < 2n (type A); chi_{i,i+1} for i < n plus psi_{n,n} (type C)."""
-    n = kind.n
-    if kind.family is Family.TYPE_A:
-        return [Root(kind, ("chi", i, i + 1, 1)) for i in range(1, 2 * n)]
-    out = [Root(kind, ("chi", i, i + 1, 1)) for i in range(1, n)]
-    out.append(Root(kind, ("psi", n, n, 1)))
-    return out
-
-
 @dataclass(frozen=True)
 class ParabolicRootData:
     """The three-way split of the roots cut out by the mark I = S - {s_n}."""
@@ -201,10 +191,6 @@ def cell_dim_formula(kind: GroupKind, t: int) -> int:
     """Closed form for the dimension of the cell with tau = t."""
     n = kind.n
     return t * (2 * n - t) if kind.family is Family.TYPE_A else t * (2 * n - t + 1) // 2
-
-
-def _translate(w: WeylElement, roots) -> frozenset[Root]:
-    return frozenset(weyl_action(w, r) for r in roots)
 
 
 @lru_cache(maxsize=None)
@@ -294,11 +280,10 @@ def n0j_rank(J: SubsetJ) -> int:
     With J = {1..n} (so w_J = 1) this is all of N_I, i.e. full rank
     ``place_dimension``; in general it equals the cell dimension of the
     double coset of w_J * w_0, i.e. ``schubert_cell_dim(w_J * w_0)``.
+    The roots of P_I are Phi+ cup Phi_I, so this is the pair-code count
+    ``standard_unipotent_intersection_dim(w_J)``.
     """
-    kind = J.kind
-    data = parabolic_data(kind)
-    image = _translate(w_j(J), data.phi_i | data.n_i)
-    return len(data.n_i & image)
+    return standard_unipotent_intersection_dim(w_j(J))
 
 
 def n0j_corank(J: SubsetJ) -> int:

@@ -135,10 +135,6 @@ class LaurentPoly:
         return dict(self.terms)
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
@@ -592,9 +588,3 @@ def unitary_n1_expansion() -> dict:
     expected_json = [poly_to_json(c) for c in expected.coeffs]
     ok = report["verdict"] and report["lhs"] == expected_json and report["rhs"] == expected_json
     return {"verdict": ok, "expected": expected_json, "factorization": report}
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

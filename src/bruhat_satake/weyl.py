@@ -21,9 +21,12 @@ True
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+
+WEYL_ORDER_GUARD = 10**6
 
 
 class Family(Enum):
@@ -148,11 +151,28 @@ def parabolic_mark(kind: GroupKind) -> list[WeylElement]:
     return refl[: kind.n - 1] + refl[kind.n :] if kind.family is Family.TYPE_A else refl[: kind.n - 1]
 
 
+def order(kind: GroupKind) -> int:
+    """|W|: (2n)! in type A, 2^n * n! in type C.
+
+    >>> order(type_a(2)), order(type_c(2))
+    (24, 8)
+    """
+    n = kind.n
+    return math.factorial(2 * n) if kind.family is Family.TYPE_A else 2**n * math.factorial(n)
+
+
+def _check_order(kind: GroupKind) -> None:
+    """Refuse, before any enumeration starts, a W larger than the guard."""
+    if order(kind) > WEYL_ORDER_GUARD:
+        raise ValueError(f"Weyl group order {order(kind)} exceeds the guard {WEYL_ORDER_GUARD}")
+
+
 # The length table doubles as the group enumeration.  lru_cache gives a
 # per-(family, n) table computed once; concurrent first calls may race to
 # build it but always install equal values, which is safe under CPython.
 @lru_cache(maxsize=None)
 def _length_table(kind: GroupKind) -> dict[tuple[int, ...], int]:
+    _check_order(kind)
     gens = [s.perm for s in simple_reflections(kind)]
     start = identity(kind).perm
     table = {start: 0}
@@ -187,6 +207,7 @@ def all_elements(kind: GroupKind) -> list[WeylElement]:
 
 @lru_cache(maxsize=None)
 def _parabolic_perms(kind: GroupKind) -> frozenset[tuple[int, ...]]:
+    _check_order(kind)
     gens = [s.perm for s in parabolic_mark(kind)]
     start = identity(kind).perm
     seen = {start}
@@ -255,11 +276,6 @@ def double_cosets(kind: GroupKind) -> list[WeylElement]:
 def canonical_rep(w: WeylElement) -> WeylElement:
     """The representative sigma_{tau(w)} of the double coset of w."""
     return sigma(w.kind, tau(w))
-
-
-def delta(w: WeylElement) -> WeylElement:
-    """Alias for the double coset label of w, as a canonical representative."""
-    return canonical_rep(w)
 
 
 def double_coset_partition(kind: GroupKind) -> list[frozenset[tuple[int, ...]]]:
@@ -359,9 +375,3 @@ def w_j(J: SubsetJ) -> WeylElement:
     for a, b in zip(moving, targets):
         perm[a - 1], perm[b - 1] = b, a
     return WeylElement(J.kind, tuple(perm))
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -9,19 +9,12 @@ import random
 import time
 
 import numpy as np
-import pytest
 from click.testing import CliRunner
 
 from bruhat_satake import cli, flagfq, ordcoh, padic, roots, satake, weyl
 
 A = weyl.Family.TYPE_A
 C = weyl.Family.TYPE_C
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    # compile or load the jitted kernels before any clock starts
-    flagfq.cell_census(weyl.type_a(1), 2)
 
 
 def conclude(name: str, budget: float, started: float, ok: bool, detail: str = ""):

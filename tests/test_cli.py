@@ -91,6 +91,12 @@ def test_guards_exit_2(runner):
     result = invoke(runner, ["flag", "census", "--kind", "A", "--n", "3", "--q", "5"])
     assert result.exit_code == 2
     assert "error:" in result.stderr
+    # the Weyl group guard refuses S_18 before any enumeration starts
+    for args in (["weyl", "cosets", "--kind", "A", "--n", "9"], ["cells", "dims", "--kind", "A", "--n", "9"]):
+        result = invoke(runner, args)
+        assert result.exit_code == 2
+        assert "error:" in result.stderr
+        assert result.stdout_bytes == b""
 
 
 def test_failed_check_exits_1(runner, monkeypatch):
@@ -260,3 +266,70 @@ def test_matrix_digest_filename(runner, tmp_path):
     assert len(names) == 1
     assert "digest=" in names[0]
     assert "[[" not in names[0]
+
+
+def refused(result, *words):
+    """Exit 2 with one stderr line naming the problem, and no report."""
+    assert result.exit_code == 2
+    assert result.stdout_bytes == b""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    for word in words:
+        assert word in lines[0]
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        "[[1,0],[0.1,1]]",  # a float
+        "[[1,0],[1e400,1]]",  # a float that overflows to infinity
+        "[[1,0],[Infinity,1]]",
+        "[[1,0],[NaN,1]]",
+        "[[true,0],[0,1]]",
+        '[[1,0],["0.5",1]]',  # a decimal string
+        '[[1,0],["1/0",1]]',
+        "[1,0,0,1]",  # not a list of rows
+    ],
+)
+@pytest.mark.parametrize("command", ["h", "factor"])
+def test_padic_refuses_inexact_matrix_entries(runner, command, matrix):
+    result = invoke(runner, ["padic", command, "--kind", "A", "--n", "1", "--p", "2", "--matrix", matrix])
+    refused(result)
+
+
+def test_padic_missing_matrix_file(runner, tmp_path):
+    missing = str(tmp_path / "absent.json")
+    result = invoke(runner, ["padic", "h", "--kind", "A", "--n", "1", "--p", "2", "--matrix-file", missing])
+    refused(result, "--matrix-file")
+
+
+def test_padic_refuses_deeply_nested_matrix_file(runner, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    result = invoke(runner, ["padic", "h", "--kind", "A", "--n", "1", "--p", "2", "--matrix-file", str(path)])
+    refused(result, "nested")
+
+
+def test_matrix_file_digest_matches_inline_text(runner, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text("[[1,0],[2,1]]")
+    out_file, out_inline = tmp_path / "file", tmp_path / "inline"
+    base = ["padic", "h", "--kind", "A", "--n", "1", "--p", "2"]
+    assert invoke(runner, base + ["--matrix-file", str(path), "--output-dir", str(out_file)]).exit_code == 0
+    assert invoke(runner, base + ["--matrix", "[[1,0],[2,1]]", "--output-dir", str(out_inline)]).exit_code == 0
+    assert [f.name for f in out_file.iterdir()] == [f.name for f in out_inline.iterdir()]
+
+
+@pytest.mark.parametrize("command", ["h", "factor"])
+@pytest.mark.parametrize(
+    "extra",
+    ["--m 0", "--m -1", "--count 0", "--count -3", "--m 0 --matrix [[1,0],[2,1]]"],
+)
+def test_padic_refuses_bad_level_and_count(runner, command, extra):
+    result = invoke(runner, ["padic", command, "--kind", "A", "--n", "1", "--p", "2", *extra.split()])
+    refused(result, extra.split()[0])
+
+
+def test_padic_refuses_a_non_prime_before_building_gamma(runner):
+    result = invoke(runner, ["padic", "h", "--kind", "C", "--n", "1", "--p", "0"])
+    refused(result, "prime")

@@ -83,9 +83,11 @@ def test_action_is_a_group_action(kind, q):
     rng = np.random.default_rng(0)
     for _ in range(20):
         U = points[rng.integers(len(points))]
-        g = flagfq.group_element(kind, q, gens[rng.integers(len(gens))])
-        h = flagfq.group_element(kind, q, gens[rng.integers(len(gens))])
-        assert flagfq.act(g * h, U) == flagfq.act(g, flagfq.act(h, U))
+        g = gens[rng.integers(len(gens))]
+        h = gens[rng.integers(len(gens))]
+        gh = (g @ h) % q
+        assert flagfq.is_in_group(kind, gh, q)
+        assert flagfq.act(gh, U) == flagfq.act(g, flagfq.act(h, U))
         if kind.family is weyl.Family.TYPE_C:
             assert flagfq.is_isotropic(flagfq.act(g, U), kind.n)
 
@@ -120,7 +122,7 @@ def test_tau_of_base_point_and_invariance(kind, q):
     points = flagfq.enumerate_flag(kind, q)
     for _ in range(15):
         U = points[rng.integers(len(points))]
-        g = flagfq.group_element(kind, q, par[rng.integers(par.shape[0])])
+        g = par[rng.integers(par.shape[0])]
         assert flagfq.tau_of_point(flagfq.act(g, U)) == flagfq.tau_of_point(U)
 
 
@@ -155,7 +157,7 @@ def test_weyl_matrices_lift_the_group(kind, q):
     # every lift lies in the group and realizes w on the torus-fixed points
     base = flagfq.base_point(kind, q)
     for w in weyl.all_elements(kind):
-        assert flagfq.is_in_group(kind, flagfq.weyl_matrix(w, q).mat, q)
+        assert flagfq.is_in_group(kind, flagfq.weyl_matrix(w, q), q)
     for w in weyl.all_elements(kind)[:12]:
         for v in weyl.all_elements(kind)[:8]:
             left = flagfq.act(flagfq.weyl_matrix(w, q), flagfq.act(flagfq.weyl_matrix(v, q), base))
@@ -164,6 +166,14 @@ def test_weyl_matrices_lift_the_group(kind, q):
     for w in weyl.all_elements(kind):
         fixed = flagfq.act(flagfq.weyl_matrix(w, q), base)
         assert flagfq.tau_of_point(fixed) == weyl.tau(w)
+
+
+def test_weyl_matrix_refuses_a_lift_outside_the_group(monkeypatch):
+    kind, q = weyl.type_a(1), 2
+    w = weyl.identity(kind)
+    monkeypatch.setattr(flagfq, "_weyl_matrix_table", lambda kind, q: {w.perm: np.zeros((2, 2), dtype=np.int64)})
+    with pytest.raises(ValueError):
+        flagfq.weyl_matrix(w, q)
 
 
 @pytest.mark.parametrize("kind,q", [(weyl.type_a(2), 2), (weyl.type_c(2), 2), (weyl.type_a(2), 3)])

@@ -11,7 +11,6 @@ from bruhat_satake.padic import (
     BlockMatrix,
     Level,
     LevelFlavor,
-    PRational,
     anticanonical_radius,
     block_matrix,
     factor_P_Gamma1,
@@ -34,54 +33,22 @@ KINDS = (A1, A2, C1, C2)
 PRIMES = (2, 3, 5)
 
 
-# ------------------------------------------------------------------ Z[1/p]
+# --------------------------------------------------------------- valuations
 
 
-def test_prational_normalization():
-    assert PRational.make(2, 12, 2) == PRational(2, 3, 0)
-    assert PRational.make(3, 18, 1) == PRational(3, 6, 0)
-    assert PRational.make(2, 0, 0) == PRational(2, 0, 0)
-    assert PRational.parse("3/4", 2).valuation == -2
-    assert PRational.parse(" 10 ", 5) == PRational(5, 10, 0)
-
-
-def test_prational_rejects_bad_storage():
-    with pytest.raises(ValueError):
-        PRational(4, 1, 0)  # not prime
-    with pytest.raises(ValueError):
-        PRational(2, 4, 1)  # numerator not reduced
-    with pytest.raises(ValueError):
-        PRational(2, 0, 3)  # zero with nonzero exponent
-    with pytest.raises(ValueError):
-        PRational.from_fraction(Fraction(1, 3), 2)  # not in Z[1/2]
-
-
-def test_prational_valuation():
-    assert PRational.make(2, 8).valuation == 3
-    assert PRational.make(2, 3, 2).valuation == -2
-    assert PRational.make(7, 0).valuation == math.inf
-
-
-def test_prational_arithmetic_matches_fractions():
-    rng = random.Random(0)
-    for _ in range(50):
-        p = rng.choice(PRIMES)
-        x = PRational.make(p, rng.randint(-40, 40), rng.randint(0, 3))
-        y = PRational.make(p, rng.randint(-40, 40), rng.randint(0, 3))
-        assert (x + y).to_fraction() == x.to_fraction() + y.to_fraction()
-        assert (x * y).to_fraction() == x.to_fraction() * y.to_fraction()
-        assert (-x).to_fraction() == -x.to_fraction()
-    with pytest.raises(ValueError):
-        PRational.make(2, 1) + PRational.make(3, 1)
-
-
-@given(st.integers(-10**6, 10**6), st.integers(0, 12), st.sampled_from(PRIMES))
+@given(st.integers(-10**6, 10**6), st.integers(0, 12), st.integers(0, 12), st.sampled_from(PRIMES))
 @settings(max_examples=80, deadline=None)
-def test_prational_fraction_roundtrip(num, exp, p):
-    x = PRational.make(p, num, exp)
-    assert PRational.from_fraction(x.to_fraction(), p) == x
-    if num != 0:
-        assert x.valuation == valuation(num, p) - exp
+def test_valuation_of_scaled_units(unit, up, down, p):
+    if unit % p == 0:
+        unit += 1  # now a p-adic unit
+    assert valuation(Fraction(unit * p**up, p**down), p) == up - down
+
+
+def test_valuation_literals():
+    assert valuation(8, 2) == 3
+    assert valuation(Fraction(3, 4), 2) == -2
+    assert valuation("5/9", 3) == -2
+    assert valuation(0, 7) == math.inf
 
 
 # ------------------------------------------------------------ block matrices

@@ -9,13 +9,6 @@ from bruhat_satake import weyl
 KINDS = [weyl.type_a(1), weyl.type_a(2), weyl.type_a(3), weyl.type_c(1), weyl.type_c(2), weyl.type_c(3)]
 
 
-def group_order(kind):
-    n = kind.n
-    if kind.family is weyl.Family.TYPE_A:
-        return math.factorial(2 * n)
-    return 2**n * math.factorial(n)
-
-
 def random_word_element(kind, indices):
     gens = weyl.simple_reflections(kind)
     w = weyl.identity(kind)
@@ -34,7 +27,7 @@ def test_simple_reflections_are_involutions(kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_enumeration_count(kind):
     elements = weyl.all_elements(kind)
-    assert len(elements) == group_order(kind)
+    assert len(elements) == weyl.order(kind)
     assert len({w.perm for w in elements}) == len(elements)
 
 
@@ -111,7 +104,7 @@ def test_double_cosets_against_partition_oracle(kind):
     parts = weyl.double_coset_partition(kind)
     assert len(parts) == kind.n + 1
     # the partition covers W exactly
-    assert sum(len(p) for p in parts) == group_order(kind)
+    assert sum(len(p) for p in parts) == weyl.order(kind)
     # each representative lies in its own block, tau separates the blocks
     for block in parts:
         taus = {weyl.tau(weyl.WeylElement(kind, perm)) for perm in block}
@@ -126,7 +119,7 @@ def test_canonical_rep_constant_on_cosets(kind):
     for block in weyl.double_coset_partition(kind):
         reps = {weyl.canonical_rep(weyl.WeylElement(kind, perm)).perm for perm in block}
         assert len(reps) == 1
-        assert weyl.delta(weyl.WeylElement(kind, next(iter(block)))).perm in reps
+        assert weyl.canonical_rep(weyl.WeylElement(kind, next(iter(block)))).perm in reps
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -164,3 +157,15 @@ def test_tau_literal_values():
     w = weyl.from_cycles(kind, [(1, 3), (2, 4)])
     assert weyl.tau(w) == 2
     assert weyl.tau(weyl.identity(kind)) == 0
+
+
+def test_enumeration_guard_refuses_before_any_bfs():
+    for kind in (weyl.type_a(5), weyl.type_c(8)):
+        assert weyl.order(kind) > weyl.WEYL_ORDER_GUARD
+        with pytest.raises(ValueError):
+            weyl.all_elements(kind)
+        with pytest.raises(ValueError):
+            weyl.parabolic_elements(kind)
+    # the largest groups the sweeps use stay under the guard
+    assert weyl.order(weyl.type_a(4)) <= weyl.WEYL_ORDER_GUARD
+    assert weyl.order(weyl.type_c(7)) <= weyl.WEYL_ORDER_GUARD
