@@ -31,12 +31,14 @@ from .weyl import (
     WeylElement,
     all_elements,
     all_subsets_j,
+    check_order,
     longest_element,
     simple_reflections,
 )
 
 FLAG_POINT_GUARD = 10**6
 GROUP_ORDER_GUARD = 10**6
+_PRODUCT_CHUNK = 1 << 14  # matrices per matmul_mod call in _product_set; sets the call count
 
 
 # ------------------------------------------------------------- order formulas
@@ -189,8 +191,9 @@ def group_generators(kind: GroupKind, q: int) -> list[np.ndarray]:
     return borel_generators(kind, q) + simple_reflection_matrices(kind, q)
 
 
-def _closure(gens: list[np.ndarray], q: int, expected: int | None = None) -> np.ndarray:
-    """Breadth-first closure of a generating set, as a deterministic stack."""
+def _closure(gens: list[np.ndarray], q: int, expected: int) -> np.ndarray:
+    """Breadth-first closure of a generating set, as a deterministic stack,
+    certified to have ``expected`` elements."""
     m = gens[0].shape[0]
     gen_stack = np.stack([g % q for g in gens])
     seen: dict[bytes, int] = {}
@@ -208,19 +211,19 @@ def _closure(gens: list[np.ndarray], q: int, expected: int | None = None) -> np.
                     new.append(row)
         frontier = np.stack(new) if new else np.empty((0, m, m), dtype=np.int64)
     out = np.stack(mats)
-    if expected is not None and out.shape[0] != expected:
+    if out.shape[0] != expected:
         raise AssertionError(f"closure reached {out.shape[0]} elements, expected {expected}")
     return out
 
 
 @lru_cache(maxsize=None)
 def _borel_matrices(kind: GroupKind, q: int) -> np.ndarray:
-    return _closure(borel_generators(kind, q), q, expected=borel_order(kind, q))
+    return _closure(borel_generators(kind, q), q, borel_order(kind, q))
 
 
 @lru_cache(maxsize=None)
 def _parabolic_matrices(kind: GroupKind, q: int) -> np.ndarray:
-    return _closure(parabolic_generators(kind, q), q, expected=parabolic_order(kind, q))
+    return _closure(parabolic_generators(kind, q), q, parabolic_order(kind, q))
 
 
 @lru_cache(maxsize=None)
@@ -228,12 +231,13 @@ def _group_matrices(kind: GroupKind, q: int) -> np.ndarray:
     order = group_order(kind, q)
     if order > GROUP_ORDER_GUARD:
         raise ValueError(f"group order {order} exceeds the guard {GROUP_ORDER_GUARD}")
-    return _closure(group_generators(kind, q), q, expected=order)
+    return _closure(group_generators(kind, q), q, order)
 
 
 @lru_cache(maxsize=None)
 def _weyl_matrix_table(kind: GroupKind, q: int) -> dict[tuple[int, ...], np.ndarray]:
     """One matrix lift per Weyl element, from words in the reflection lifts."""
+    check_order(kind)
     refl_perms = [s.perm for s in simple_reflections(kind)]
     refl_mats = simple_reflection_matrices(kind, q)
     ident = tuple(range(1, kind.ambient + 1))
@@ -411,13 +415,13 @@ def closure_order_check(kind: GroupKind, q: int) -> dict:
 # ------------------------------------------------------------- cover lemmas
 
 
-def _product_set(left: np.ndarray, right: np.ndarray, q: int, chunk: int = 1 << 14) -> tuple[np.ndarray, set[bytes]]:
+def _product_set(left: np.ndarray, right: np.ndarray, q: int) -> tuple[np.ndarray, set[bytes]]:
     """All products x y for x in left, y in right, deduplicated."""
     m = left.shape[1]
     seen: dict[bytes, int] = {}
     mats: list[np.ndarray] = []
     n_left = left.shape[0]
-    per = max(1, chunk // right.shape[0])
+    per = max(1, _PRODUCT_CHUNK // right.shape[0])
     for start in range(0, n_left, per):
         block = left[start : start + per]
         a_stack = np.repeat(block, right.shape[0], axis=0)
@@ -449,10 +453,7 @@ def cover_lemma_check(kind: GroupKind, q: int) -> dict:
     * B w P_I is contained in (w w_0) P_I w_0 P_I;
     * the translates w (Pbar_I P_I) cover all of G(F_q).
     """
-    order = group_order(kind, q)
-    if order > GROUP_ORDER_GUARD:
-        raise ValueError(f"group order {order} exceeds the guard {GROUP_ORDER_GUARD}")
-    G = _group_matrices(kind, q)
+    G = _group_matrices(kind, q)  # refuses a group over GROUP_ORDER_GUARD
     g_keys = set(kernels.mat_keys(G))
     P = _parabolic_matrices(kind, q)
     Pbar = P.transpose(0, 2, 1) % q
@@ -475,7 +476,7 @@ def cover_lemma_check(kind: GroupKind, q: int) -> dict:
             upper_ok = False
     covers = covered == g_keys
     return {
-        "group_order": order,
+        "group_order": G.shape[0],
         "lower_inclusions": lower_ok,
         "upper_inclusions": upper_ok,
         "translates_cover_group": covers,

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .padic import is_prime
+
 KOSZUL_DEGREE_GUARD = 12
 
 
@@ -38,7 +40,7 @@ class Lambda:
     def __post_init__(self):
         if self.r < 1:
             raise ValueError("exponent must be >= 1")
-        if self.p < 2 or any(self.p % d == 0 for d in range(2, self.p)):
+        if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
     @property
@@ -46,12 +48,15 @@ class Lambda:
         return self.p**self.r
 
 
-def _binom(d: int, i: int) -> int:
-    return math.comb(d, i)
-
-
 def _subsets(d: int, i: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(1, d + 1), i))
+
+
+def _check_int64(size: int, lam: Lambda) -> None:
+    """Refuse size x size int64 work over Z/p^r that could overflow: a
+    product entry is a sum of size terms, each below (p^r - 1)^2."""
+    if size * (lam.modulus - 1) ** 2 >= 2**63:
+        raise ValueError(f"{size} x {size} matrices over Z/{lam.p}^{lam.r} overflow int64 arithmetic")
 
 
 @dataclass(frozen=True)
@@ -72,7 +77,7 @@ def koszul_cohomology(d: int, lam: Lambda) -> GradedCohomology:
     """
     if not 0 <= d <= KOSZUL_DEGREE_GUARD:
         raise ValueError(f"degree {d} outside the guarded range")
-    ranks = tuple(_binom(d, i) for i in range(d + 1))
+    ranks = tuple(math.comb(d, i) for i in range(d + 1))
     bases = tuple(tuple(_subsets(d, i)) for i in range(d + 1))
     return GradedCohomology(d, lam, ranks, bases)
 
@@ -145,18 +150,17 @@ def cores_rank1(a: int, lam: Lambda) -> Rank1Cores:
 
 
 def cores_kunneth(d: int, a: int, lam: Lambda) -> list[np.ndarray]:
-    """The corestriction on H^i(Z_p^d) at level p^a: diagonal, entry
-    deg1^i * deg0^{d-i} = p^{a(d-i)} on every subset basis vector."""
+    """The corestriction on H^i(Z_p^d) at level p^a, in closed form.
+
+    ``cores_rank1`` induces p^a on H^0 and 1 on H^1, so by Kunneth the map
+    on H^i is diagonal with entry p^{a(d-i)} on every subset basis vector.
+    """
     coh = koszul_cohomology(d, lam)
-    rank1 = cores_rank1(a, lam)
-    d0 = int(rank1.deg0[0, 0])
-    d1 = int(rank1.deg1[0, 0])
+    if a < 1:
+        raise ValueError("level exponent must be >= 1")
+    _check_int64(max(coh.ranks), lam)
     mod = lam.modulus
-    out = []
-    for i in range(d + 1):
-        entry = pow(d1, i, mod) * pow(d0, d - i, mod) % mod
-        out.append((entry * np.eye(coh.ranks[i], dtype=np.int64)) % mod)
-    return out
+    return [pow(lam.p, a * (d - i), mod) * np.eye(rank, dtype=np.int64) for i, rank in enumerate(coh.ranks)]
 
 
 def hecke_gamma(d: int, a: int, lam: Lambda) -> list[np.ndarray]:
@@ -204,9 +208,11 @@ def ordinary_limit(U: np.ndarray, lam: Lambda) -> tuple[np.ndarray, int]:
     exponent does.
     """
     mod = lam.modulus
-    U = np.asarray(U, dtype=np.int64) % mod
+    U = np.asarray(U, dtype=np.int64)
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise ValueError("expected a square matrix")
+    _check_int64(U.shape[0], lam)
+    U = U % mod
     a = U.copy()
     n = 1
     for k in range(1, 21):

@@ -43,7 +43,11 @@ def valuation(x, p: int):
     return v
 
 
-def _is_prime(p: int) -> bool:
+def is_prime(p: int) -> bool:
+    """Trial division, so at most 46,341 steps: p >= 2^31 is refused with
+    ValueError before any division."""
+    if p >= 2**31:
+        raise ValueError(f"{p} is too large: primality is checked only below 2^31")
     if p < 2:
         return False
     d = 2
@@ -130,7 +134,7 @@ class BlockMatrix:
     rows: Mat
 
     def __post_init__(self):
-        if not _is_prime(self.p):
+        if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         m = self.kind.ambient
         if len(self.rows) != m or any(len(r) != m for r in self.rows):
@@ -197,7 +201,7 @@ def from_blocks(kind: GroupKind, p: int, A, B, C, D) -> BlockMatrix:
 
 def gamma(kind: GroupKind, p: int) -> BlockMatrix:
     """The contracting diagonal element diag(p 1_n, 1_n) or diag(p 1_n, p^{-1} 1_n)."""
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     n = kind.n
     hi = Fraction(1) if kind.family is Family.TYPE_A else Fraction(1, p)
@@ -342,8 +346,8 @@ def anticanonical_radius(kind: GroupKind, vals: dict):
 # ------------------------------------------------------------------ sampling
 
 
-def _rand_int_mat(n: int, rng: random.Random, lo: int = -4, hi: int = 4) -> Mat:
-    return tuple(tuple(Fraction(rng.randint(lo, hi)) for _ in range(n)) for _ in range(n))
+def _rand_int_mat(n: int, rng: random.Random) -> Mat:
+    return tuple(tuple(Fraction(rng.randint(-4, 4)) for _ in range(n)) for _ in range(n))
 
 
 def _rand_symmetric(n: int, rng: random.Random) -> Mat:

@@ -69,11 +69,6 @@ class Root:
         label, i, j, sign = self.shape
         return Root(self.kind, (label, i, j, -sign))
 
-    def __str__(self):
-        label, i, j, sign = self.shape
-        body = f"{label}_{i},{j}"
-        return body if sign == 1 else f"-{body}"
-
 
 def _pair_of_root(r: Root) -> tuple[int, int]:
     """A concrete ordered pair (a, b) in {1..2n}^2 realizing the root.

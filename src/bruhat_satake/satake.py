@@ -335,10 +335,8 @@ def t_m(i: int, n: int, block, variables) -> LaurentPoly:
 
 
 def t_g_unitary(i: int, n: int, variables=None) -> LaurentPoly:
-    """T_{G,i} = v^{i(2n-i)} e_i(Y_1, ..., Y_{2n})."""
-    variables = unitary_g_ring(n) if variables is None else tuple(variables)
-    e = elementary_symmetric(i, y_vars(n), variables)
-    return (monomial(variables, 1, {"v": i * (2 * n - i)}) * e).tagged(SymmetryTag("S", (y_vars(n),)))
+    """T_{G,i} = v^{i(2n-i)} e_i(Y_1, ..., Y_{2n}): the Levi symbol of GL_{2n}."""
+    return t_m(i, 2 * n, y_vars(n), unitary_g_ring(n) if variables is None else variables)
 
 
 def t_g_real(i: int, n: int, variables=None) -> LaurentPoly:
@@ -389,18 +387,12 @@ class CharPoly:
                 out[i + j] = out[i + j] + a * b
         return CharPoly(tuple(out))
 
-    def aligned(self, variables) -> "CharPoly":
-        return CharPoly(tuple(align(c, variables) for c in self.coeffs))
-
     def map_coeffs(self, f) -> "CharPoly":
         return CharPoly(tuple(f(c) for c in self.coeffs))
 
     def rescale(self, prefactor: LaurentPoly, x_scale: LaurentPoly) -> "CharPoly":
         """P(X) -> prefactor * P(x_scale * X), coefficientwise."""
-        out = []
-        for j, c in enumerate(self.coeffs):
-            out.append(prefactor * x_scale**j * c)
-        return CharPoly(tuple(out))
+        return CharPoly(tuple(prefactor * x_scale**j * c for j, c in enumerate(self.coeffs)))
 
 
 def linear_factor(variables, root: LaurentPoly) -> CharPoly:
@@ -408,23 +400,30 @@ def linear_factor(variables, root: LaurentPoly) -> CharPoly:
     return CharPoly((-align(root, variables), one(variables)))
 
 
+def _hecke_char_poly(deg: int, variables, T, twist: str | None = None) -> CharPoly:
+    """The monic polynomial whose X^{deg-i} coefficient is (-1)^i q^{i(i-1)/2} T(i).
+
+    With a twist unit c the polynomial is c^deg P(c^{-1} X), which scales
+    the X^{deg-i} coefficient by c^i.
+    """
+    coeffs = [zero(variables) for _ in range(deg + 1)]
+    coeffs[deg] = one(variables)
+    for i in range(1, deg + 1):
+        lead = monomial(variables, -1 if i % 2 else 1, {"v": i * (i - 1)})
+        if twist is not None:
+            lead = lead * monomial(variables, 1, {twist: i})
+        coeffs[deg - i] = lead * T(i)
+    return CharPoly(tuple(coeffs))
+
+
 def char_poly_m(n: int, block, variables, twist: str | None = None) -> CharPoly:
     """The Levi characteristic polynomial at one place:
 
         X^n - T_1 X^{n-1} + ... + (-1)^i q^{i(i-1)/2} T_i X^{n-i} + ...
 
-    With a twist unit c the polynomial is c^n P(c^{-1} X), which scales the
-    X^{n-i} coefficient by c^i.
+    optionally twisted by a unit (see ``_hecke_char_poly``).
     """
-    coeffs = [zero(variables) for _ in range(n + 1)]
-    coeffs[n] = one(variables)
-    for i in range(1, n + 1):
-        sign = -1 if i % 2 else 1
-        lead = monomial(variables, sign, {"v": i * (i - 1)})
-        if twist is not None:
-            lead = lead * monomial(variables, 1, {twist: i})
-        coeffs[n - i] = lead * t_m(i, n, block, variables)
-    return CharPoly(tuple(coeffs))
+    return _hecke_char_poly(n, variables, lambda i: t_m(i, n, block, variables), twist)
 
 
 def dual_char_poly(P: CharPoly) -> CharPoly:
@@ -441,26 +440,16 @@ def dual_char_poly(P: CharPoly) -> CharPoly:
 def char_poly_g(case: SatakeCase, n: int) -> CharPoly:
     """The ambient characteristic polynomial, of degree 2n or 2n + 1.
 
-    Coefficient of X^{deg - i} is (-1)^i q^{i(i-1)/2} T_{G,i}.
+    Coefficient of X^{deg - i} is (-1)^i q^{i(i-1)/2} T_{G,i}.  The
+    unitary one is the Levi polynomial of GL_{2n} in Y_1..Y_{2n}.
     """
     if case is SatakeCase.UNITARY:
-        deg, variables, t = 2 * n, unitary_g_ring(n), t_g_unitary
-    else:
-        deg, variables, t = 2 * n + 1, real_g_ring(n), t_g_real
-    coeffs = [zero(variables) for _ in range(deg + 1)]
-    coeffs[deg] = one(variables)
-    for i in range(1, deg + 1):
-        sign = -1 if i % 2 else 1
-        lead = monomial(variables, sign, {"v": i * (i - 1)})
-        coeffs[deg - i] = lead * t(i, n, variables)
-    return CharPoly(tuple(coeffs))
+        return char_poly_m(2 * n, y_vars(n), unitary_g_ring(n))
+    variables = real_g_ring(n)
+    return _hecke_char_poly(2 * n + 1, variables, lambda i: t_g_real(i, n, variables))
 
 
 # ------------------------------------------------------------ the transforms
-
-
-def _require_symmetry(p: LaurentPoly, tag: SymmetryTag) -> None:
-    p.tagged(tag)  # reuses the construction check; raises on asymmetric input
 
 
 def satake_unitary(p: LaurentPoly, n: int) -> LaurentPoly:
@@ -470,7 +459,7 @@ def satake_unitary(p: LaurentPoly, n: int) -> LaurentPoly:
     """
     if p.variables != unitary_g_ring(n):
         raise ValueError("expected a polynomial in v, Y_1..Y_{2n}")
-    _require_symmetry(p, SymmetryTag("S", (y_vars(n),)))
+    p.tagged(SymmetryTag("S", (y_vars(n),)))  # raises on asymmetric input
     target = unitary_m_ring(n)
     images = {}
     for i in range(1, n + 1):
@@ -487,7 +476,7 @@ def satake_real(p: LaurentPoly, n: int) -> LaurentPoly:
     """
     if p.variables != real_g_ring(n):
         raise ValueError("expected a polynomial in v, X_1..X_n")
-    _require_symmetry(p, SymmetryTag("BC", (x_vars(n),)))
+    p.tagged(SymmetryTag("BC", (x_vars(n),)))  # raises on asymmetric input
     target = real_m_ring(n)
     images = {f"X{i}": monomial(target, 1, {"v": -(n + 1), f"W{i}": 1}) for i in range(1, n + 1)}
     out = substitute_monomials(p, target, images)
@@ -517,53 +506,47 @@ def _first_difference(lhs: CharPoly, rhs: CharPoly):
     return None
 
 
+# Per case: the guard on n, the M ring, the transform, and the Levi block
+# whose dual enters the identity, with its twist unit.
+_CASES = {
+    SatakeCase.UNITARY: (3, unitary_m_ring, satake_unitary, z_vars, "cwc"),
+    SatakeCase.REAL: (2, real_m_ring, satake_real, w_vars, "cw"),
+}
+
+
 def verify_determinant_factorization(case: SatakeCase, n: int, twist: bool = True) -> dict:
     """Expand both sides of the determinant identity and compare exactly.
 
-    Unitary (degree 2n, places w and w^c, guard n <= 3):
+    With d = deg D (2n for the split unitary place pair w, w^c, guard
+    n <= 3; 2n + 1 for the real place, guard n <= 2):
 
-        satake(det) = P_w(X) * q^{n(2n-1)} P_{w^c}^dual(q^{1-2n} X)
+        satake(D) = P_w(X) * q^{n(d-1)} P'^dual(q^{1-d} X)  [* (X - q^n) if real]
 
-    Real (degree 2n+1, one place, guard n <= 2):
-
-        satake(det) = P_w(X) * q^{2n^2} P_w^dual(q^{-2n} X) * (X - q^n)
-
-    With ``twist`` the W and Z variables are scaled by formal central
-    units on the left, matched by the twisted Levi polynomials on the
-    right.  Returns a report with the verdict, both sides, and the first
-    differing monomial if any.
+    where P' is P_{w^c} (unitary) or P_w (real).  With ``twist`` the W
+    and Z variables are scaled by formal central units on the left,
+    matched by the twisted Levi polynomials on the right.  Returns a
+    report with the verdict, both sides, and the first differing
+    monomial if any.
     """
-    if case is SatakeCase.UNITARY and not 1 <= n <= 3:
-        raise ValueError("unitary factorization is guarded to n <= 3")
-    if case is SatakeCase.REAL and not 1 <= n <= 2:
-        raise ValueError("real factorization is guarded to n <= 2")
+    guard, m_ring, transform, dual_block, dual_unit = _CASES[case]
+    if not 1 <= n <= guard:
+        raise ValueError(f"{case.value} factorization is guarded to n <= {guard}")
 
-    if case is SatakeCase.UNITARY:
-        ring = unitary_m_ring(n, twist=twist)
-        D = char_poly_g(case, n)
-        lhs = CharPoly(tuple(satake_unitary(c, n) for c in D.coeffs)).aligned(ring)
-        if twist:
-            images = {f"W{i}": monomial(ring, 1, {"cw": 1, f"W{i}": 1}) for i in range(1, n + 1)}
-            images |= {f"Z{i}": monomial(ring, 1, {"cwc": 1, f"Z{i}": 1}) for i in range(1, n + 1)}
-            lhs = lhs.map_coeffs(lambda c: substitute_monomials(c, ring, images))
-        p_w = char_poly_m(n, w_vars(n), ring, twist="cw" if twist else None)
-        p_wc_dual = dual_char_poly(char_poly_m(n, z_vars(n), ring))
-        prefactor = monomial(ring, 1, {"v": 2 * n * (2 * n - 1), "cwc": -n} if twist else {"v": 2 * n * (2 * n - 1)})
-        x_scale = monomial(ring, 1, {"v": 2 * (1 - 2 * n), "cwc": 1} if twist else {"v": 2 * (1 - 2 * n)})
-        rhs = p_w * p_wc_dual.rescale(prefactor, x_scale)
-    else:
-        ring = real_m_ring(n, twist=twist)
-        D = char_poly_g(case, n)
-        lhs = CharPoly(tuple(satake_real(c, n) for c in D.coeffs)).aligned(ring)
-        if twist:
-            images = {f"W{i}": monomial(ring, 1, {"cw": 1, f"W{i}": 1}) for i in range(1, n + 1)}
-            lhs = lhs.map_coeffs(lambda c: substitute_monomials(c, ring, images))
-        p_w = char_poly_m(n, w_vars(n), ring, twist="cw" if twist else None)
-        p_w_dual = dual_char_poly(char_poly_m(n, w_vars(n), ring))
-        prefactor = monomial(ring, 1, {"v": 4 * n * n, "cw": -n} if twist else {"v": 4 * n * n})
-        x_scale = monomial(ring, 1, {"v": -4 * n, "cw": 1} if twist else {"v": -4 * n})
-        middle = linear_factor(ring, monomial(ring, 1, {"v": 2 * n}))
-        rhs = p_w * p_w_dual.rescale(prefactor, x_scale) * middle
+    ring = m_ring(n, twist=twist)
+    D = char_poly_g(case, n)
+    d = D.degree
+    images = {}  # the twist; without it the substitution only aligns to the ring
+    prefactor_exps, x_scale_exps = {"v": 2 * n * (d - 1)}, {"v": 2 * (1 - d)}
+    if twist:
+        for block, unit in ((w_vars(n), "cw"), (dual_block(n), dual_unit)):
+            images |= {x: monomial(ring, 1, {unit: 1, x: 1}) for x in block}
+        prefactor_exps[dual_unit], x_scale_exps[dual_unit] = -n, 1
+    lhs = D.map_coeffs(lambda c: substitute_monomials(transform(c, n), ring, images))
+    p_w = char_poly_m(n, w_vars(n), ring, twist="cw" if twist else None)
+    dual = dual_char_poly(char_poly_m(n, dual_block(n), ring))
+    rhs = p_w * dual.rescale(monomial(ring, 1, prefactor_exps), monomial(ring, 1, x_scale_exps))
+    if case is SatakeCase.REAL:
+        rhs = rhs * linear_factor(ring, monomial(ring, 1, {"v": 2 * n}))
 
     verdict = lhs.coeffs == rhs.coeffs
     return {

@@ -161,7 +161,7 @@ def order(kind: GroupKind) -> int:
     return math.factorial(2 * n) if kind.family is Family.TYPE_A else 2**n * math.factorial(n)
 
 
-def _check_order(kind: GroupKind) -> None:
+def check_order(kind: GroupKind) -> None:
     """Refuse, before any enumeration starts, a W larger than the guard."""
     if order(kind) > WEYL_ORDER_GUARD:
         raise ValueError(f"Weyl group order {order(kind)} exceeds the guard {WEYL_ORDER_GUARD}")
@@ -172,7 +172,7 @@ def _check_order(kind: GroupKind) -> None:
 # build it but always install equal values, which is safe under CPython.
 @lru_cache(maxsize=None)
 def _length_table(kind: GroupKind) -> dict[tuple[int, ...], int]:
-    _check_order(kind)
+    check_order(kind)
     gens = [s.perm for s in simple_reflections(kind)]
     start = identity(kind).perm
     table = {start: 0}
@@ -207,7 +207,7 @@ def all_elements(kind: GroupKind) -> list[WeylElement]:
 
 @lru_cache(maxsize=None)
 def _parabolic_perms(kind: GroupKind) -> frozenset[tuple[int, ...]]:
-    _check_order(kind)
+    check_order(kind)
     gens = [s.perm for s in parabolic_mark(kind)]
     start = identity(kind).perm
     seen = {start}

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -244,6 +248,14 @@ def test_output_dir_writes_deterministic_names(runner, tmp_path):
     assert payload == result.stdout_bytes
 
 
+def test_output_dir_renders_boolean_params(runner, tmp_path):
+    args = ["satake", "verify", "--kind", "A", "--n", "1", "--no-twist", "--output-dir", str(tmp_path)]
+    result = invoke(runner, args)
+    assert result.exit_code == 0
+    assert [f.name for f in tmp_path.iterdir()] == ["satake-verify_kind=A_n=1_twist=false.json"]
+    assert (tmp_path / "satake-verify_kind=A_n=1_twist=false.json").read_bytes() == result.stdout_bytes
+
+
 def test_output_dir_from_environment(runner, tmp_path):
     result = runner.invoke(
         cli.main,
@@ -333,3 +345,42 @@ def test_padic_refuses_bad_level_and_count(runner, command, extra):
 def test_padic_refuses_a_non_prime_before_building_gamma(runner):
     result = invoke(runner, ["padic", "h", "--kind", "C", "--n", "1", "--p", "0"])
     refused(result, "prime")
+
+
+def run_cli(args, timeout):
+    """The command in a fresh interpreter, killed after ``timeout`` seconds."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "bruhat_satake.cli", *args], capture_output=True, text=True, env=env, timeout=timeout
+    )
+
+
+def test_padic_refuses_a_prime_too_large_to_check():
+    # trial division up to sqrt(10^18) did not finish
+    result = run_cli(["padic", "h", "--kind", "A", "--n", "1", "--p", "1000000000000000003", "--count", "1"], 8)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "2^31" in lines[0]
+
+
+def test_ordcoh_ranks_with_a_large_prime_finishes():
+    # Lambda used to test primality with O(p) divisions
+    result = run_cli(["ordcoh", "ranks", "--d", "3", "--p", "1000000007"], 8)
+    assert result.returncode == 0
+    assert [row["rank"] for row in json.loads(result.stdout)["rows"]] == [1, 3, 3, 1]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        "--d 2 --p 3 --r 39 --a 1",  # was an AssertionError traceback
+        "--d 2 --p 2 --r 70",  # was an OverflowError traceback
+        "--d 3 --p 46337 --r 2 --a 1",  # was a 16 GiB allocation
+        "--d 2 --p 65537 --r 2",  # p^a x p^a model too big; now the int64 bound
+    ],
+)
+def test_ordcoh_ordinary_refuses_int64_overflow(runner, args):
+    result = invoke(runner, ["ordcoh", "ordinary", *args.split()])
+    refused(result, "overflow")

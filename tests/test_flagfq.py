@@ -176,6 +176,21 @@ def test_weyl_matrix_refuses_a_lift_outside_the_group(monkeypatch):
         flagfq.weyl_matrix(w, q)
 
 
+def test_weyl_matrix_guard_refuses_before_any_enumeration(monkeypatch):
+    # |W(A_5)| = 10! = 3,628,800 lifts: refused by the closed-form order
+    # before any kernel call or WeylElement construction
+    w = weyl.identity(weyl.type_a(5))
+
+    def enumeration_started(*args, **kwargs):
+        raise AssertionError("enumeration started")
+
+    for name in ("rank_mod", "rref_mod", "matmul_mod"):
+        monkeypatch.setattr(flagfq.kernels, name, enumeration_started)
+    monkeypatch.setattr(weyl.WeylElement, "__post_init__", enumeration_started)
+    with pytest.raises(ValueError, match="exceeds the guard"):
+        flagfq.weyl_matrix(w, 2)
+
+
 @pytest.mark.parametrize("kind,q", [(weyl.type_a(2), 2), (weyl.type_c(2), 2), (weyl.type_a(2), 3)])
 def test_plucker_duality(kind, q):
     # s_{J^c}(U) != 0 exactly when U meets the frame of J trivially

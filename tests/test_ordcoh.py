@@ -176,6 +176,21 @@ def test_limit_splits_nilpotent_from_invertible():
     assert rank_mod_p(e, 2) == 1
 
 
+def test_int64_guard_refuses_overflowing_moduli():
+    # 3^30 - 1 squared overflows int64: the limit of the unit 2 is 1, but
+    # the unguarded power came out as the projector 0
+    with pytest.raises(ValueError, match="overflow"):
+        ordinary_limit(np.array([[2]]), Lambda(3, 30))
+    with pytest.raises(ValueError, match="overflow"):
+        cores_kunneth(2, 1, Lambda(65537, 2))
+    # the bound is size * (p^r - 1)^2 < 2^63: 2 x 2 over Z/2^31 is exact
+    lam = Lambda(2, 31)
+    e, _ = ordinary_limit(np.array([[3, 0], [0, 2]]), lam)
+    assert (e == np.diag([1, 0])).all()
+    with pytest.raises(ValueError, match="overflow"):
+        ordinary_limit(np.eye(3, dtype=np.int64), lam)
+
+
 def test_limit_rejects_nonsquare():
     with pytest.raises(ValueError):
         ordinary_limit(np.ones((2, 3), dtype=np.int64), Z4)

@@ -67,6 +67,17 @@ def test_block_matrix_validation():
         block_matrix(A1, 6, [[1, 0], [0, 1]])  # composite prime
 
 
+def test_is_prime_is_bounded():
+    assert [p for p in range(30) if padic.is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert padic.is_prime(2**31 - 1)
+    assert not padic.is_prime(46337 * 46327)
+    # trial division past 2^31 is refused before the first division
+    with pytest.raises(ValueError, match="2\\^31"):
+        padic.is_prime(2**31)
+    with pytest.raises(ValueError, match="2\\^31"):
+        padic.gamma(A1, 1000000000000000003)
+
+
 def test_block_views_and_products():
     g = block_matrix(A2, 2, [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 12, 12], [13, 14, 15, 17]])
     assert g.a == ((1, 2), (5, 6))
