@@ -196,21 +196,17 @@ def _closure(gens: list[np.ndarray], q: int, expected: int) -> np.ndarray:
     certified to have ``expected`` elements."""
     m = gens[0].shape[0]
     gen_stack = np.stack([g % q for g in gens])
-    seen: dict[bytes, int] = {}
-    mats = [np.eye(m, dtype=np.int64) % q]
-    seen[kernels.mat_keys(mats[0][None])[0]] = 0
-    frontier = np.stack(mats)
+    frontier = np.eye(m, dtype=np.int64)[None] % q
+    seen = dict.fromkeys(kernels.mat_keys(frontier))  # insertion-ordered set
     while frontier.shape[0]:
-        new = []
+        new: list[bytes] = []
         for g in gen_stack:
-            prod = kernels.matmul_mod(frontier, g, q)
-            for key, row in zip(kernels.mat_keys(prod), prod):
-                if key not in seen:
-                    seen[key] = len(mats)
-                    mats.append(row)
-                    new.append(row)
-        frontier = np.stack(new) if new else np.empty((0, m, m), dtype=np.int64)
-    out = np.stack(mats)
+            keys = kernels.mat_keys(kernels.matmul_mod(frontier, g, q))
+            fresh = [key for key in dict.fromkeys(keys) if key not in seen]
+            seen.update(dict.fromkeys(fresh))
+            new += fresh
+        frontier = kernels.mats_from_keys(new, (m, m))
+    out = kernels.mats_from_keys(list(seen), (m, m))
     if out.shape[0] != expected:
         raise AssertionError(f"closure reached {out.shape[0]} elements, expected {expected}")
     return out
@@ -295,7 +291,7 @@ def subspace_from_rows(rows, q: int) -> Subspace:
     red, rank = kernels.rref_mod(arr, q)
     if int(rank) != arr.shape[0]:
         raise ValueError("rows are linearly dependent")
-    return Subspace(q, tuple(tuple(int(x) for x in row) for row in red))
+    return Subspace(q, tuple(map(tuple, red.tolist())))
 
 
 def base_point(kind: GroupKind, q: int) -> Subspace:
@@ -309,33 +305,44 @@ def act(g: np.ndarray, U: Subspace) -> Subspace:
 
 
 def is_isotropic(U: Subspace, n: int) -> bool:
-    J = symplectic_form(n) % U.q
-    return bool(((U.mat @ J @ U.mat.T) % U.q == 0).all())
+    """Every pair of rows u, v pairs to zero: sum_k u_k v_{n+k} - u_{n+k} v_k = 0 mod q.
+
+    A row always pairs to zero with itself, so only pairs i < j are tested.
+    """
+    rows, q = U.rows, U.q
+    return not any(
+        sum(u[k] * v[n + k] - u[n + k] * v[k] for k in range(n)) % q
+        for u, v in itertools.combinations(rows, 2)
+    )
 
 
 def enumerate_flag(kind: GroupKind, q: int) -> list[Subspace]:
-    """Every point, by RREF pivot pattern (isotropic ones only in type C)."""
+    """Every point, by RREF pivot pattern (isotropic ones only in type C).
+
+    Within a pivot pattern the points run through the free entries in
+    lexicographic order, row by row.
+    """
     n = kind.n
     candidates = gaussian_binomial(2 * n, n, q)
     if candidates > FLAG_POINT_GUARD:
         raise ValueError(f"flag has {candidates} candidate points, over the guard {FLAG_POINT_GUARD}")
+    symplectic = kind.family is Family.TYPE_C
     points = []
     for pivots in itertools.combinations(range(2 * n), n):
-        free = [
-            (i, j)
-            for i in range(n)
-            for j in range(2 * n)
-            if j not in pivots and j > pivots[i]
-        ]
-        base = np.zeros((n, 2 * n), dtype=np.int64)
-        for i, p in enumerate(pivots):
-            base[i, p] = 1
-        for values in itertools.product(range(q), repeat=len(free)):
-            mat = base.copy()
-            for (i, j), v in zip(free, values):
-                mat[i, j] = v
-            U = Subspace(q, tuple(tuple(int(x) for x in row) for row in mat))
-            if kind.family is Family.TYPE_C and not is_isotropic(U, n):
+        row_choices = []
+        for p in pivots:
+            free = [j for j in range(p + 1, 2 * n) if j not in pivots]
+            choices = []
+            for values in itertools.product(range(q), repeat=len(free)):
+                row = [0] * (2 * n)
+                row[p] = 1
+                for j, v in zip(free, values):
+                    row[j] = v
+                choices.append(tuple(row))
+            row_choices.append(choices)
+        for rows in itertools.product(*row_choices):
+            U = Subspace(q, rows)
+            if symplectic and not is_isotropic(U, n):
                 continue
             points.append(U)
     if len(points) != flag_size(kind, q):
@@ -346,8 +353,14 @@ def enumerate_flag(kind: GroupKind, q: int) -> list[Subspace]:
 def tau_of_point(U: Subspace) -> int:
     """n - dim(U cap U_0) for the base U_0 = <e_1, ..., e_n>."""
     n = U.dim
-    stacked = np.vstack([U.mat, np.eye(n, 2 * n, dtype=np.int64)])
+    stacked = np.array(U.rows + _base_rows(n), dtype=np.int64)
     return int(kernels.rank_mod(stacked, U.q)) - n
+
+
+@lru_cache(maxsize=None)
+def _base_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """The rows e_1, ..., e_n of F_q^{2n}, spanning the base point U_0."""
+    return tuple(tuple(int(i == j) for j in range(2 * n)) for i in range(n))
 
 
 def cell_census(kind: GroupKind, q: int) -> dict[int, int]:
@@ -416,22 +429,17 @@ def closure_order_check(kind: GroupKind, q: int) -> dict:
 
 
 def _product_set(left: np.ndarray, right: np.ndarray, q: int) -> tuple[np.ndarray, set[bytes]]:
-    """All products x y for x in left, y in right, deduplicated."""
-    m = left.shape[1]
-    seen: dict[bytes, int] = {}
-    mats: list[np.ndarray] = []
-    n_left = left.shape[0]
+    """All products x y for x in left, y in right, deduplicated in order of
+    first occurrence."""
     per = max(1, _PRODUCT_CHUNK // right.shape[0])
-    for start in range(0, n_left, per):
-        block = left[start : start + per]
-        a_stack = np.repeat(block, right.shape[0], axis=0)
-        b_stack = np.tile(right, (block.shape[0], 1, 1))
-        prod = kernels.matmul_mod(a_stack, b_stack, q)
-        for key, row in zip(kernels.mat_keys(prod), prod):
-            if key not in seen:
-                seen[key] = len(mats)
-                mats.append(row)
-    return np.stack(mats), set(seen)
+    blocks = (left[start : start + per] for start in range(0, left.shape[0], per))
+    products = (
+        kernels.matmul_mod(np.repeat(block, right.shape[0], axis=0), np.tile(right, (block.shape[0], 1, 1)), q)
+        for block in blocks
+    )
+    # one chunk of keys alive at a time; the dict is an insertion-ordered set
+    seen = dict.fromkeys(itertools.chain.from_iterable(kernels.mat_keys(prod) for prod in products))
+    return kernels.mats_from_keys(list(seen), left.shape[1:]), set(seen)
 
 
 def _translate_keys(g: np.ndarray, stack: np.ndarray, q: int) -> set[bytes]:
@@ -498,7 +506,7 @@ def frame_subspace(J: SubsetJ, q: int) -> Subspace:
 
 def meets_trivially(U: Subspace, J: SubsetJ) -> bool:
     """U cap U_J = 0, tested through the rank of the stacked matrix."""
-    stacked = np.vstack([U.mat, frame_subspace(J, U.q).mat])
+    stacked = np.array(U.rows + frame_subspace(J, U.q).rows, dtype=np.int64)
     return int(kernels.rank_mod(stacked, U.q)) == U.ambient
 
 

@@ -1,11 +1,13 @@
-"""Batched dense linear algebra over small prime fields, in numpy.
+"""Batched dense linear algebra over small prime fields.
 
 The finite flag sweeps reduce to three bulk operations on stacks of small
 integer matrices mod q: stack matmul, stack reduced row echelon form, and
-stack rank.  Each is one numpy routine whose Python loops run only over
-the shape of a single matrix, never over the stack.  All functions take
-and return int64 arrays; entries are reduced mod q on entry, and q must
-be one of the primes 2, 3, 5.
+stack rank.  A stack goes through one numpy routine whose Python loops run
+only over the shape of a single matrix, never over the stack.  A single
+matrix is row reduced in scalar Python, where numpy's per-operation cost
+would dominate the few arithmetic steps.  All functions take and return
+int64 arrays; entries are reduced mod q on entry, and q must be one of the
+primes 2, 3, 5.
 """
 
 from __future__ import annotations
@@ -60,6 +62,41 @@ def _rref_stack(m: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     return m, pivot_row
 
 
+def _rref_rows(rows: list[list[int]], q: int) -> tuple[list[list[int]], int]:
+    """Gauss-Jordan on one matrix given as Python rows; returns (rows, rank)."""
+    rows = [[x % q for x in row] for row in rows]
+    n_rows = len(rows)
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        if rank == n_rows:
+            break
+        for src in range(rank, n_rows):
+            if rows[src][col]:
+                break
+        else:
+            continue
+        pivot = rows[src]
+        rows[src] = rows[rank]
+        if pivot[col] != 1:
+            inv = pow(pivot[col], q - 2, q)
+            pivot = [x * inv % q for x in pivot]
+        rows[rank] = pivot
+        for r in range(n_rows):
+            f = rows[r][col]
+            if f and r != rank:
+                rows[r] = [(x - f * y) % q for x, y in zip(rows[r], pivot)]
+        rank += 1
+    return rows, rank
+
+
+def _reduced(a: np.ndarray, q: int) -> np.ndarray:
+    """``a`` as int64 mod q; reduces (and copies) only if some entry needs it."""
+    a = np.ascontiguousarray(a, dtype=np.int64)
+    if a.size and (a.min() < 0 or a.max() >= q):
+        return a % q
+    return a
+
+
 def backend_name() -> str:
     """The kernel implementation in use; numpy is the only one."""
     return "numpy"
@@ -68,26 +105,25 @@ def backend_name() -> str:
 def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """Stack matmul mod q.  a: (N, r, s), b: (N, s, t) or (s, t)."""
     _check_q(q)
-    a = np.ascontiguousarray(a, dtype=np.int64) % q
-    b = np.ascontiguousarray(b, dtype=np.int64) % q
-    return (a @ b) % q
+    a, b = _reduced(a, q), _reduced(b, q)
+    # entries of a @ b lie in [0, s (q-1)^2]; a lookup reduces them faster than %
+    residues = np.arange(a.shape[-1] * (q - 1) ** 2 + 1) % q
+    return residues.take(a @ b)
 
 
 def rref_mod(mats: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Stack RREF mod q: returns (rref stack, rank vector).
 
     The RREF is the canonical representative of the row space, so two
-    matrices have equal row spans iff their RREFs are equal arrays.
+    matrices have equal row spans iff their RREFs are equal arrays.  A
+    single (2-D) matrix returns its RREF and an ``np.int64`` rank.
     """
     _check_q(q)
-    mats = np.ascontiguousarray(mats, dtype=np.int64) % q  # a fresh array
-    single = mats.ndim == 2
-    if single:
-        mats = mats[None]
-    out, ranks = _rref_stack(mats, q)
-    if single:
-        return out[0], ranks[0]
-    return out, ranks
+    mats = np.asarray(mats, dtype=np.int64)
+    if mats.ndim == 2:
+        rows, rank = _rref_rows(mats.tolist(), q)
+        return np.array(rows, dtype=np.int64).reshape(mats.shape), np.int64(rank)
+    return _rref_stack(mats % q, q)  # a fresh array
 
 
 def rank_mod(mats: np.ndarray, q: int) -> np.ndarray:
@@ -95,8 +131,13 @@ def rank_mod(mats: np.ndarray, q: int) -> np.ndarray:
 
 
 def mat_keys(mats: np.ndarray) -> list[bytes]:
-    """Canonical hashable keys for a stack of small nonnegative matrices."""
+    """Canonical hashable keys for a stack of small nonnegative matrices:
+    each key is the matrix's int8 bytes in row-major order."""
     arr = np.ascontiguousarray(mats, dtype=np.int8)
-    count = arr.shape[0]
-    flat = arr.reshape(count, -1)
-    return [flat[i].tobytes() for i in range(count)]
+    width = arr[0].size if len(arr) else 0
+    return arr.reshape(len(arr), width).view(np.dtype((np.void, width))).ravel().tolist()
+
+
+def mats_from_keys(keys: list[bytes], shape: tuple[int, ...]) -> np.ndarray:
+    """The int64 stack of matrices of the given shape whose ``mat_keys`` are ``keys``."""
+    return np.frombuffer(b"".join(keys), dtype=np.int8).reshape(len(keys), *shape).astype(np.int64)

@@ -107,7 +107,10 @@ def koszul_differentials(d: int, lam: Lambda, unit_weights) -> list[np.ndarray]:
                     continue
                 sign = -1 if sum(1 for s in S if s < j) % 2 else 1
                 T = tuple(sorted(S + (j,)))
-                mat[index[T], col] = sign * (units[j - 1] - 1) % lam.modulus
+                entry = sign * (units[j - 1] - 1) % lam.modulus
+                if entry >= 2**63:
+                    raise ValueError(f"Koszul entry {entry} over Z/{lam.modulus} does not fit int64")
+                mat[index[T], col] = entry
         out.append(mat)
     return out
 

@@ -1,0 +1,53 @@
+"""The benchmark's pinned outputs and traced counts, reproduced in tier-1.
+
+``perfbench/expected.json`` pins, per benchmark item, the exit status, the
+stdout sha256 and every traced count (kernel calls, matrices, points,
+...).  A change that moves one of them fails the benchmark; these tests
+catch it on three small flag items without a benchmark run.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+
+ITEMS = [
+    "flag check-cover --kind A --n 2 --q 2",
+    "flag check-finding-j --kind A --n 3 --q 2",
+    "flag census --kind C --n 3 --q 3",
+]
+
+
+def _tracer():
+    """perfbench/tracer.py as a module, compiled in memory so that no
+    bytecode cache is written under perfbench/."""
+    path = PERFBENCH / "tracer.py"
+    module = types.ModuleType("perfbench_tracer")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+@pytest.mark.parametrize("item", ITEMS)
+def test_traced_item_matches_its_pin(item, tmp_path):
+    pin = json.loads((PERFBENCH / "expected.json").read_text())[item]
+    trace = tmp_path / "trace.npz"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    result = subprocess.run(
+        [sys.executable, str(PERFBENCH / "child.py"), "--trace", str(trace), "cli", *item.split()],
+        capture_output=True,
+        env=env,
+        cwd=tmp_path,
+        timeout=120,
+    )
+    assert result.returncode == pin["exit"], result.stderr.decode()
+    assert hashlib.sha256(result.stdout).hexdigest() == pin["sha256"]
+    tracer = _tracer()
+    assert tracer.counts_of(tracer.report_metrics(*tracer.load(str(trace)))) == pin["counts"]

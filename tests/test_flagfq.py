@@ -16,6 +16,48 @@ SMALL = [
 ]
 
 
+def symplectic(n):
+    """The Gram matrix [[0, I], [-I, 0]] of the symplectic form on F_q^{2n}."""
+    eye, zero = np.eye(n, dtype=np.int64), np.zeros((n, n), dtype=np.int64)
+    return np.block([[zero, eye], [-eye, zero]])
+
+
+def reference_flag(kind, q):
+    """Row tuples of every point: pivot patterns in lexicographic order, then
+    the free entries (i, j), read row by row, in lexicographic order."""
+    n = kind.n
+    out = []
+    for pivots in itertools.combinations(range(2 * n), n):
+        free = [(i, j) for i in range(n) for j in range(pivots[i] + 1, 2 * n) if j not in pivots]
+        for values in itertools.product(range(q), repeat=len(free)):
+            mat = np.zeros((n, 2 * n), dtype=np.int64)
+            mat[range(n), pivots] = 1
+            for (i, j), v in zip(free, values):
+                mat[i, j] = v
+            if kind.family is weyl.Family.TYPE_C and (mat @ symplectic(n) @ mat.T % q).any():
+                continue
+            out.append(tuple(map(tuple, mat.tolist())))
+    return out
+
+
+def reference_closure(gens, q):
+    """Breadth-first closure, one matrix at a time: for each generator, the
+    frontier's products in frontier order, keeping first occurrences."""
+    start = np.eye(gens[0].shape[0], dtype=np.int64)
+    order, seen, frontier = [start], {start.tobytes()}, [start]
+    while frontier:
+        new = []
+        for g in gens:
+            for x in frontier:
+                y = (x @ g) % q
+                if y.tobytes() not in seen:
+                    seen.add(y.tobytes())
+                    order.append(y)
+                    new.append(y)
+        frontier = new
+    return np.stack(order)
+
+
 def brute_subspaces(kind, q):
     """All n-dimensional subspaces of F_q^{2n} by scanning every row span,
     isotropic ones only in type C.  Exponential; keep the inputs tiny."""
@@ -30,7 +72,7 @@ def brute_subspaces(kind, q):
             continue
         if sub.mat.tobytes() in seen:
             continue
-        if kind.family is weyl.Family.TYPE_C and not flagfq.is_isotropic(sub, n):
+        if kind.family is weyl.Family.TYPE_C and (sub.mat @ symplectic(n) @ sub.mat.T % q).any():
             continue
         seen.add(sub.mat.tobytes())
         out.append(sub)
@@ -69,6 +111,48 @@ def test_enumerate_flag_against_brute_force(kind, q):
     points = flagfq.enumerate_flag(kind, q)
     brute = brute_subspaces(kind, q)
     assert {p.mat.tobytes() for p in points} == {p.mat.tobytes() for p in brute}
+
+
+@pytest.mark.parametrize("kind,q", SMALL + [(weyl.type_c(3), 2)])
+def test_enumerate_flag_order(kind, q):
+    assert [U.rows for U in flagfq.enumerate_flag(kind, q)] == reference_flag(kind, q)
+
+
+@pytest.mark.parametrize("kind,q", [(weyl.type_c(2), 3), (weyl.type_a(2), 2)])
+def test_is_isotropic_matches_the_gram_matrix(kind, q):
+    n = kind.n
+    rng = np.random.default_rng(6)
+    for _ in range(200):
+        rows = rng.integers(0, q, size=(rng.integers(1, n + 2), 2 * n))
+        U = flagfq.Subspace(q, tuple(map(tuple, rows.tolist())))
+        assert flagfq.is_isotropic(U, n) == (not (rows @ symplectic(n) @ rows.T % q).any())
+
+
+@pytest.mark.parametrize(
+    "gens,q",
+    [
+        (flagfq.parabolic_generators(weyl.type_c(2), 2), 2),
+        (flagfq.borel_generators(weyl.type_a(2), 3), 3),
+        (flagfq.group_generators(weyl.type_a(1), 3), 3),
+    ],
+)
+def test_closure_matches_a_reference_bfs(gens, q):
+    want = reference_closure(gens, q)
+    got = flagfq._closure(gens, q, len(want))
+    assert got.dtype == np.int64
+    assert got.shape == want.shape and (got == want).all()
+
+
+@pytest.mark.parametrize("chunk", [flagfq._PRODUCT_CHUNK, 20])
+def test_product_set_is_every_pair_product(chunk, monkeypatch):
+    monkeypatch.setattr(flagfq, "_PRODUCT_CHUNK", chunk)
+    kind, q = weyl.type_a(1), 3
+    left, right = flagfq._borel_matrices(kind, q), flagfq._parabolic_matrices(kind, q)
+    brute = {((x @ y) % q).astype(np.int8).tobytes() for x in left for y in right}
+    stack, keys = flagfq._product_set(left, right, q)
+    assert keys == brute
+    assert stack.dtype == np.int64 and len(stack) == len(brute)
+    assert {m.astype(np.int8).tobytes() for m in stack} == brute
 
 
 @pytest.mark.parametrize("kind,q", SMALL)

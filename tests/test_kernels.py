@@ -43,6 +43,26 @@ def test_rref_matches_naive_oracle(q):
             want, want_rank = naive_rref(mats[i], q)
             assert (red[i] == want).all()
             assert ranks[i] == want_rank
+    # single (2-D) matrices take the scalar path
+    # upper triangular with diagonal q - 1, rows reversed
+    full_rank = (np.eye(4, dtype=np.int64) * (q - 1) + np.triu(rng.integers(0, q, size=(4, 4)), 1))[::-1]
+    singles = [
+        *rng.integers(0, q, size=(20, 3, 6)),  # wide
+        *rng.integers(-7, 9, size=(20, 6, 3)),  # tall, entries outside [0, q)
+        np.zeros((3, 5), dtype=np.int64),
+        full_rank,
+        np.vstack([np.eye(3, 6, dtype=np.int64), rng.integers(0, q, size=(3, 6))]),  # as in tau_of_point
+    ]
+    for mat in singles:
+        before = mat.copy()
+        red, rank = kernels.rref_mod(mat, q)
+        assert (mat == before).all()  # the input is left alone
+        want, want_rank = naive_rref(mat, q)
+        assert red.shape == mat.shape and red.dtype == np.int64
+        assert (red == want).all()
+        assert isinstance(rank, np.int64) and rank == want_rank
+        assert kernels.rank_mod(mat, q) == want_rank
+    assert kernels.rref_mod(full_rank, q)[1] == 4
 
 
 @Q
@@ -69,6 +89,18 @@ def test_matmul_mod(q):
     assert (got == (a.astype(np.int64) @ c.astype(np.int64)) % q).all()
 
 
+@Q
+def test_matmul_mod_reduces_unreduced_operands(q):
+    rng = np.random.default_rng(4)
+    a = rng.integers(-11, 12, size=(20, 3, 4))
+    b = rng.integers(-11, 12, size=(20, 4, 5))
+    c = rng.integers(q, 3 * q, size=(4, 2))  # every entry >= q
+    for x, y in ((a, b), (a, c), (a % q, b), (a, b % q)):
+        got = kernels.matmul_mod(x, y, q)
+        assert got.dtype == np.int64
+        assert (got == ((x % q) @ (y % q)) % q).all()
+
+
 def test_single_matrix_round_trips_without_a_stack_axis():
     red, rank = kernels.rref_mod(np.array([[1, 2], [2, 4]]), 5)
     assert red.shape == (2, 2)
@@ -80,6 +112,15 @@ def test_mat_keys_distinguish():
     mats = np.array([[[1, 0], [0, 1]], [[1, 1], [0, 1]], [[1, 0], [0, 1]]])
     keys = kernels.mat_keys(mats)
     assert keys[0] == keys[2] != keys[1]
+
+
+def test_mat_keys_are_the_int8_bytes_of_each_matrix_and_round_trip():
+    rng = np.random.default_rng(5)
+    for mats in (rng.integers(0, 5, size=(50, 4, 4)), rng.integers(0, 5, size=(50, 3, 6))):
+        want = [row.tobytes() for row in mats.astype(np.int8).reshape(len(mats), -1)]
+        assert kernels.mat_keys(mats) == want
+        back = kernels.mats_from_keys(want, mats.shape[1:])
+        assert back.dtype == np.int64 and (back == mats).all()
 
 
 def test_backend_name_is_numpy():

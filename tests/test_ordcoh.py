@@ -89,6 +89,17 @@ def test_differentials_reject_bad_weights():
         koszul_differentials(KOSZUL_DEGREE_GUARD + 1, Z4, [1] * (KOSZUL_DEGREE_GUARD + 1))
 
 
+def test_differentials_refuse_entries_beyond_int64():
+    lam = Lambda(2, 70)
+    with pytest.raises(ValueError, match=f"Z/{lam.modulus} "):  # was an OverflowError
+        koszul_differentials(2, lam, [2**69 + 1, 1])
+    with pytest.raises(ValueError):  # the entry -(3 - 1) is 2^70 - 2
+        koszul_differentials(2, lam, [1, 3])
+    # weights whose entries fit are still accepted at this modulus
+    assert not any(mat.any() for mat in koszul_differentials(2, lam, [1, 1]))
+    assert koszul_differentials(2, lam, [3, 1])[0].tolist() == [[2], [0]]
+
+
 # ------------------------------------------------------------------ rank one
 
 
