@@ -63,6 +63,11 @@ def _fail(message) -> None:
 
 
 def _emit(command: str, params: dict, build, fmt: str, output_dir: str | None, name_params=None):
+    if output_dir:
+        try:
+            Path(output_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            _fail(f"cannot use {output_dir} as the output directory: {exc.strerror}")
     try:
         body = build()
     except ValueError as exc:
@@ -72,9 +77,11 @@ def _emit(command: str, params: dict, build, fmt: str, output_dir: str | None, n
     sys.stdout.buffer.write(data)
     sys.stdout.buffer.flush()
     if output_dir:
-        path = Path(output_dir)
-        path.mkdir(parents=True, exist_ok=True)
-        (path / _filename(command, name_params if name_params is not None else params, fmt)).write_bytes(data)
+        path = Path(output_dir) / _filename(command, name_params if name_params is not None else params, fmt)
+        try:
+            path.write_bytes(data)
+        except OSError as exc:
+            _fail(f"cannot write the report to {path}: {exc.strerror}")
     sys.exit(0 if report["ok"] else 1)
 
 

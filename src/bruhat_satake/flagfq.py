@@ -322,6 +322,8 @@ def enumerate_flag(kind: GroupKind, q: int) -> list[Subspace]:
     Within a pivot pattern the points run through the free entries in
     lexicographic order, row by row.
     """
+    if q not in _PRIMITIVE:
+        raise ValueError(f"q must be one of 2, 3, 5, got {q}")
     n = kind.n
     candidates = gaussian_binomial(2 * n, n, q)
     if candidates > FLAG_POINT_GUARD:

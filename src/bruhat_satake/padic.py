@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .weyl import Family, GroupKind, SubsetJ, all_subsets_j
+from .weyl import Family, GroupKind, all_subsets_j
 
 Mat = tuple[tuple[Fraction, ...], ...]
 
@@ -310,32 +310,25 @@ def factor_P_Gamma1(g: BlockMatrix, m: int) -> tuple[BlockMatrix, BlockMatrix]:
 def anticanonical_radius(kind: GroupKind, vals: dict):
     """Smallest k >= 0 with v(J_0) <= v(J) + k * |J intersect {1..n}| for all J.
 
-    ``vals`` maps each coordinate subset (SubsetJ or a frozenset of its
-    members) to a valuation in Z or +infinity.  J_0 = {n+1, ..., 2n} is
-    the only subset whose intersection count is zero.  All values infinite
-    is an error (there is nothing to measure); v(J_0) infinite with some
-    finite competitor never catches up, which reports +infinity.
+    ``vals`` maps each coordinate subset, as the frozenset of its members,
+    to a valuation in Z or +infinity.  J_0 = {n+1, ..., 2n} is the only
+    subset whose intersection count is zero.  All values infinite is an
+    error (there is nothing to measure); v(J_0) infinite with some finite
+    competitor never catches up, which reports +infinity.
     """
     n = kind.n
-    wanted = {frozenset(s.members) for s in all_subsets_j(kind)}
-    table = {}
-    for key, v in vals.items():
-        members = frozenset(key.members) if isinstance(key, SubsetJ) else frozenset(key)
-        if members in table:
-            raise ValueError("duplicate subset key")
-        if v != math.inf and not isinstance(v, int):
-            raise ValueError("valuations must be integers or +infinity")
-        table[members] = v
-    if set(table) != wanted:
-        raise ValueError("valuations must cover every coordinate subset exactly once")
+    if any(v != math.inf and not isinstance(v, int) for v in vals.values()):
+        raise ValueError("valuations must be integers or +infinity")
+    if set(vals) != {frozenset(s.members) for s in all_subsets_j(kind)}:
+        raise ValueError("valuations must be keyed by the frozensets of members of all coordinate subsets")
     j0 = frozenset(range(n + 1, 2 * n + 1))
-    v0 = table[j0]
-    if all(v == math.inf for v in table.values()):
+    v0 = vals[j0]
+    if all(v == math.inf for v in vals.values()):
         raise ValueError("all valuations are infinite")
     if v0 == math.inf:
         return math.inf
     k = 0
-    for members, v in table.items():
+    for members, v in vals.items():
         if members == j0 or v == math.inf:
             continue
         m_j = len(members & set(range(1, n + 1)))

@@ -3,7 +3,8 @@
 ``perfbench/expected.json`` pins, per benchmark item, the exit status, the
 stdout sha256 and every traced count (kernel calls, matrices, points,
 ...).  A change that moves one of them fails the benchmark; these tests
-catch it on three small flag items without a benchmark run.
+catch it without a benchmark run, on the two items that run ``roots``
+and three small flag items.
 """
 
 import hashlib
@@ -20,6 +21,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 
 ITEMS = [
+    "cells dims --kind A --n 4",
+    "cells dims --kind C --n 6 --format csv",
     "flag check-cover --kind A --n 2 --q 2",
     "flag check-finding-j --kind A --n 3 --q 2",
     "flag census --kind C --n 3 --q 3",

@@ -101,6 +101,40 @@ def test_guards_exit_2(runner):
         assert result.exit_code == 2
         assert "error:" in result.stderr
         assert result.stdout_bytes == b""
+    # flag commands take only the fields they have generators for
+    flag_q = [("census", "A", "1"), ("census", "A", "-3"), ("check-cover", "C", "0")]
+    flag_q += [("check-finding-j", "A", q) for q in ("0", "4", "7", "9")]
+    for command, kind, q in flag_q:
+        result = invoke(runner, ["flag", command, "--kind", kind, "--n", "1", "--q", q])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1
+        assert result.stdout_bytes == b""
+
+
+def test_unusable_output_dir_exits_2_before_the_report(runner, tmp_path, monkeypatch):
+    def no_report(kind):
+        raise AssertionError("the report was built")
+
+    monkeypatch.setattr(cli.weyl, "double_cosets", no_report)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    args = ["cells", "dims", "--kind", "A", "--n", "2"]
+    for result, where in (
+        (invoke(runner, args + ["--output-dir", str(blocker / "out")]), str(blocker / "out")),
+        (invoke(runner, args, env={"BRUHAT_SATAKE_OUTPUT_DIR": str(blocker)}), str(blocker)),
+    ):
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1
+        assert where in result.stderr
+        assert result.stdout_bytes == b""
+
+
+def test_unwritable_report_file_exits_2(runner, tmp_path):
+    (tmp_path / "cells-dims_kind=A_n=2.json").mkdir()
+    result = invoke(runner, ["cells", "dims", "--kind", "A", "--n", "2", "--output-dir", str(tmp_path)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1
+    assert "cells-dims_kind=A_n=2.json" in result.stderr
 
 
 def test_failed_check_exits_1(runner, monkeypatch):

@@ -6,30 +6,132 @@ from bruhat_satake import roots, weyl
 from bruhat_satake.roots import (
     all_roots,
     cell_dim_by_roots,
-    negative_roots,
-    parabolic_data,
-    positive_roots,
+    in_n_i,
+    in_nbar_i,
+    in_phi_i,
+    is_positive,
+    root,
     weyl_action,
 )
 
 KINDS = [weyl.type_a(1), weyl.type_a(2), weyl.type_a(3), weyl.type_c(1), weyl.type_c(2), weyl.type_c(3)]
+ORACLE_KINDS = [weyl.type_a(n) for n in range(1, 5)] + [weyl.type_c(n) for n in range(1, 5)]
+
+
+def negative(kind, r):
+    a, b = r
+    return root(kind, b, a)
+
+
+def split(kind):
+    """Phi+, Phi-, Phi_I, N_I and Nbar_I as sets of canonical pairs."""
+    every = all_roots(kind)
+    pos = frozenset(r for r in every if is_positive(kind, r))
+    return (
+        pos,
+        every - pos,
+        frozenset(r for r in every if in_phi_i(kind, r)),
+        frozenset(r for r in every if in_n_i(kind, r)),
+        frozenset(r for r in every if in_nbar_i(kind, r)),
+    )
+
+
+# ----------------------------------------------------- the textbook oracle
+
+
+def unit(kind, x):
+    """e_x in Z^{2n} (type A); in type C e_i in Z^n, with e_{n+i} = -e_i."""
+    n = kind.n
+    if kind.family is weyl.Family.TYPE_A:
+        return tuple(int(j == x) for j in range(1, 2 * n + 1))
+    i, sign = (x, 1) if x <= n else (x - n, -1)
+    return tuple(sign * int(j == i) for j in range(1, n + 1))
+
+
+def vector(kind, r):
+    a, b = r
+    return tuple(u - v for u, v in zip(unit(kind, a), unit(kind, b)))
+
+
+def plus(u, v):
+    return tuple(x + y for x, y in zip(u, v))
+
+
+def textbook(kind):
+    """Phi, Phi+, Phi_I, N_I and -N_I of the Siegel parabolic, as vectors."""
+    n = kind.n
+    type_a = kind.family is weyl.Family.TYPE_A
+    dim = 2 * n if type_a else n
+
+    def e(i, c=1):
+        return tuple(c * int(j == i) for j in range(1, dim + 1))
+
+    pairs = list(itertools.combinations(range(1, dim + 1), 2))
+    if type_a:
+        pos = {plus(e(i), e(j, -1)) for i, j in pairs}
+        n_i = {plus(e(i), e(j, -1)) for i in range(1, n + 1) for j in range(n + 1, 2 * n + 1)}
+    else:
+        n_i = {plus(e(i), e(j)) for i, j in pairs} | {e(i, 2) for i in range(1, n + 1)}
+        pos = n_i | {plus(e(i), e(j, -1)) for i, j in pairs}
+    neg = {tuple(-x for x in v) for v in pos}
+    nbar_i = {tuple(-x for x in v) for v in n_i}
+    return pos | neg, pos, (pos | neg) - n_i - nbar_i, n_i, nbar_i
+
+
+def signed_permutation(kind, w, v):
+    """w acting on a root vector, linearly, by e_x -> e_{w(x)} on its coordinates x."""
+    out = (0,) * len(v)
+    for x, c in enumerate(v, start=1):
+        out = plus(out, tuple(c * u for u in unit(kind, w(x))))
+    return out
+
+
+@pytest.mark.parametrize("kind", ORACLE_KINDS, ids=lambda k: f"{k.family.value}{k.n}")
+def test_pairs_match_the_textbook_root_system(kind):
+    phi, pos, levi, n_i, nbar_i = textbook(kind)
+    every = all_roots(kind)
+    vectors = {r: vector(kind, r) for r in every}
+    assert len(set(vectors.values())) == len(every)
+    assert set(vectors.values()) == phi
+    assert {vectors[r] for r in every if is_positive(kind, r)} == pos
+    assert {vectors[r] for r in every if in_phi_i(kind, r)} == levi
+    assert {vectors[r] for r in every if in_n_i(kind, r)} == n_i
+    assert {vectors[r] for r in every if in_nbar_i(kind, r)} == nbar_i
+    # every ordered pair canonicalizes to the pair of its vector
+    for a, b in itertools.permutations(range(1, kind.ambient + 1), 2):
+        assert vectors[root(kind, a, b)] == vector(kind, (a, b))
+    elements = weyl.all_elements(kind)
+    for w in elements[:: max(1, len(elements) // 400)]:
+        for r in every:
+            assert vectors[weyl_action(w, r)] == signed_permutation(kind, w, vectors[r])
+
+
+def test_root_refuses_an_invalid_pair():
+    for a, b in ((1, 1), (0, 2), (1, 5)):
+        with pytest.raises(ValueError):
+            root(weyl.type_c(2), a, b)
+
+
+# ------------------------------------------------------------- properties
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_root_counts(kind):
     n = kind.n
     expected = 2 * n * (2 * n - 1) if kind.family is weyl.Family.TYPE_A else 2 * n * n
+    pos, neg, _, _, _ = split(kind)
     assert len(all_roots(kind)) == expected
-    assert len(positive_roots(kind)) == expected // 2
-    assert positive_roots(kind) | negative_roots(kind) == all_roots(kind)
-    assert not positive_roots(kind) & negative_roots(kind)
+    assert len(pos) == len(neg) == expected // 2
+    assert pos | neg == all_roots(kind)
+    assert not pos & neg
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_negation_is_an_involution_swapping_signs(kind):
     for r in all_roots(kind):
-        assert -(-r) == r
-        assert r.is_positive != (-r).is_positive
+        assert negative(kind, r) in all_roots(kind)
+        assert negative(kind, negative(kind, r)) == r
+        assert is_positive(kind, r) != is_positive(kind, negative(kind, r))
 
 
 @pytest.mark.parametrize("kind", KINDS[:4])
@@ -51,19 +153,21 @@ def test_weyl_action_is_compatible_with_products(kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_length_equals_inversion_count(kind):
     # geometric length: roots made negative; independent of the Cayley BFS
-    pos = positive_roots(kind)
+    pos = split(kind)[0]
     for w in weyl.all_elements(kind)[:120]:
-        inversions = sum(1 for r in pos if not weyl_action(w, r).is_positive)
+        inversions = sum(1 for r in pos if not is_positive(kind, weyl_action(w, r)))
         assert weyl.length(w) == inversions
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_parabolic_split(kind):
-    data = parabolic_data(kind)
-    assert data.phi_i | data.n_i | data.nbar_i == all_roots(kind)
-    assert len(data.n_i) == len(data.nbar_i) == roots.place_dimension(kind)
-    assert {-r for r in data.n_i} == data.nbar_i
-    assert {-r for r in data.phi_i} == data.phi_i
+    pos, neg, phi_i, n_i, nbar_i = split(kind)
+    assert phi_i | n_i | nbar_i == all_roots(kind)
+    assert not (phi_i & n_i or phi_i & nbar_i or n_i & nbar_i)
+    assert n_i == pos - phi_i and nbar_i == neg - phi_i
+    assert len(n_i) == len(nbar_i) == roots.place_dimension(kind)
+    assert {negative(kind, r) for r in n_i} == nbar_i
+    assert {negative(kind, r) for r in phi_i} == phi_i
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -75,16 +179,16 @@ def test_place_dimension(kind):
 
 @pytest.mark.parametrize("kind", KINDS[:4])
 def test_dim_functions_match_setwise_definitions(kind):
-    # oracle: direct Root-set arithmetic, no pair-code tables
-    data = parabolic_data(kind)
-    upper = positive_roots(kind) | data.phi_i
-    lower = negative_roots(kind) | data.phi_i
+    # oracle: direct set arithmetic on canonical pairs, no pair-code tables
+    pos, neg, phi_i, n_i, nbar_i = split(kind)
+    upper = pos | phi_i
+    lower = neg | phi_i
     for w in weyl.all_elements(kind):
         img_lo = frozenset(weyl_action(w, r) for r in lower)
         img_up = frozenset(weyl_action(w, r) for r in upper)
         assert cell_dim_by_roots(w) == len(upper - img_lo)
-        assert roots.unipotent_intersection_dim(w) == len(img_lo & data.nbar_i)
-        assert roots.standard_unipotent_intersection_dim(w) == len(img_up & data.n_i)
+        assert roots.unipotent_intersection_dim(w) == len(img_lo & nbar_i)
+        assert roots.standard_unipotent_intersection_dim(w) == len(img_up & n_i)
 
 
 @pytest.mark.parametrize("kind", KINDS)
