@@ -6,7 +6,8 @@ arguments and seeds are byte-identical.  Exit status: 0 when every check
 in the report passed, 1 when a verification failed, 2 for invalid
 configuration (guard violations included).  Set BRUHAT_SATAKE_OUTPUT_DIR
 or pass --output-dir to also write the report to a deterministically
-named file.
+named file.  Each command is one body function of its parsed options that
+returns the report body, registered once by ``_report``.
 """
 
 from __future__ import annotations
@@ -85,28 +86,28 @@ def _emit(command: str, params: dict, build, fmt: str, output_dir: str | None, n
     sys.exit(0 if report["ok"] else 1)
 
 
-def _common(fn):
-    fn = click.option(
-        "--format",
-        "fmt",
-        type=click.Choice(["json", "csv"]),
-        default="json",
-        show_default=True,
-        help="Report format.",
-    )(fn)
-    fn = click.option(
-        "--output-dir",
-        envvar="BRUHAT_SATAKE_OUTPUT_DIR",
-        default=None,
-        help="Directory for the report file; defaults to $BRUHAT_SATAKE_OUTPUT_DIR.",
-    )(fn)
-    return fn
+# ----------------------------------------------------------------- options
+# Each option is declared once; a command lists the ones it takes, in the
+# order its --help shows them.
 
-
-def _kind_n(fn):
-    fn = click.option("--kind", type=click.Choice(["A", "C"]), required=True, help="A or C.")(fn)
-    fn = click.option("--n", type=int, required=True, help="Levi rank n.")(fn)
-    return fn
+KIND_N = (
+    click.Option(["--n"], type=int, required=True, help="Levi rank n."),
+    click.Option(["--kind"], type=click.Choice(["A", "C"]), required=True, help="A or C."),
+)
+Q = click.Option(["--q"], type=int, required=True, help="Field size.")
+TWIST = click.Option(["--twist/--no-twist"], default=True, show_default=True, help="Include formal central units.")
+D_P_R = (
+    click.Option(["--d"], type=int, required=True, help="Number of Z_p factors."),
+    click.Option(["--p"], type=int, default=2, show_default=True, help="Coefficient prime."),
+    click.Option(["--r"], type=int, default=2, show_default=True, help="Coefficient exponent."),
+)
+A_LEVEL = click.Option(["--a"], type=int, default=2, show_default=True, help="Level exponent p^a.")
+COMMON = (
+    click.Option(["--output-dir"], envvar="BRUHAT_SATAKE_OUTPUT_DIR",
+                 help="Directory for the report file; defaults to $BRUHAT_SATAKE_OUTPUT_DIR."),
+    click.Option(["--format", "fmt"], type=click.Choice(["json", "csv"]), default="json", show_default=True,
+                 help="Report format."),
+)
 
 
 @click.group()
@@ -115,200 +116,126 @@ def main():
     p-adic coset invariants, and ordinary Koszul cohomology."""
 
 
-# ------------------------------------------------------------------- weyl
+main.add_command(click.Group("weyl", help="Weyl group combinatorics."))
+main.add_command(click.Group("cells", help="Schubert cell dimensions."))
+main.add_command(click.Group("flag", help="Finite flag variety checks."))
+main.add_command(click.Group("satake", help="Satake transform identities."))
+main.add_command(click.Group("padic", help="p-adic parabolic coset invariants."))
+main.add_command(click.Group("ordcoh", help="Koszul cohomology and ordinary parts."))
 
 
-@main.group("weyl")
-def weyl_group():
-    """Weyl group combinatorics."""
+def _command(group: str, name: str, run, options, body) -> None:
+    main.commands[group].add_command(click.Command(name, callback=run, params=[*options, *COMMON], help=body.__doc__))
 
 
-@weyl_group.command("cosets")
-@_kind_n
-@_common
-def weyl_cosets(kind, n, fmt, output_dir):
+def _report(group: str, name: str, *options: click.Option):
+    """Register ``body`` as the command ``group name``: it is called with the
+    parsed ``options`` as keywords, which are also the report's ``params``."""
+
+    def register(body):
+        def run(fmt, output_dir, **params):
+            _emit(f"{group} {name}", params, lambda: body(**params), fmt, output_dir)
+
+        _command(group, name, run, options, body)
+        return body
+
+    return register
+
+
+def _check_rows(result: dict, *checks: str) -> list[dict]:
+    return [{"check": check, "ok": result[check]} for check in checks]
+
+
+# ------------------------------------------------------------- weyl, cells
+
+
+@_report("weyl", "cosets", *KIND_N)
+def weyl_cosets(kind, n):
     """List the parabolic double coset representatives sigma_k."""
-
-    def build():
-        gk = _group_kind(kind, n)
-        reps = weyl.double_cosets(gk)
-        rows = [
-            {
-                "k": k,
-                "perm": "".join(str(x) for x in rep.perm) if 2 * n < 10 else str(list(rep.perm)),
-                "tau": weyl.tau(rep),
-                "length": weyl.length(rep),
-            }
-            for k, rep in enumerate(reps)
-        ]
-        return {"rows": rows, "count": len(reps), "ok": len(reps) == n + 1}
-
-    _emit("weyl cosets", {"kind": kind, "n": n}, build, fmt, output_dir)
+    gk = _group_kind(kind, n)
+    weyl.check_order(gk)
+    reps = weyl.double_cosets(gk)
+    rows = [{"k": k, "perm": "".join(map(str, w.perm)) if 2 * n < 10 else str(list(w.perm)),
+             "tau": weyl.tau(w), "length": weyl.length(w)} for k, w in enumerate(reps)]
+    return {"rows": rows, "count": len(reps), "ok": len(reps) == n + 1}
 
 
-# ------------------------------------------------------------------- cells
-
-
-@main.group("cells")
-def cells_group():
-    """Schubert cell dimensions."""
-
-
-@cells_group.command("dims")
-@_kind_n
-@_common
-def cells_dims(kind, n, fmt, output_dir):
+@_report("cells", "dims", *KIND_N)
+def cells_dims(kind, n):
     """Cell dimensions of the coset representatives against the closed forms."""
-
-    def build():
-        gk = _group_kind(kind, n)
-        rows = []
-        ok = True
-        for k, rep in enumerate(weyl.double_cosets(gk)):
-            by_roots = roots.schubert_cell_dim(rep)
-            closed = roots.cell_dim_formula(gk, k)
-            unip = roots.unipotent_intersection_dim(rep * weyl.longest_element(gk))
-            agree = by_roots == closed == unip
-            ok = ok and agree
-            rows.append(
-                {
-                    "tau": k,
-                    "dim_by_roots": by_roots,
-                    "dim_closed_form": closed,
-                    "dim_unipotent": unip,
-                    "agree": agree,
-                }
-            )
-        return {"rows": rows, "ok": ok}
-
-    _emit("cells dims", {"kind": kind, "n": n}, build, fmt, output_dir)
+    gk = _group_kind(kind, n)
+    weyl.check_order(gk)
+    rows = []
+    for k, rep in enumerate(weyl.double_cosets(gk)):
+        by_roots = roots.schubert_cell_dim(rep)
+        closed = roots.cell_dim_formula(gk, k)
+        unip = roots.unipotent_intersection_dim(rep * weyl.longest_element(gk))
+        rows.append({"tau": k, "dim_by_roots": by_roots, "dim_closed_form": closed, "dim_unipotent": unip,
+                     "agree": by_roots == closed == unip})
+    return {"rows": rows, "ok": all(row["agree"] for row in rows)}
 
 
 # -------------------------------------------------------------------- flag
 
 
-@main.group("flag")
-def flag_group():
-    """Finite flag variety checks."""
-
-
-@flag_group.command("census")
-@_kind_n
-@click.option("--q", type=int, required=True, help="Field size.")
-@_common
-def flag_census(kind, n, q, fmt, output_dir):
+@_report("flag", "census", *KIND_N, Q)
+def flag_census(kind, n, q):
     """Point counts of the flag variety by cell invariant tau."""
-
-    def build():
-        gk = _group_kind(kind, n)
-        census = flagfq.cell_census(gk, q)
-        total = sum(census.values())
-        expected = flagfq.flag_size(gk, q)
-        rows = [{"tau": t, "points": census[t]} for t in sorted(census)]
-        open_dim = roots.cell_dim_formula(gk, n)
-        return {
-            "rows": rows,
-            "total": total,
-            "expected_total": expected,
-            "open_cell_points": census[n],
-            "open_cell_expected": q**open_dim,
-            "ok": total == expected and census[n] == q**open_dim,
-        }
-
-    _emit("flag census", {"kind": kind, "n": n, "q": q}, build, fmt, output_dir)
+    gk = _group_kind(kind, n)
+    census = flagfq.cell_census(gk, q)
+    total = sum(census.values())
+    expected = flagfq.flag_size(gk, q)
+    open_points = q ** roots.cell_dim_formula(gk, n)
+    return {
+        "rows": [{"tau": t, "points": census[t]} for t in sorted(census)],
+        "total": total,
+        "expected_total": expected,
+        "open_cell_points": census[n],
+        "open_cell_expected": open_points,
+        "ok": total == expected and census[n] == open_points,
+    }
 
 
-@flag_group.command("check-cover")
-@_kind_n
-@click.option("--q", type=int, required=True, help="Field size.")
-@_common
-def flag_check_cover(kind, n, q, fmt, output_dir):
+@_report("flag", "check-cover", *KIND_N, Q)
+def flag_check_cover(kind, n, q):
     """Closure order and translated big-cell cover, exhaustively."""
-
-    def build():
-        gk = _group_kind(kind, n)
-        closure = flagfq.closure_order_check(gk, q)
-        cover = flagfq.cover_lemma_check(gk, q)
-        rows = [
-            {"check": "tau_constant_on_orbits", "ok": closure["tau_constant_on_orbits"]},
-            {"check": "orbits_match_tau_fibers", "ok": closure["orbits_match_tau_fibers"]},
-            {"check": "lower_inclusions", "ok": cover["lower_inclusions"]},
-            {"check": "upper_inclusions", "ok": cover["upper_inclusions"]},
-            {"check": "translates_cover_group", "ok": cover["translates_cover_group"]},
-        ]
-        return {
-            "rows": rows,
-            "points": closure["points"],
-            "group_order": cover["group_order"],
-            "ok": closure["ok"] and cover["ok"],
-        }
-
-    _emit("flag check-cover", {"kind": kind, "n": n, "q": q}, build, fmt, output_dir)
+    gk = _group_kind(kind, n)
+    closure = flagfq.closure_order_check(gk, q)
+    cover = flagfq.cover_lemma_check(gk, q)
+    rows = _check_rows(closure, "tau_constant_on_orbits", "orbits_match_tau_fibers")
+    rows += _check_rows(cover, "lower_inclusions", "upper_inclusions", "translates_cover_group")
+    ok = closure["ok"] and cover["ok"]
+    return {"rows": rows, "points": closure["points"], "group_order": cover["group_order"], "ok": ok}
 
 
-@flag_group.command("check-finding-j")
-@_kind_n
-@click.option("--q", type=int, required=True, help="Field size.")
-@_common
-def flag_check_finding_j(kind, n, q, fmt, output_dir):
+@_report("flag", "check-finding-j", *KIND_N, Q)
+def flag_check_finding_j(kind, n, q):
     """Every Borel orbit meets a coordinate frame transversally."""
-
-    def build():
-        gk = _group_kind(kind, n)
-        res = flagfq.finding_j_check(gk, q)
-        rows = [
-            {"check": "every_orbit_admits_J", "ok": res["every_orbit_admits_J"]},
-            {"check": "open_cell_admits_full_J", "ok": res["open_cell_admits_full_J"]},
-        ]
-        return {
-            "rows": rows,
-            "points": res["points"],
-            "borel_orbits": res["borel_orbits"],
-            "ok": res["ok"],
-        }
-
-    _emit("flag check-finding-j", {"kind": kind, "n": n, "q": q}, build, fmt, output_dir)
+    res = flagfq.finding_j_check(_group_kind(kind, n), q)
+    rows = _check_rows(res, "every_orbit_admits_J", "open_cell_admits_full_J")
+    return {"rows": rows, "points": res["points"], "borel_orbits": res["borel_orbits"], "ok": res["ok"]}
 
 
 # ------------------------------------------------------------------ satake
 
 
-@main.group("satake")
-def satake_group():
-    """Satake transform identities."""
-
-
-@satake_group.command("verify")
-@_kind_n
-@click.option("--twist/--no-twist", default=True, show_default=True, help="Include formal central units.")
-@_common
-def satake_verify(kind, n, twist, fmt, output_dir):
+@_report("satake", "verify", *KIND_N, TWIST)
+def satake_verify(kind, n, twist):
     """Expand both sides of the determinant factorization and compare.
 
     Kind A is the split unitary identity, kind C the real one.
     """
-
-    def build():
-        case = satake.SatakeCase.UNITARY if kind == "A" else satake.SatakeCase.REAL
-        report = satake.verify_determinant_factorization(case, n, twist=twist)
-        rows = [
-            {"x_power": j, "equal": lhs == rhs}
-            for j, (lhs, rhs) in enumerate(zip(report["lhs"], report["rhs"]))
-        ]
-        return {
-            "rows": rows,
-            "case": report["case"],
-            "degree": report["degree"],
-            "lhs": report["lhs"],
-            "rhs": report["rhs"],
-            "first_difference": report["first_difference"],
-            "ok": report["verdict"],
-        }
-
-    _emit("satake verify", {"kind": kind, "n": n, "twist": twist}, build, fmt, output_dir)
+    case = satake.SatakeCase.UNITARY if kind == "A" else satake.SatakeCase.REAL
+    report = satake.verify_determinant_factorization(case, n, twist=twist)
+    rows = [{"x_power": j, "equal": lhs == rhs} for j, (lhs, rhs) in enumerate(zip(report["lhs"], report["rhs"]))]
+    shown = {key: report[key] for key in ("case", "degree", "lhs", "rhs", "first_difference")}
+    return {"rows": rows, **shown, "ok": report["verdict"]}
 
 
 # ------------------------------------------------------------------- padic
+# The two padic commands also take a matrix, so they share one more layer:
+# their options, the input checks, the matrix parse, the seeded generator
+# and a file name that carries a digest of the matrix text.
 
 
 _RATIONAL = re.compile(r"[+-]?\d+(/\d+)?")
@@ -351,11 +278,8 @@ def _load_matrix(kind, n, p, text):
 
 
 def _padic_setup(kind, n, p, m, seed, count, matrix, matrix_file):
-    """Check the options shared by the padic commands and read the matrix once.
-
-    Returns the report params, the file-name params (with a digest of the
-    matrix text in place of the matrix) and the matrix text or None.
-    """
+    """Check the padic options and read the matrix once: returns the report
+    params, the file-name params (a digest in place of the matrix) and the text."""
     try:
         if m < 1:
             raise ValueError(f"--m must be at least 1, got {m}")
@@ -371,162 +295,107 @@ def _padic_setup(kind, n, p, m, seed, count, matrix, matrix_file):
     return params, name_params, text
 
 
+PADIC = (
+    click.Option(["--p"], type=int, required=True, help="Residue prime."),
+    click.Option(["--m"], type=int, default=1, show_default=True, help="Congruence exponent."),
+    click.Option(["--seed"], type=int, default=0, show_default=True, help="Seed for the sampled suite."),
+)
+MATRIX = (
+    click.Option(["--matrix-file"], help="File containing the JSON rows."),
+    click.Option(["--matrix"], help="JSON rows; entries int or 'a/b' strings."),
+)
+
+
+def _padic(name: str, count: int):
+    """Register ``body(g, gk, p, m, count, rng)`` as ``padic name``; ``g`` is the
+    parsed matrix, or None for the suite of ``count`` samples drawn from ``rng``."""
+    count_option = click.Option(["--count"], type=int, default=count, show_default=True,
+                                help="Samples when no matrix is given.")
+
+    def register(body):
+        def run(kind, n, p, m, seed, count, matrix_file, matrix, fmt, output_dir):
+            params, name_params, text = _padic_setup(kind, n, p, m, seed, count, matrix, matrix_file)
+
+            def build():
+                g = _load_matrix(kind, n, p, text)
+                return body(g, _group_kind(kind, n), p, m, count, random.Random(seed))
+
+            _emit(f"padic {name}", params, build, fmt, output_dir, name_params=name_params)
+
+        _command("padic", name, run, (*KIND_N, *PADIC, count_option, *MATRIX), body)
+        return body
+
+    return register
+
+
 def _h_str(h):
-    if h == math.inf:
-        return "+inf"
-    if h == -math.inf:
-        return "-inf"
-    return int(h)
+    return "+inf" if h == math.inf else "-inf" if h == -math.inf else int(h)
 
 
-def _mat_strs(rows):
-    return [[str(x) for x in row] for row in rows]
-
-
-def _matrix_options(fn):
-    fn = click.option("--matrix", default=None, help="JSON rows; entries int or 'a/b' strings.")(fn)
-    fn = click.option("--matrix-file", default=None, help="File containing the JSON rows.")(fn)
-    return fn
-
-
-@main.group("padic")
-def padic_group():
-    """p-adic parabolic coset invariants."""
-
-
-@padic_group.command("h")
-@_kind_n
-@click.option("--p", type=int, required=True, help="Residue prime.")
-@click.option("--m", type=int, default=1, show_default=True, help="Congruence exponent.")
-@click.option("--seed", type=int, default=0, show_default=True, help="Seed for the sampled suite.")
-@click.option("--count", type=int, default=50, show_default=True, help="Samples when no matrix is given.")
-@_matrix_options
-@_common
-def padic_h(kind, n, p, m, seed, count, matrix, matrix_file, fmt, output_dir):
+@_padic("h", count=50)
+def padic_h(g, gk, p, m, count, rng):
     """The invariant h(g) = min v_p(D^{-1}C), or a seeded invariance suite."""
-    params, name_params, text = _padic_setup(kind, n, p, m, seed, count, matrix, matrix_file)
-
-    def build():
-        g = _load_matrix(kind, n, p, text)
-        if g is not None:
-            h = padic.h_invariant(g)
-            rows = [{"h": _h_str(h), "in_P_Gamma1": h >= m}]
-            return {"rows": rows, "ok": True}
-        gk = _group_kind(kind, n)
-        rng = random.Random(seed)
-        gam = padic.gamma(gk, p)
-        shift = 1 if gk.family is weyl.Family.TYPE_A else 2
-        rows = []
-        ok = True
-        for idx in range(count):
-            g = padic.random_congruence_element(gk, p, m, rng)
-            h = padic.h_invariant(g)
-            par = padic.random_parabolic_element(gk, p, rng)
-            passed = (
-                h >= m
-                and padic.h_invariant(par * g) == h
-                and padic.h_invariant(g * gam) == h + shift
-            )
-            ok = ok and passed
-            rows.append({"sample": idx, "h": _h_str(h), "passed": passed})
-        return {"rows": rows, "ok": ok}
-
-    _emit("padic h", params, build, fmt, output_dir, name_params=name_params)
+    if g is not None:
+        h = padic.h_invariant(g)
+        return {"rows": [{"h": _h_str(h), "in_P_Gamma1": h >= m}], "ok": True}
+    gam = padic.gamma(gk, p)
+    shift = 1 if gk.family is weyl.Family.TYPE_A else 2
+    rows = []
+    for idx in range(count):
+        g = padic.random_congruence_element(gk, p, m, rng)
+        h = padic.h_invariant(g)
+        par = padic.random_parabolic_element(gk, p, rng)
+        passed = h >= m and padic.h_invariant(par * g) == h and padic.h_invariant(g * gam) == h + shift
+        rows.append({"sample": idx, "h": _h_str(h), "passed": passed})
+    return {"rows": rows, "ok": all(row["passed"] for row in rows)}
 
 
-@padic_group.command("factor")
-@_kind_n
-@click.option("--p", type=int, required=True, help="Residue prime.")
-@click.option("--m", type=int, default=1, show_default=True, help="Congruence exponent.")
-@click.option("--seed", type=int, default=0, show_default=True, help="Seed for the sampled suite.")
-@click.option("--count", type=int, default=20, show_default=True, help="Samples when no matrix is given.")
-@_matrix_options
-@_common
-def padic_factor(kind, n, p, m, seed, count, matrix, matrix_file, fmt, output_dir):
+@_padic("factor", count=20)
+def padic_factor(g, gk, p, m, count, rng):
     """Split g into its parabolic and congruence factors."""
-    params, name_params, text = _padic_setup(kind, n, p, m, seed, count, matrix, matrix_file)
-
-    def build():
-        g = _load_matrix(kind, n, p, text)
-        if g is not None:
-            p_part, g1_part = padic.factor_P_Gamma1(g, m)
-            ok = (p_part * g1_part).rows == g.rows
-            rows = [{"h": _h_str(padic.h_invariant(g)), "reassembled": ok}]
-            return {
-                "rows": rows,
-                "p_part": _mat_strs(p_part.rows),
-                "gamma1_part": _mat_strs(g1_part.rows),
-                "ok": ok,
-            }
-        gk = _group_kind(kind, n)
-        rng = random.Random(seed)
-        rows = []
-        ok = True
-        for idx in range(count):
-            g = padic.random_congruence_element(gk, p, m, rng)
-            p_part, g1_part = padic.factor_P_Gamma1(g, m)
-            passed = (p_part * g1_part).rows == g.rows and padic.in_level(
-                g1_part, padic.Level(padic.LevelFlavor.GAMMA1, m)
-            )
-            ok = ok and passed
-            rows.append({"sample": idx, "passed": passed})
-        return {"rows": rows, "ok": ok}
-
-    _emit("padic factor", params, build, fmt, output_dir, name_params=name_params)
+    if g is not None:
+        p_part, g1_part = padic.factor_P_Gamma1(g, m)
+        ok = (p_part * g1_part).rows == g.rows
+        return {
+            "rows": [{"h": _h_str(padic.h_invariant(g)), "reassembled": ok}],
+            "p_part": [[str(x) for x in row] for row in p_part.rows],
+            "gamma1_part": [[str(x) for x in row] for row in g1_part.rows],
+            "ok": ok,
+        }
+    level = padic.Level(padic.LevelFlavor.GAMMA1, m)
+    rows = []
+    for idx in range(count):
+        g = padic.random_congruence_element(gk, p, m, rng)
+        p_part, g1_part = padic.factor_P_Gamma1(g, m)
+        passed = (p_part * g1_part).rows == g.rows and padic.in_level(g1_part, level)
+        rows.append({"sample": idx, "passed": passed})
+    return {"rows": rows, "ok": all(row["passed"] for row in rows)}
 
 
 # ------------------------------------------------------------------ ordcoh
 
 
-@main.group("ordcoh")
-def ordcoh_group():
-    """Koszul cohomology and ordinary parts."""
-
-
-@ordcoh_group.command("ranks")
-@click.option("--d", type=int, required=True, help="Number of Z_p factors.")
-@click.option("--p", type=int, default=2, show_default=True, help="Coefficient prime.")
-@click.option("--r", type=int, default=2, show_default=True, help="Coefficient exponent.")
-@_common
-def ordcoh_ranks(d, p, r, fmt, output_dir):
+@_report("ordcoh", "ranks", *D_P_R)
+def ordcoh_ranks(d, p, r):
     """Betti numbers of H^*(Z_p^d, Z/p^r)."""
-
-    def build():
-        lam = ordcoh.Lambda(p, r)
-        coh = ordcoh.koszul_cohomology(d, lam)
-        diffs = ordcoh.koszul_differentials(d, lam, [1] * d)
-        rows = [{"degree": i, "rank": rank} for i, rank in enumerate(coh.ranks)]
-        binomial = tuple(math.comb(d, i) for i in range(d + 1))
-        trivial_vanish = all((mat == 0).all() for mat in diffs)
-        return {
-            "rows": rows,
-            "trivial_weights_vanish": trivial_vanish,
-            "ok": coh.ranks == binomial and trivial_vanish,
-        }
-
-    _emit("ordcoh ranks", {"d": d, "p": p, "r": r}, build, fmt, output_dir)
+    lam = ordcoh.Lambda(p, r)
+    coh = ordcoh.koszul_cohomology(d, lam)
+    diffs = ordcoh.koszul_differentials(d, lam, [1] * d)
+    trivial_vanish = all((mat == 0).all() for mat in diffs)
+    return {
+        "rows": [{"degree": i, "rank": rank} for i, rank in enumerate(coh.ranks)],
+        "trivial_weights_vanish": trivial_vanish,
+        "ok": coh.ranks == tuple(math.comb(d, i) for i in range(d + 1)) and trivial_vanish,
+    }
 
 
-@ordcoh_group.command("ordinary")
-@click.option("--d", type=int, required=True, help="Number of Z_p factors.")
-@click.option("--p", type=int, default=2, show_default=True, help="Coefficient prime.")
-@click.option("--r", type=int, default=2, show_default=True, help="Coefficient exponent.")
-@click.option("--a", type=int, default=2, show_default=True, help="Level exponent p^a.")
-@_common
-def ordcoh_ordinary(d, p, r, a, fmt, output_dir):
+@_report("ordcoh", "ordinary", *D_P_R, A_LEVEL)
+def ordcoh_ordinary(d, p, r, a):
     """Mod-p ranks of the ordinary projectors of the Hecke operator."""
-
-    def build():
-        lam = ordcoh.Lambda(p, r)
-        got = ordcoh.ordinary_part_of_hecke_gamma(d, lam, a=a)
-        expected = (0,) * d + (1,)
-        rows = [
-            {"degree": i, "ordinary_rank": rank, "expected": exp}
-            for i, (rank, exp) in enumerate(zip(got, expected))
-        ]
-        return {"rows": rows, "ok": got == expected}
-
-    _emit("ordcoh ordinary", {"a": a, "d": d, "p": p, "r": r}, build, fmt, output_dir)
+    got = ordcoh.ordinary_part_of_hecke_gamma(d, ordcoh.Lambda(p, r), a=a)
+    expected = (0,) * d + (1,)
+    rows = [{"degree": i, "ordinary_rank": rank, "expected": exp} for i, (rank, exp) in enumerate(zip(got, expected))]
+    return {"rows": rows, "ok": got == expected}
 
 
 if __name__ == "__main__":

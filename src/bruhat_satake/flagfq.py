@@ -325,9 +325,13 @@ def enumerate_flag(kind: GroupKind, q: int) -> list[Subspace]:
     if q not in _PRIMITIVE:
         raise ValueError(f"q must be one of 2, 3, 5, got {q}")
     n = kind.n
-    candidates = gaussian_binomial(2 * n, n, q)
-    if candidates > FLAG_POINT_GUARD:
-        raise ValueError(f"flag has {candidates} candidate points, over the guard {FLAG_POINT_GUARD}")
+    # the C(2n, n)_q candidates include the q^(n^2) >= 2^(n^2) points of the
+    # open cell, so a large n is refused without computing the count
+    if n * n >= FLAG_POINT_GUARD.bit_length() or gaussian_binomial(2 * n, n, q) > FLAG_POINT_GUARD:
+        raise ValueError(
+            f"the candidate points of the type {kind.family.value} flag with n = {n} over F_{q} exceed the guard "
+            f"FLAG_POINT_GUARD = {FLAG_POINT_GUARD}"
+        )
     symplectic = kind.family is Family.TYPE_C
     points = []
     for pivots in itertools.combinations(range(2 * n), n):
@@ -430,9 +434,9 @@ def closure_order_check(kind: GroupKind, q: int) -> dict:
 # ------------------------------------------------------------- cover lemmas
 
 
-def _product_set(left: np.ndarray, right: np.ndarray, q: int) -> tuple[np.ndarray, set[bytes]]:
-    """All products x y for x in left, y in right, deduplicated in order of
-    first occurrence."""
+def _product_set(left: np.ndarray, right: np.ndarray, q: int) -> list[bytes]:
+    """The keys of all products x y for x in left, y in right, deduplicated
+    in order of first occurrence."""
     per = max(1, _PRODUCT_CHUNK // right.shape[0])
     blocks = (left[start : start + per] for start in range(0, left.shape[0], per))
     products = (
@@ -440,8 +444,7 @@ def _product_set(left: np.ndarray, right: np.ndarray, q: int) -> tuple[np.ndarra
         for block in blocks
     )
     # one chunk of keys alive at a time; the dict is an insertion-ordered set
-    seen = dict.fromkeys(itertools.chain.from_iterable(kernels.mat_keys(prod) for prod in products))
-    return kernels.mats_from_keys(list(seen), left.shape[1:]), set(seen)
+    return list(dict.fromkeys(itertools.chain.from_iterable(kernels.mat_keys(prod) for prod in products)))
 
 
 def _translate_keys(g: np.ndarray, stack: np.ndarray, q: int) -> set[bytes]:
@@ -451,9 +454,7 @@ def _translate_keys(g: np.ndarray, stack: np.ndarray, q: int) -> set[bytes]:
 
 def _left_right_keys(left: np.ndarray, mid: np.ndarray, right: np.ndarray, q: int) -> set[bytes]:
     """Keys of {x (mid) y}: left translate of mid applied to every right element."""
-    lm = kernels.matmul_mod(left, mid, q)
-    _, keys = _product_set(lm, right, q)
-    return keys
+    return set(_product_set(kernels.matmul_mod(left, mid, q), right, q))
 
 
 def cover_lemma_check(kind: GroupKind, q: int) -> dict:
@@ -469,9 +470,10 @@ def cover_lemma_check(kind: GroupKind, q: int) -> dict:
     Pbar = P.transpose(0, 2, 1) % q
     B = _borel_matrices(kind, q)
     Bbar = B.transpose(0, 2, 1) % q
-    pbar_p, pbar_p_keys = _product_set(Pbar, P, q)
+    shape = P.shape[1:]
+    pbar_p = kernels.mats_from_keys(_product_set(Pbar, P, q), shape)
     w0_mat = weyl_matrix(longest_element(kind), q)
-    p_w0_p, _ = _product_set(kernels.matmul_mod(P, w0_mat, q), P, q)
+    p_w0_p = kernels.mats_from_keys(_product_set(kernels.matmul_mod(P, w0_mat, q), P, q), shape)
 
     covered: set[bytes] = set()
     lower_ok = upper_ok = True

@@ -5,9 +5,10 @@ integer matrices mod q: stack matmul, stack reduced row echelon form, and
 stack rank.  A stack goes through one numpy routine whose Python loops run
 only over the shape of a single matrix, never over the stack.  A single
 matrix is row reduced in scalar Python, where numpy's per-operation cost
-would dominate the few arithmetic steps.  All functions take and return
-int64 arrays; entries are reduced mod q on entry, and q must be one of the
-primes 2, 3, 5.
+would dominate the few arithmetic steps.  The array functions take and
+return int64 arrays; entries are reduced mod q on entry, and q must be one
+of the primes 2, 3, 5.  ``rref_rows``, the scalar routine, takes Python
+rows and any prime.
 """
 
 from __future__ import annotations
@@ -62,8 +63,12 @@ def _rref_stack(m: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     return m, pivot_row
 
 
-def _rref_rows(rows: list[list[int]], q: int) -> tuple[list[list[int]], int]:
-    """Gauss-Jordan on one matrix given as Python rows; returns (rows, rank)."""
+def rref_rows(rows: list[list[int]], q: int) -> tuple[list[list[int]], int]:
+    """Gauss-Jordan on one matrix given as Python rows; returns (rows, rank).
+
+    Python ints throughout, so q may be any prime (``ordcoh.rank_mod_p``
+    uses it for p < 2^31); ``rref_mod`` checks q before calling it.
+    """
     rows = [[x % q for x in row] for row in rows]
     n_rows = len(rows)
     rank = 0
@@ -121,7 +126,7 @@ def rref_mod(mats: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     _check_q(q)
     mats = np.asarray(mats, dtype=np.int64)
     if mats.ndim == 2:
-        rows, rank = _rref_rows(mats.tolist(), q)
+        rows, rank = rref_rows(mats.tolist(), q)
         return np.array(rows, dtype=np.int64).reshape(mats.shape), np.int64(rank)
     return _rref_stack(mats % q, q)  # a fresh array
 

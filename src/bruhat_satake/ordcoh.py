@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import rref_rows
 from .padic import is_prime
 
 KOSZUL_DEGREE_GUARD = 12
@@ -236,24 +237,8 @@ def ordinary_projector(U: np.ndarray, lam: Lambda) -> np.ndarray:
 
 
 def rank_mod_p(mat: np.ndarray, p: int) -> int:
-    """Rank of the mod-p reduction, by elimination over F_p."""
-    work = (np.asarray(mat, dtype=np.int64) % p).copy()
-    rows, cols = work.shape
-    rank = 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, rows) if work[r, col] % p), None)
-        if pivot is None:
-            continue
-        work[[rank, pivot]] = work[[pivot, rank]]
-        inv = pow(int(work[rank, col]), p - 2, p)
-        work[rank] = work[rank] * inv % p
-        for r in range(rows):
-            if r != rank and work[r, col]:
-                work[r] = (work[r] - work[r, col] * work[rank]) % p
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    """Rank of the mod-p reduction, by the kernels' scalar Gauss-Jordan over F_p."""
+    return rref_rows(np.asarray(mat, dtype=np.int64).tolist(), p)[1]
 
 
 def ordinary_part_of_hecke_gamma(d: int, lam: Lambda, a: int = 2) -> tuple[int, ...]:

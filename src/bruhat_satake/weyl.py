@@ -162,9 +162,19 @@ def order(kind: GroupKind) -> int:
 
 
 def check_order(kind: GroupKind) -> None:
-    """Refuse, before any enumeration starts, a W larger than the guard."""
-    if order(kind) > WEYL_ORDER_GUARD:
-        raise ValueError(f"Weyl group order {order(kind)} exceeds the guard {WEYL_ORDER_GUARD}")
+    """Refuse, before any enumeration starts, a W larger than the guard.
+
+    |W| >= 2^n in both types, so a large n is refused without computing |W|.
+
+    >>> check_order(type_c(8))
+    Traceback (most recent call last):
+    ValueError: the order of the type C Weyl group with n = 8 exceeds the guard WEYL_ORDER_GUARD = 1000000
+    """
+    if kind.n >= WEYL_ORDER_GUARD.bit_length() or order(kind) > WEYL_ORDER_GUARD:
+        raise ValueError(
+            f"the order of the type {kind.family.value} Weyl group with n = {kind.n} exceeds the guard "
+            f"WEYL_ORDER_GUARD = {WEYL_ORDER_GUARD}"
+        )
 
 
 # The length table doubles as the group enumeration.  lru_cache gives a

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +23,42 @@ def invoke(runner, args, **kwargs):
 
 def body(result):
     return json.loads(result.stdout_bytes.decode())
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# stdout sha256 of each README command, in README order; each exits 0
+README_REPORTS = {
+    "weyl cosets --kind A --n 3": "4e0f047e29819300f6866fd9af00116c3104acecc5f0fbbcb7c988877750fe4b",
+    "cells dims --kind C --n 2": "b9a36c6fbc01b231cb25278208da27c4a255248eec0fd41b7e3c30123876c8a2",
+    "flag census --kind C --n 2 --q 2": "22d28efd4deea2154acf08bf50a10e4004d11de18ee5a765638acea5afe92ca9",
+    "flag check-cover --kind A --n 2 --q 2": "972a27d7216b550cf3d47f76f92c3d15bb3665aaeb093296d2dc3ca5a9dbbde4",
+    "flag check-finding-j --kind C --n 2 --q 2": "6b50bd97bd31cc30270f41b71d922441134dc2d46344a4b9b673a1566824f8b1",
+    "satake verify --kind A --n 2 --twist": "258ab9eb42724f27e0fe3b3b8222fe8b88605c1c6fb846687a776cd4d5c85d8c",
+    "padic h --kind C --n 2 --p 3 --m 2 --seed 7 --count 20":
+        "8a32052cafbebdcafc2cc8903f35a63ec06bd145e66e7c6537f046ffb1e50225",
+    "padic h --kind A --n 1 --p 2 --matrix '[[1,0],[2,1]]'":
+        "a78c780c0c196451f312103d07e5e3b3ec31bfd4dd761d92b35fbfa7b9eb5df6",
+    "padic factor --kind A --n 1 --p 2 --matrix '[[1,0],[4,1]]' --m 2":
+        "96d6e201b1dcfbc6f73e0abbee018c3ef36e7d68d1b850f0e5f2b185a2b8ad04",
+    "ordcoh ranks --d 5": "9396e5bc1c0c7b4ab482567a93ca43f102c470203115c5fe8f3aef58814ec33b",
+    "ordcoh ordinary --d 3 --p 3 --r 2": "73a91bcd0ebc498009079ef8d2de8a64240a4b1adb9f904fcca1bdc788069fb9",
+}
+
+
+@pytest.mark.parametrize("command", README_REPORTS)
+def test_readme_command_reproduces_its_report(runner, command):
+    result = invoke(runner, shlex.split(command))
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == README_REPORTS[command]
+
+
+def test_readme_lists_the_pinned_commands_and_every_command_has_one():
+    prefix = "bruhat-satake "
+    readme = [line[len(prefix):] for line in (ROOT / "README.md").read_text().splitlines() if line.startswith(prefix)]
+    assert readme == list(README_REPORTS)
+    registered = {f"{group} {name}" for group, cmds in cli.main.commands.items() for name in cmds.commands}
+    assert registered == {" ".join(command.split()[:2]) for command in README_REPORTS}
 
 
 def test_weyl_cosets(runner):
@@ -101,6 +139,14 @@ def test_guards_exit_2(runner):
         assert result.exit_code == 2
         assert "error:" in result.stderr
         assert result.stdout_bytes == b""
+    # a count past 4,300 digits used to end the message in a failed int-to-str conversion
+    for args, guard in (
+        ("weyl cosets --kind A --n 900", "WEYL_ORDER_GUARD"),
+        ("cells dims --kind A --n 900", "WEYL_ORDER_GUARD"),
+        ("flag census --kind A --n 300 --q 2", "FLAG_POINT_GUARD"),
+        ("flag check-cover --kind C --n 300 --q 2", "FLAG_POINT_GUARD"),
+    ):
+        refused(invoke(runner, args.split()), guard, "type " + args.split()[3])
     # flag commands take only the fields they have generators for
     flag_q = [("census", "A", "1"), ("census", "A", "-3"), ("check-cover", "C", "0")]
     flag_q += [("check-finding-j", "A", q) for q in ("0", "4", "7", "9")]
@@ -397,6 +443,23 @@ def test_padic_refuses_a_prime_too_large_to_check():
     assert result.stdout == ""
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and "2^31" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "args,guard",
+    [
+        ("flag census --kind A --n 3000 --q 2", "FLAG_POINT_GUARD"),  # ran past 120 s on the exact count
+        ("weyl cosets --kind A --n 3000", "WEYL_ORDER_GUARD"),  # built 3,001 representatives first
+        ("weyl cosets --kind C --n 3000", "WEYL_ORDER_GUARD"),
+        ("cells dims --kind C --n 3000", "WEYL_ORDER_GUARD"),
+    ],
+)
+def test_guards_refuse_a_large_n_at_once(args, guard):
+    result = run_cli(args.split(), 5)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and guard in lines[0]
 
 
 def test_ordcoh_ranks_with_a_large_prime_finishes():

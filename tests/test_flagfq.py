@@ -148,11 +148,9 @@ def test_product_set_is_every_pair_product(chunk, monkeypatch):
     monkeypatch.setattr(flagfq, "_PRODUCT_CHUNK", chunk)
     kind, q = weyl.type_a(1), 3
     left, right = flagfq._borel_matrices(kind, q), flagfq._parabolic_matrices(kind, q)
-    brute = {((x @ y) % q).astype(np.int8).tobytes() for x in left for y in right}
-    stack, keys = flagfq._product_set(left, right, q)
-    assert keys == brute
-    assert stack.dtype == np.int64 and len(stack) == len(brute)
-    assert {m.astype(np.int8).tobytes() for m in stack} == brute
+    # keys of the pair products, x outer and y inner, deduplicated in order of first occurrence
+    brute = list(dict.fromkeys(((x @ y) % q).astype(np.int8).tobytes() for x in left for y in right))
+    assert flagfq._product_set(left, right, q) == brute
 
 
 @pytest.mark.parametrize("kind,q", SMALL)
@@ -232,6 +230,9 @@ def test_finding_j_small(kind, q):
 def test_guard_rejects_oversized_inputs():
     with pytest.raises(ValueError):
         flagfq.enumerate_flag(weyl.type_a(3), 5)
+    # refused by the open cell's q^(n^2) points, without computing C(2n, n)_q
+    with pytest.raises(ValueError, match="FLAG_POINT_GUARD"):
+        flagfq.enumerate_flag(weyl.type_c(10**6), 2)
     with pytest.raises(ValueError):
         flagfq._group_matrices(weyl.type_a(2), 5)
 

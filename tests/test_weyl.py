@@ -166,6 +166,9 @@ def test_enumeration_guard_refuses_before_any_bfs():
             weyl.all_elements(kind)
         with pytest.raises(ValueError):
             weyl.parabolic_elements(kind)
+    # a huge n is refused by |W| >= 2^n, without computing |W|
+    with pytest.raises(ValueError, match="WEYL_ORDER_GUARD"):
+        weyl.check_order(weyl.type_a(10**9))
     # the largest groups the sweeps use stay under the guard
     assert weyl.order(weyl.type_a(4)) <= weyl.WEYL_ORDER_GUARD
     assert weyl.order(weyl.type_c(7)) <= weyl.WEYL_ORDER_GUARD
