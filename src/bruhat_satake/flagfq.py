@@ -18,6 +18,7 @@ classical formulas.  Bulk matrix work runs through :mod:`.kernels`.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,7 +34,9 @@ from .weyl import (
     all_subsets_j,
     check_order,
     longest_element,
+    right_images,
     simple_reflections,
+    walk,
 )
 
 FLAG_POINT_GUARD = 10**6
@@ -45,7 +48,7 @@ _PRODUCT_CHUNK = 1 << 14  # matrices per matmul_mod call in _product_set; sets t
 
 
 def gl_order(m: int, q: int) -> int:
-    return int(np.prod([q**m - q**i for i in range(m)], dtype=object))
+    return math.prod(q**m - q**i for i in range(m))
 
 
 def sp_order(n: int, q: int) -> int:
@@ -196,17 +199,13 @@ def _closure(gens: list[np.ndarray], q: int, expected: int) -> np.ndarray:
     certified to have ``expected`` elements."""
     m = gens[0].shape[0]
     gen_stack = np.stack([g % q for g in gens])
-    frontier = np.eye(m, dtype=np.int64)[None] % q
-    seen = dict.fromkeys(kernels.mat_keys(frontier))  # insertion-ordered set
-    while frontier.shape[0]:
-        new: list[bytes] = []
-        for g in gen_stack:
-            keys = kernels.mat_keys(kernels.matmul_mod(frontier, g, q))
-            fresh = [key for key in dict.fromkeys(keys) if key not in seen]
-            seen.update(dict.fromkeys(fresh))
-            new += fresh
-        frontier = kernels.mats_from_keys(new, (m, m))
-    out = kernels.mats_from_keys(list(seen), (m, m))
+
+    def images(frontier):
+        stack = kernels.mats_from_keys(frontier, (m, m))
+        return (kernels.mat_keys(kernels.matmul_mod(stack, g, q)) for g in gen_stack)
+
+    start = kernels.mat_keys(np.eye(m, dtype=np.int64)[None] % q)[0]
+    out = kernels.mats_from_keys(list(walk(start, images)), (m, m))
     if out.shape[0] != expected:
         raise AssertionError(f"closure reached {out.shape[0]} elements, expected {expected}")
     return out
@@ -224,9 +223,12 @@ def _parabolic_matrices(kind: GroupKind, q: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _group_matrices(kind: GroupKind, q: int) -> np.ndarray:
-    order = group_order(kind, q)
-    if order > GROUP_ORDER_GUARD:
-        raise ValueError(f"group order {order} exceeds the guard {GROUP_ORDER_GUARD}")
+    # |G| >= 2^(n^2) in both types, so a large n is refused without computing |G|
+    if kind.n * kind.n >= GROUP_ORDER_GUARD.bit_length() or (order := group_order(kind, q)) > GROUP_ORDER_GUARD:
+        raise ValueError(
+            f"the order of the type {kind.family.value} group with n = {kind.n} over F_{q} exceeds the guard "
+            f"GROUP_ORDER_GUARD = {GROUP_ORDER_GUARD}"
+        )
     return _closure(group_generators(kind, q), q, order)
 
 
@@ -236,19 +238,13 @@ def _weyl_matrix_table(kind: GroupKind, q: int) -> dict[tuple[int, ...], np.ndar
     check_order(kind)
     refl_perms = [s.perm for s in simple_reflections(kind)]
     refl_mats = simple_reflection_matrices(kind, q)
-    ident = tuple(range(1, kind.ambient + 1))
-    table = {ident: np.eye(kind.ambient, dtype=np.int64) % q}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for perm in frontier:
-            mat = table[perm]
-            for sperm, smat in zip(refl_perms, refl_mats):
-                image = tuple(perm[sperm[i] - 1] for i in range(len(perm)))
-                if image not in table:
-                    table[image] = (mat @ smat) % q
-                    nxt.append(image)
-        frontier = nxt
+    table = walk(tuple(range(1, kind.ambient + 1)), right_images(refl_perms))
+    for perm, link in table.items():  # parents come first
+        if link is None:
+            table[perm] = np.eye(kind.ambient, dtype=np.int64) % q
+        else:
+            parent, gen = link
+            table[perm] = (table[parent] @ refl_mats[gen]) % q
     return table
 
 
@@ -378,45 +374,33 @@ def cell_census(kind: GroupKind, q: int) -> dict[int, int]:
     return census
 
 
-def _point_stack(points: list[Subspace]) -> np.ndarray:
-    return np.stack([U.mat for U in points])
-
-
-def _orbit_ids(points: list[Subspace], gens: list[np.ndarray], q: int) -> list[int]:
-    """Orbit labels for the group generated by ``gens``, acting as in ``act``."""
+def _orbits(points: list[Subspace], gens: list[np.ndarray], q: int) -> list[list[int]]:
+    """The orbits of the group generated by ``gens``, acting as in ``act``:
+    each as ascending point indices, ordered by their first point."""
     index = {kernels.mat_keys(U.mat[None])[0]: i for i, U in enumerate(points)}
-    stack = _point_stack(points)
-    ids = [-1] * len(points)
-    next_id = 0
+    stack = np.stack([U.mat for U in points])
+
+    def images(frontier):
+        batch = stack[frontier]
+        for g in gens:
+            moved, _ = kernels.rref_mod(kernels.matmul_mod(batch, g.T % q, q), q)
+            yield [index[key] for key in kernels.mat_keys(moved)]
+
+    orbits: list[list[int]] = []
+    placed: set[int] = set()
     for seed in range(len(points)):
-        if ids[seed] != -1:
-            continue
-        ids[seed] = next_id
-        frontier = [seed]
-        while frontier:
-            batch = stack[frontier]
-            fresh: list[int] = []
-            for g in gens:
-                moved, _ = kernels.rref_mod(kernels.matmul_mod(batch, g.T % q, q), q)
-                for key in kernels.mat_keys(moved):
-                    j = index[key]
-                    if ids[j] == -1:
-                        ids[j] = next_id
-                        fresh.append(j)
-            frontier = fresh
-        next_id += 1
-    return ids
+        if seed not in placed:
+            orbits.append(sorted(walk(seed, images)))
+            placed.update(orbits[-1])
+    return orbits
 
 
 def closure_order_check(kind: GroupKind, q: int) -> dict:
     """P_I(F_q)-orbits must be exactly the tau fibers, one per 0..n."""
     points = enumerate_flag(kind, q)
     taus = [tau_of_point(U) for U in points]
-    ids = _orbit_ids(points, parabolic_generators(kind, q), q)
-    orbit_taus: dict[int, set[int]] = {}
-    for oid, t in zip(ids, taus):
-        orbit_taus.setdefault(oid, set()).add(t)
-    constant = all(len(ts) == 1 for ts in orbit_taus.values())
+    orbit_taus = [{taus[i] for i in orbit} for orbit in _orbits(points, parabolic_generators(kind, q), q)]
+    constant = all(len(ts) == 1 for ts in orbit_taus)
     matched = len(orbit_taus) == kind.n + 1
     census: dict[int, int] = {}
     for t in taus:
@@ -521,19 +505,14 @@ def finding_j_check(kind: GroupKind, q: int) -> dict:
     The open cell must in particular admit J = {1, ..., n}.
     """
     points = enumerate_flag(kind, q)
-    ids = _orbit_ids(points, borel_generators(kind, q), q)
-    orbit_members: dict[int, list[int]] = {}
-    for i, oid in enumerate(ids):
-        orbit_members.setdefault(oid, []).append(i)
+    orbits = _orbits(points, borel_generators(kind, q), q)
     by_lower: dict[int, list[SubsetJ]] = {}
     for J in all_subsets_j(kind):
         by_lower.setdefault(len(J.lower), []).append(J)
     all_ok = True
     open_cell_ok = True
     full_J = SubsetJ(kind, frozenset(range(1, kind.n + 1)))
-    orbits = 0
-    for members in orbit_members.values():
-        orbits += 1
+    for members in orbits:
         taus = {tau_of_point(points[i]) for i in members}
         if len(taus) != 1:
             raise AssertionError("tau is not constant on a Borel orbit")
@@ -545,7 +524,7 @@ def finding_j_check(kind: GroupKind, q: int) -> dict:
             open_cell_ok = False
     return {
         "points": len(points),
-        "borel_orbits": orbits,
+        "borel_orbits": len(orbits),
         "every_orbit_admits_J": all_ok,
         "open_cell_admits_full_J": open_cell_ok,
         "ok": all_ok and open_cell_ok,

@@ -43,21 +43,18 @@ class SymmetryTag:
     """Declared invariance of a polynomial.
 
     name "S": each block permuted freely.  "BC": one block permuted with
-    exponent sign flips allowed (the hyperoctahedral action).  "trivial":
-    no constraint.  Blocks are tuples of variable names.
+    exponent sign flips allowed (the hyperoctahedral action).  Blocks are
+    tuples of variable names; no tag at all means no constraint.
     """
 
     name: str
     blocks: tuple[tuple[str, ...], ...] = ()
 
     def __post_init__(self):
-        if self.name not in ("S", "BC", "trivial"):
+        if self.name not in ("S", "BC"):
             raise ValueError(f"unknown symmetry {self.name!r}")
         if self.name == "BC" and len(self.blocks) != 1:
             raise ValueError("BC symmetry takes exactly one block")
-
-
-TRIVIAL = SymmetryTag("trivial")
 
 
 def _tag_generators(tag: SymmetryTag, variables: tuple[str, ...]):
@@ -115,7 +112,7 @@ class LaurentPoly:
                 raise ValueError("terms must be strictly sorted")
             seen.add(exps)
             last = exps
-        if self.symmetry is not None and self.symmetry.name != "trivial":
+        if self.symmetry is not None:
             table = dict(self.terms)
             for gen in _tag_generators(self.symmetry, self.variables):
                 for exps, coeff in self.terms:

@@ -177,6 +177,37 @@ def check_order(kind: GroupKind) -> None:
         )
 
 
+def walk(start, images) -> dict:
+    """Breadth-first tree from ``start``: ``{element: (parent, generator index)}``
+    in discovery order, with ``start`` mapped to None.
+
+    ``images(frontier)`` yields, for each generator in turn, the images of the
+    frontier's elements in frontier order.  Every parent is discovered before
+    its children, so a table built in the tree's order can read the parent's
+    entry.
+
+    >>> walk(0, lambda frontier: ([(x + 1) % 4 for x in frontier], [(x - 1) % 4 for x in frontier]))
+    {0: None, 1: (0, 0), 3: (0, 1), 2: (1, 0)}
+    """
+    tree = {start: None}
+    frontier = [start]
+    while frontier:
+        fresh = []
+        for gen, moved in enumerate(images(frontier)):
+            for parent, image in zip(frontier, moved):
+                if image not in tree:
+                    tree[image] = (parent, gen)
+                    fresh.append(image)
+        frontier = fresh
+    return tree
+
+
+def right_images(gens: list[tuple[int, ...]]):
+    """The ``images`` of ``walk`` for right multiplication of one-line
+    permutations by each of ``gens``: (w s)(i) = w(s(i))."""
+    return lambda frontier: ([tuple(perm[i - 1] for i in g) for perm in frontier] for g in gens)
+
+
 # The length table doubles as the group enumeration.  lru_cache gives a
 # per-(family, n) table computed once; concurrent first calls may race to
 # build it but always install equal values, which is safe under CPython.
@@ -184,19 +215,9 @@ def check_order(kind: GroupKind) -> None:
 def _length_table(kind: GroupKind) -> dict[tuple[int, ...], int]:
     check_order(kind)
     gens = [s.perm for s in simple_reflections(kind)]
-    start = identity(kind).perm
-    table = {start: 0}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for perm in frontier:
-            for g in gens:
-                # right multiplication: (w s)(i) = w(s(i))
-                image = tuple(perm[g[i] - 1] for i in range(len(perm)))
-                if image not in table:
-                    table[image] = table[perm] + 1
-                    nxt.append(image)
-        frontier = nxt
+    table = walk(identity(kind).perm, right_images(gens))
+    for perm, link in table.items():  # parents come first: depth is the parent's + 1
+        table[perm] = 0 if link is None else table[link[0]] + 1
     return table
 
 
@@ -219,19 +240,7 @@ def all_elements(kind: GroupKind) -> list[WeylElement]:
 def _parabolic_perms(kind: GroupKind) -> frozenset[tuple[int, ...]]:
     check_order(kind)
     gens = [s.perm for s in parabolic_mark(kind)]
-    start = identity(kind).perm
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for perm in frontier:
-            for g in gens:
-                image = tuple(perm[g[i] - 1] for i in range(len(perm)))
-                if image not in seen:
-                    seen.add(image)
-                    nxt.append(image)
-        frontier = nxt
-    return frozenset(seen)
+    return frozenset(walk(identity(kind).perm, right_images(gens)))
 
 
 def parabolic_elements(kind: GroupKind) -> list[WeylElement]:
@@ -295,25 +304,17 @@ def double_coset_partition(kind: GroupKind) -> list[frozenset[tuple[int, ...]]]:
     exhaust the double cosets.
     """
     gens = [s.perm for s in parabolic_mark(kind)]
+
+    def images(frontier):
+        for g in gens:
+            yield [tuple(perm[i - 1] for i in g) for perm in frontier]  # w s
+            yield [tuple(g[i - 1] for i in perm) for perm in frontier]  # s w
+
     remaining = set(_length_table(kind))
     blocks = []
     while remaining:
-        seed = min(remaining)
-        block = {seed}
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for perm in frontier:
-                for g in gens:
-                    for image in (
-                        tuple(perm[g[i] - 1] for i in range(len(perm))),  # w s
-                        tuple(g[perm[i] - 1] for i in range(len(perm))),  # s w
-                    ):
-                        if image not in block:
-                            block.add(image)
-                            nxt.append(image)
-            frontier = nxt
-        blocks.append(frozenset(block))
+        block = frozenset(walk(min(remaining), images))
+        blocks.append(block)
         remaining -= block
     return blocks
 

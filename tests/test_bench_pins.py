@@ -3,8 +3,8 @@
 ``perfbench/expected.json`` pins, per benchmark item, the exit status, the
 stdout sha256 and every traced count (kernel calls, matrices, points,
 ...).  A change that moves one of them fails the benchmark; these tests
-catch it without a benchmark run, on the items that run ``roots``, three
-small flag items, one Weyl item and one ordinary-projector item.
+catch it without a benchmark run, on the items that run ``roots``, four
+flag items, one Weyl item and one ordinary-projector item.
 """
 
 import hashlib
@@ -24,6 +24,7 @@ ITEMS = [
     "cells dims --kind A --n 4",
     "cells dims --kind C --n 6 --format csv",
     "flag check-cover --kind A --n 2 --q 2",
+    "flag check-cover --kind C --n 2 --q 3",
     "flag check-finding-j --kind A --n 3 --q 2",
     "flag census --kind C --n 3 --q 3",
     "ordcoh ordinary --d 10 --p 3 --r 2",

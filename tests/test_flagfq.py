@@ -208,6 +208,31 @@ def test_tau_of_base_point_and_invariance(kind, q):
         assert flagfq.tau_of_point(flagfq.act(g, U)) == flagfq.tau_of_point(U)
 
 
+ORBIT_CASES = [(weyl.GroupKind(family, n), q) for family in weyl.Family for n in (1, 2) for q in (2, 3)]
+
+
+def reference_orbit(U, group, q):
+    """{act(g, U) for g in group}, with the row matrices U g^T deduplicated
+    before they are reduced."""
+    moved = np.unique(U.mat @ group.transpose(0, 2, 1) % q, axis=0)
+    return {flagfq.subspace_from_rows(rows, q) for rows in moved}
+
+
+@pytest.mark.parametrize("kind,q", ORBIT_CASES)
+@pytest.mark.parametrize("group_name", ["borel", "parabolic"])
+def test_orbits_against_the_group_action(kind, q, group_name):
+    points = flagfq.enumerate_flag(kind, q)
+    orbits = flagfq._orbits(points, getattr(flagfq, f"{group_name}_generators")(kind, q), q)
+    # a partition into ascending index lists, ordered by their first point
+    assert sorted(i for orbit in orbits for i in orbit) == list(range(len(points)))
+    assert all(orbit == sorted(orbit) for orbit in orbits)
+    assert [orbit[0] for orbit in orbits] == sorted(orbit[0] for orbit in orbits)
+    # each orbit is the group's orbit of its first point, hence of each of its points
+    group = getattr(flagfq, f"_{group_name}_matrices")(kind, q)
+    for orbit in orbits:
+        assert {points[i] for i in orbit} == reference_orbit(points[orbit[0]], group, q)
+
+
 @pytest.mark.parametrize("kind,q", [(weyl.type_a(1), 2), (weyl.type_a(1), 3), (weyl.type_c(1), 2), (weyl.type_c(1), 3), (weyl.type_c(2), 2)])
 def test_closure_order_check(kind, q):
     res = flagfq.closure_order_check(kind, q)
@@ -235,6 +260,14 @@ def test_guard_rejects_oversized_inputs():
         flagfq.enumerate_flag(weyl.type_c(10**6), 2)
     with pytest.raises(ValueError):
         flagfq._group_matrices(weyl.type_a(2), 5)
+
+
+def test_group_order_guard_names_itself_for_a_large_n():
+    # the exact order past 4,300 digits used to break the message
+    with pytest.raises(ValueError, match="GROUP_ORDER_GUARD"):
+        flagfq._group_matrices(weyl.type_a(300), 2)
+    with pytest.raises(ValueError, match="GROUP_ORDER_GUARD"):
+        flagfq.cover_lemma_check(weyl.type_c(400), 2)
 
 
 @pytest.mark.parametrize("kind,q", [(weyl.type_a(2), 2), (weyl.type_c(2), 2), (weyl.type_c(2), 3)])

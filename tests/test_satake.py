@@ -83,6 +83,9 @@ def test_symmetry_tag_validation():
         variable("X1", ringx).tagged(SymmetryTag("BC", (("X1",),)))
     with pytest.raises(ValueError):
         SymmetryTag("D", ())
+    # no constraint is symmetry=None, not a named tag
+    with pytest.raises(ValueError):
+        SymmetryTag("trivial")
 
 
 def test_monomial_inversion_and_power():

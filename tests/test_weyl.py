@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -172,3 +173,68 @@ def test_enumeration_guard_refuses_before_any_bfs():
     # the largest groups the sweeps use stay under the guard
     assert weyl.order(weyl.type_a(4)) <= weyl.WEYL_ORDER_GUARD
     assert weyl.order(weyl.type_c(7)) <= weyl.WEYL_ORDER_GUARD
+
+
+UP_TO_4 = [weyl.GroupKind(family, n) for family in weyl.Family for n in range(1, 5)]
+
+
+def every_element(kind):
+    """Every one-line permutation in W, enumerated without the Cayley graph:
+    all of S_{2n} in type A, the signed permutations w(i + n) = iota(w(i)) in C."""
+    n = kind.n
+    if kind.family is weyl.Family.TYPE_A:
+        yield from itertools.permutations(range(1, 2 * n + 1))
+        return
+    for perm in itertools.permutations(range(1, n + 1)):
+        for flips in itertools.product((0, n), repeat=n):
+            top = [p + f for p, f in zip(perm, flips)]
+            yield tuple(top + [weyl.iota(x, n) for x in top])
+
+
+def inversions(seq):
+    return sum(a > b for a, b in itertools.combinations(seq, 2))
+
+
+def test_walk_keeps_first_discoveries_in_generator_major_order():
+    # Z/6 under +2 and +3.  Generator-major: +2 runs over the whole frontier
+    # [2, 3] before +3 does, so 5 is reached as 3 + 2, not as 2 + 3
+    tree = weyl.walk(0, lambda frontier: ([(x + 2) % 6 for x in frontier], [(x + 3) % 6 for x in frontier]))
+    assert tree == {0: None, 2: (0, 0), 3: (0, 1), 4: (2, 0), 5: (3, 0), 1: (5, 0)}
+    assert list(tree) == [0, 2, 3, 4, 5, 1]
+    assert weyl.walk("x", lambda frontier: [frontier]) == {"x": None}
+
+
+@pytest.mark.parametrize("kind", UP_TO_4)
+def test_walk_is_a_breadth_first_tree_of_w(kind):
+    refl = weyl.simple_reflections(kind)
+    tree = weyl.walk(weyl.identity(kind).perm, weyl.right_images([s.perm for s in refl]))
+    # every element of W appears, once
+    assert len(tree) == weyl.order(kind) and set(tree) == set(every_element(kind))
+    position = {perm: i for i, perm in enumerate(tree)}
+    for perm, link in tree.items():
+        if link is None:
+            assert perm == weyl.identity(kind).perm
+            continue
+        parent, gen = link
+        assert position[parent] < position[perm]
+        assert (weyl.WeylElement(kind, parent) * refl[gen]).perm == perm
+        assert weyl.length(weyl.WeylElement(kind, perm)) == weyl.length(weyl.WeylElement(kind, parent)) + 1
+
+
+@pytest.mark.parametrize("kind", UP_TO_4)
+def test_length_matches_the_closed_form(kind):
+    n = kind.n
+
+    def h(x):  # the order of roots.is_positive: i <= n first, then 2n, ..., n + 1
+        return x if x <= n else 3 * n + 1 - x
+
+    for perm in every_element(kind):
+        w = weyl.WeylElement(kind, perm)
+        if kind.family is weyl.Family.TYPE_A:
+            expected = inversions(perm)
+        else:
+            conj = [h(w(h(i))) for i in range(1, 2 * n + 1)]  # h is an involution
+            twice = inversions(conj) + sum(conj[j] > n for j in range(n))
+            assert twice % 2 == 0
+            expected = twice // 2
+        assert weyl.length(w) == expected
