@@ -1,8 +1,15 @@
 """Exact p-adic linear algebra for parabolic coset membership.
 
-Matrices are kept over the rationals (stdlib ``Fraction``), since the
-parabolic factor of a coset factorization picks up denominators that are
-not powers of p.
+A ``BlockMatrix`` is one integer matrix ``num`` over one positive common
+denominator ``den``, kept canonical (the gcd of ``den`` and every entry is
+1), so equal rational matrices have equal ``(num, den)``.  The parabolic
+factor of a coset factorization picks up denominators that are not powers
+of p; the common denominator carries them.  Every elimination is
+fraction-free (Bareiss 1968): ``_bareiss_solve(d, c)`` returns
+``D = +-det d`` and the integer matrix ``D d^{-1} c``.  ``Fraction`` stays
+at the boundary: the constructor takes Fraction rows, ``block_matrix`` and
+``from_blocks`` coerce to them, and ``rows`` and the block views ``a``,
+``b``, ``c``, ``d`` give them back.
 
 The central quantity is ``h_invariant(g) = min_{i,j} v_p((D^{-1}C)_{ij})``
 for the lower-left block C and lower-right block D of g.  It is invariant
@@ -14,6 +21,7 @@ or 2k (type C) under right multiplication by gamma^k.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -22,9 +30,30 @@ from fractions import Fraction
 from .weyl import Family, GroupKind, all_subsets_j
 
 Mat = tuple[tuple[Fraction, ...], ...]
+IntMat = tuple[tuple[int, ...], ...]
 
 
 # ------------------------------------------------------------- valuations
+
+
+def _int_valuation(x: int, p: int) -> int:
+    """v_p of a nonzero integer in O(log v) divisions.
+
+    The powers p^(2^k) that divide x are found by repeated squaring, then
+    stripped from the largest down, which reads v off in binary.  A p-adic
+    unit costs one modulus.
+    """
+    powers = []
+    q = p
+    while x % q == 0:
+        powers.append(q)
+        q *= q
+    v = 0
+    for k in reversed(range(len(powers))):
+        if x % powers[k] == 0:
+            x //= powers[k]
+            v += 1 << k
+    return v
 
 
 def valuation(x, p: int):
@@ -32,15 +61,7 @@ def valuation(x, p: int):
     x = Fraction(x)
     if x == 0:
         return math.inf
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p)
 
 
 def is_prime(p: int) -> bool:
@@ -59,144 +80,203 @@ def is_prime(p: int) -> bool:
 
 
 # -------------------------------------------------------- exact matrix core
+# Products and transposes take integer or Fraction entries alike; the
+# acceptance tests apply them to Fraction rows.
 
 
-def _as_mat(rows) -> Mat:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+def _scalar(n: int, s: int) -> IntMat:
+    """s times the n x n identity."""
+    return tuple(tuple(s if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def _identity(n: int) -> Mat:
-    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+def _scaled(a: IntMat, s: int) -> IntMat:
+    return tuple(tuple(s * x for x in row) for row in a)
 
 
-def _zeros(n: int) -> Mat:
-    return tuple((Fraction(0),) * n for _ in range(n))
+def _mat_add(a: IntMat, b: IntMat) -> IntMat:
+    return tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(a, b))
 
 
 def _mat_mul(a: Mat, b: Mat) -> Mat:
     bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
-
-
-def _mat_sub(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(a, b))
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in bt) for row in a)
 
 
 def _transpose(a: Mat) -> Mat:
     return tuple(zip(*a))
 
 
-def _mat_inverse(a: Mat) -> Mat | None:
-    """Exact inverse by Gauss-Jordan, or None when singular."""
-    n = len(a)
-    work = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
+def _symplectic_form_q(n: int) -> IntMat:
+    """J = [[0, I], [-I, 0]]; its integer entries compare equal to Fractions."""
+    return tuple(tuple(int(j == n + i) - int(i == n + j) for j in range(2 * n)) for i in range(2 * n))
+
+
+def _bareiss_solve(d: IntMat, c: IntMat) -> tuple[int, IntMat | None]:
+    """(D, D d^{-1} c) for a square integer d, with D = +-det d; (0, None)
+    when d is singular.  ``c`` may have no columns, which leaves only D.
+
+    Fraction-free elimination (Bareiss 1968): each row update divides by
+    the previous pivot exactly, so every intermediate entry is an integer
+    minor of [d | c].  The last pivot is det d up to the sign of the row
+    swaps.  Back substitution then solves U X = D c' exactly, because
+    X = D d^{-1} c is integral (Cramer's rule).
+    """
+    n = len(d)
+    work = [list(dr) + list(cr) for dr, cr in zip(d, c)]
+    prev = 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if work[r][k]), None)
         if pivot is None:
-            return None
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
+            return 0, None
+        work[k], work[pivot] = work[pivot], work[k]
+        row_k = work[k]
+        pk = row_k[k]
+        for i in range(k + 1, n):
+            row_i = work[i]
+            f = row_i[k]
+            work[i] = [(pk * x - f * y) // prev for x, y in zip(row_i, row_k)]
+        prev = pk
+    solved: list = [None] * n
+    for i in reversed(range(n)):
+        row_i = work[i]
+        acc = [prev * x for x in row_i[n:]]
+        for j in range(i + 1, n):
+            u = row_i[j]
+            if u:
+                acc = [a - u * x for a, x in zip(acc, solved[j])]
+        solved[i] = tuple(a // row_i[i] for a in acc)
+    return prev, tuple(solved)
 
 
-def _block_stack(A: Mat, B: Mat, C: Mat, D: Mat) -> Mat:
-    top = tuple(ra + rb for ra, rb in zip(A, B))
-    bot = tuple(rc + rd for rc, rd in zip(C, D))
-    return top + bot
-
-
-def _symplectic_form_q(n: int) -> Mat:
-    J = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        J[i][n + i] = Fraction(1)
-        J[n + i][i] = Fraction(-1)
-    return tuple(tuple(row) for row in J)
+def _nonsingular(d: IntMat) -> bool:
+    return _bareiss_solve(d, ((),) * len(d))[0] != 0
 
 
 # ------------------------------------------------------------- block matrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BlockMatrix:
-    """An invertible 2n x 2n rational matrix tied to a group and a prime.
+    """An invertible 2n x 2n rational matrix tied to a group and a prime,
+    held as integer rows ``num`` over one positive denominator ``den``.
 
-    Type C instances are validated to satisfy g^T J g = J exactly.
-    Block views a, b, c, d follow [[a, b], [c, d]] with n x n blocks.
+    The constructor takes Fraction rows.  Type C instances are validated
+    to satisfy g^T J g = J exactly (num^T J num = den^2 J).  Block views
+    a, b, c, d follow [[a, b], [c, d]] with n x n blocks.  Equality and
+    hashing are exact: the pair (num, den) is canonical.
     """
 
     kind: GroupKind
     p: int
-    rows: Mat
+    num: IntMat
+    den: int
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        m = self.kind.ambient
-        if len(self.rows) != m or any(len(r) != m for r in self.rows):
+    def __init__(self, kind: GroupKind, p: int, rows: Mat):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        m = kind.ambient
+        if len(rows) != m or any(len(r) != m for r in rows):
             raise ValueError(f"expected a {m} x {m} matrix")
-        if any(not isinstance(x, Fraction) for row in self.rows for x in row):
+        if any(not isinstance(x, Fraction) for row in rows for x in row):
             raise ValueError("entries must be Fractions; use block_matrix to coerce")
-        if self.kind.family is Family.TYPE_C:
-            J = _symplectic_form_q(self.kind.n)
-            if _mat_mul(_mat_mul(_transpose(self.rows), J), self.rows) != J:
+        den = math.lcm(*(x.denominator for row in rows for x in row))
+        self._settle(kind, p, tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows), den)
+
+    def _settle(self, kind: GroupKind, p: int, num: IntMat, den: int) -> None:
+        """Set the fields of a canonical num / den and check the group."""
+        for name, value in (("kind", kind), ("p", p), ("num", num), ("den", den)):
+            object.__setattr__(self, name, value)
+        if kind.family is Family.TYPE_C:
+            n = kind.n
+            j_num = num[n:] + _scaled(num[:n], -1)  # J num: the halves of num swapped, one negated
+            if _mat_mul(_transpose(num), j_num) != _scaled(_symplectic_form_q(n), den * den):
                 raise ValueError("matrix does not preserve the symplectic form")
-        elif _mat_inverse(self.rows) is None:
+        elif not _nonsingular(num):
             raise ValueError("matrix is singular")
 
     @property
     def n(self) -> int:
         return self.kind.n
 
-    def _block(self, i0: int, j0: int) -> Mat:
+    @property
+    def rows(self) -> Mat:
+        return _fractions(self.num, self.den)
+
+    def _int_block(self, i0: int, j0: int) -> IntMat:
         n = self.n
-        return tuple(row[j0 : j0 + n] for row in self.rows[i0 : i0 + n])
+        return tuple(row[j0 : j0 + n] for row in self.num[i0 : i0 + n])
 
     @property
     def a(self) -> Mat:
-        return self._block(0, 0)
+        return _fractions(self._int_block(0, 0), self.den)
 
     @property
     def b(self) -> Mat:
-        return self._block(0, self.n)
+        return _fractions(self._int_block(0, self.n), self.den)
 
     @property
     def c(self) -> Mat:
-        return self._block(self.n, 0)
+        return _fractions(self._int_block(self.n, 0), self.den)
 
     @property
     def d(self) -> Mat:
-        return self._block(self.n, self.n)
+        return _fractions(self._int_block(self.n, self.n), self.den)
 
     def __mul__(self, other: "BlockMatrix") -> "BlockMatrix":
         if (self.kind, self.p) != (other.kind, other.p):
             raise ValueError("mixed groups or primes")
-        return BlockMatrix(self.kind, self.p, _mat_mul(self.rows, other.rows))
+        return _make(self.kind, self.p, _mat_mul(self.num, other.num), self.den * other.den)
 
     def transpose(self) -> "BlockMatrix":
-        return block_matrix(self.kind, self.p, _transpose(self.rows))
+        return _make(self.kind, self.p, _transpose(self.num), self.den)
 
     def inverse(self) -> "BlockMatrix":
-        inv = _mat_inverse(self.rows)
-        if inv is None:
+        det, solved = _bareiss_solve(self.num, _scalar(len(self.num), 1))
+        if solved is None:
             raise ValueError("matrix is singular")
-        return BlockMatrix(self.kind, self.p, inv)
+        return _make(self.kind, self.p, _scaled(solved, self.den), det)
 
     def is_integral(self) -> bool:
-        return all(valuation(x, self.p) >= 0 for row in self.rows for x in row)
+        # canonical: p | den leaves some entry with a p in its denominator
+        return self.den % self.p != 0
+
+
+def _fractions(num: IntMat, den: int) -> Mat:
+    return tuple(tuple(Fraction(x, den) for x in row) for row in num)
+
+
+def _make(kind: GroupKind, p: int, num: IntMat, den: int) -> BlockMatrix:
+    """The BlockMatrix num / den (den nonzero, any sign), made canonical and
+    checked like the public constructor."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    common = math.gcd(den, *(x for row in num for x in row))
+    if den < 0:
+        common = -common
+    if common != 1:
+        num = tuple(tuple(x // common for x in row) for row in num)
+        den //= common
+    g = object.__new__(BlockMatrix)
+    g._settle(kind, p, num, den)
+    return g
+
+
+def _from_int_blocks(
+    kind: GroupKind, p: int, A: IntMat, B: IntMat, C: IntMat, D: IntMat, den: int = 1
+) -> BlockMatrix:
+    """[[A, B], [C, D]] / den for integer blocks."""
+    top = tuple(ra + rb for ra, rb in zip(A, B))
+    return _make(kind, p, top + tuple(rc + rd for rc, rd in zip(C, D)), den)
 
 
 def block_matrix(kind: GroupKind, p: int, rows) -> BlockMatrix:
     """Coerce rows of ints, strings, or Fractions into a BlockMatrix."""
-    return BlockMatrix(kind, p, _as_mat(rows))
+    return BlockMatrix(kind, p, tuple(tuple(Fraction(x) for x in row) for row in rows))
 
 
 def from_blocks(kind: GroupKind, p: int, A, B, C, D) -> BlockMatrix:
-    return BlockMatrix(kind, p, _block_stack(_as_mat(A), _as_mat(B), _as_mat(C), _as_mat(D)))
+    A, B, C, D = ([[Fraction(x) for x in row] for row in block] for block in (A, B, C, D))
+    return BlockMatrix(kind, p, tuple(tuple(r + s) for r, s in (*zip(A, B), *zip(C, D))))
 
 
 def gamma(kind: GroupKind, p: int) -> BlockMatrix:
@@ -204,12 +284,9 @@ def gamma(kind: GroupKind, p: int) -> BlockMatrix:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     n = kind.n
-    hi = Fraction(1) if kind.family is Family.TYPE_A else Fraction(1, p)
-    rows = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        rows[i][i] = Fraction(p)
-        rows[n + i][n + i] = hi
-    return BlockMatrix(kind, p, tuple(tuple(r) for r in rows))
+    top, den = (p, 1) if kind.family is Family.TYPE_A else (p * p, p)
+    O = _scalar(n, 0)
+    return _from_int_blocks(kind, p, _scalar(n, top), O, O, _scalar(n, 1), den)
 
 
 # --------------------------------------------------------------- congruence
@@ -231,35 +308,40 @@ class Level:
             raise ValueError("level exponent must be >= 1")
 
 
-def _cong_zero(block: Mat, p: int, m: int) -> bool:
-    return all(valuation(x, p) >= m for row in block for x in row)
-
-
-def _cong_identity(block: Mat, p: int, m: int) -> bool:
-    return _cong_zero(_mat_sub(block, _identity(len(block))), p, m)
+def _congruent(num: IntMat, i0: int, j0: int, n: int, s: int, q: int) -> bool:
+    """Whether the n x n block of num at (i0, j0) is s * I modulo q."""
+    return all((num[i0 + i][j0 + j] - (s if i == j else 0)) % q == 0 for i in range(n) for j in range(n))
 
 
 def in_level(g: BlockMatrix, level: Level) -> bool:
     """Membership of an integral matrix in Gamma_0 / Gamma_1 / Gamma of p^m.
 
     Non-integral input is a usage error, not a False: congruence subgroups
-    live inside G(Z_p).
+    live inside G(Z_p).  There den is a p-adic unit, so an entry x / den is
+    0 or 1 mod p^m exactly when x is 0 or den mod p^m.
     """
     if not g.is_integral():
         raise ValueError("matrix is not p-integral; congruence levels need G(Z_p)")
-    p, m = g.p, level.m
-    if not _cong_zero(g.c, p, m):
+    num, n, den, q = g.num, g.n, g.den, g.p**level.m
+    if not _congruent(num, n, 0, n, 0, q):
         return False
     if level.flavor is LevelFlavor.GAMMA0:
         return True
-    if not (_cong_identity(g.a, p, m) and _cong_identity(g.d, p, m)):
+    if not (_congruent(num, 0, 0, n, den, q) and _congruent(num, n, n, n, den, q)):
         return False
     if level.flavor is LevelFlavor.GAMMA1:
         return True
-    return _cong_zero(g.b, p, m)
+    return _congruent(num, 0, n, n, 0, q)
 
 
 # ----------------------------------------------------- the coset invariant
+
+
+def _solve_dc(g: BlockMatrix) -> tuple[int, IntMat | None]:
+    """(D, D N_D^{-1} N_C): D^{-1}C is the second over the first, since the
+    common denominator of the blocks cancels."""
+    n = g.n
+    return _bareiss_solve(g._int_block(n, n), g._int_block(n, 0))
 
 
 def h_invariant(g: BlockMatrix):
@@ -267,13 +349,16 @@ def h_invariant(g: BlockMatrix):
 
     Unchanged under left multiplication by the block upper-triangular
     parabolic over Q_p, and h(g gamma^k) = h(g) + k (type A) or + 2k
-    (type C).
+    (type C).  Computed as v_p of the gcd of the entries of the integer
+    matrix D N_D^{-1} N_C, minus v_p(D).
     """
-    d_inv = _mat_inverse(g.d)
-    if d_inv is None:
+    det, solved = _solve_dc(g)
+    if solved is None:
         return -math.inf
-    L = _mat_mul(d_inv, g.c)
-    return min(valuation(x, g.p) for row in L for x in row)
+    content = math.gcd(*(x for row in solved for x in row))
+    if content == 0:
+        return math.inf
+    return _int_valuation(content, g.p) - _int_valuation(det, g.p)
 
 
 def in_P_Gamma1(g: BlockMatrix, m: int) -> bool:
@@ -288,16 +373,21 @@ def factor_P_Gamma1(g: BlockMatrix, m: int) -> tuple[BlockMatrix, BlockMatrix]:
     gamma1Part = [[I, 0], [L, I]] in Gamma_1(p^m), where L = D^{-1} C.
 
     Exact over Q; in type C both factors are symplectic (the constructor
-    would refuse otherwise).
+    would refuse otherwise).  With L = X / det from one Bareiss solve,
+    gamma1Part = [[det I, 0], [X, det I]] / det and pPart =
+    [[det A - B X, det B], [0, det D]] / (den det) in g's integer blocks.
     """
     h = h_invariant(g)
     if h < m:
         raise ValueError(f"h invariant {h} < {m}; g is not in P(Q_p) Gamma_1(p^{m})")
-    n = g.n
-    L = _mat_mul(_mat_inverse(g.d), g.c)
-    p_part = from_blocks(g.kind, g.p, _mat_sub(g.a, _mat_mul(g.b, L)), g.b, _zeros(n), g.d)
-    gamma1_part = from_blocks(g.kind, g.p, _identity(n), _zeros(n), L, _identity(n))
-    if (p_part * gamma1_part).rows != g.rows:
+    n, kind, p = g.n, g.kind, g.p
+    det, X = _solve_dc(g)
+    A, B, D = g._int_block(0, 0), g._int_block(0, n), g._int_block(n, n)
+    O, I = _scalar(n, 0), _scalar(n, det)
+    top_left = _mat_add(_scaled(A, det), _scaled(_mat_mul(B, X), -1))
+    p_part = _from_int_blocks(kind, p, top_left, _scaled(B, det), O, _scaled(D, det), g.den * det)
+    gamma1_part = _from_int_blocks(kind, p, I, O, X, I, det)
+    if p_part * gamma1_part != g:
         raise AssertionError("factorization failed to reassemble")
     if not in_level(gamma1_part, Level(LevelFlavor.GAMMA1, m)):
         raise AssertionError("congruence factor missed its level")
@@ -339,25 +429,24 @@ def anticanonical_radius(kind: GroupKind, vals: dict):
 # ------------------------------------------------------------------ sampling
 
 
-def _rand_int_mat(n: int, rng: random.Random) -> Mat:
-    return tuple(tuple(Fraction(rng.randint(-4, 4)) for _ in range(n)) for _ in range(n))
+def _rand_int_mat(n: int, rng: random.Random) -> IntMat:
+    return tuple(tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(n))
 
 
-def _rand_symmetric(n: int, rng: random.Random) -> Mat:
-    m = [[Fraction(0)] * n for _ in range(n)]
+def _rand_symmetric(n: int, rng: random.Random) -> IntMat:
+    m = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            m[i][j] = m[j][i] = Fraction(rng.randint(-4, 4))
+            m[i][j] = m[j][i] = rng.randint(-4, 4)
     return tuple(tuple(r) for r in m)
 
 
-def _scale(mat: Mat, s) -> Mat:
-    s = Fraction(s)
-    return tuple(tuple(s * x for x in row) for row in mat)
-
-
-def _mat_add(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(a, b))
+def _levi(kind: GroupKind, p: int, A: IntMat, den: int) -> BlockMatrix:
+    """[[a, 0], [0, a^{-T}]] for a = A / den.  One Bareiss solve gives
+    X = det A^{-1}, so a^{-T} = den X^T / det over the denominator den det."""
+    det, X = _bareiss_solve(A, _scalar(len(A), 1))
+    O = _scalar(len(A), 0)
+    return _from_int_blocks(kind, p, _scaled(A, det), O, O, _scaled(_transpose(X), den * den), den * det)
 
 
 def random_congruence_element(
@@ -374,47 +463,51 @@ def random_congruence_element(
     n, q = kind.n, p**m
     if flavor is LevelFlavor.GAMMA0:
         raise ValueError("sampler covers Gamma_1 and the full level")
+    I, O = _scalar(n, 1), _scalar(n, 0)
     if kind.family is Family.TYPE_A:
-        A = _mat_add(_identity(n), _scale(_rand_int_mat(n, rng), q))
-        D = _mat_add(_identity(n), _scale(_rand_int_mat(n, rng), q))
-        C = _scale(_rand_int_mat(n, rng), q)
+        A = _mat_add(I, _scaled(_rand_int_mat(n, rng), q))
+        D = _mat_add(I, _scaled(_rand_int_mat(n, rng), q))
+        C = _scaled(_rand_int_mat(n, rng), q)
         B = _rand_int_mat(n, rng)
         if flavor is LevelFlavor.GAMMA_FULL:
-            B = _scale(B, q)
-        return from_blocks(kind, p, A, B, C, D)
-    A = _mat_add(_identity(n), _scale(_rand_int_mat(n, rng), q))
-    C1 = _scale(_rand_symmetric(n, rng), q)
+            B = _scaled(B, q)
+        return _from_int_blocks(kind, p, A, B, C, D)
+    A = _mat_add(I, _scaled(_rand_int_mat(n, rng), q))
+    C1 = _scaled(_rand_symmetric(n, rng), q)
     B1 = _rand_symmetric(n, rng)
     if flavor is LevelFlavor.GAMMA_FULL:
-        B1 = _scale(B1, q)
-    lower = from_blocks(kind, p, _identity(n), _zeros(n), C1, _identity(n))
-    levi = from_blocks(kind, p, A, _zeros(n), _zeros(n), _transpose(_mat_inverse(A)))
-    upper = from_blocks(kind, p, _identity(n), B1, _zeros(n), _identity(n))
+        B1 = _scaled(B1, q)
+    lower = _from_int_blocks(kind, p, I, O, C1, I)
+    levi = _levi(kind, p, A, 1)
+    upper = _from_int_blocks(kind, p, I, B1, O, I)
     return lower * levi * upper
 
 
 def random_parabolic_element(kind: GroupKind, p: int, rng: random.Random) -> BlockMatrix:
     """A random element of the block upper-triangular parabolic over Q_p,
-    with genuine denominators, for invariance testing."""
+    with genuine denominators, for invariance testing.  The blocks are
+    kept over the denominator p^2, the deepest the p-torus reaches."""
     n = kind.n
+    O = _scalar(n, 0)
 
-    def invertible() -> Mat:
+    def invertible() -> IntMat:
         while True:
             cand = _rand_int_mat(n, rng)
-            if _mat_inverse(cand) is not None:
+            if _nonsingular(cand):
                 return cand
 
-    def p_torus() -> Mat:
-        diag = [Fraction(p) ** rng.randint(-2, 2) for _ in range(n)]
-        return tuple(tuple(diag[i] if i == j else Fraction(0) for j in range(n)) for i in range(n))
+    def p_torus(mat: IntMat) -> IntMat:
+        """p^2 * mat * diag(p^e_1, ..., p^e_n) with each e_i drawn from [-2, 2]."""
+        exps = [rng.randint(-2, 2) + 2 for _ in range(n)]
+        return tuple(tuple(x * p**e for x, e in zip(row, exps)) for row in mat)
 
     if kind.family is Family.TYPE_A:
-        A = _mat_mul(invertible(), p_torus())
-        D = _mat_mul(invertible(), p_torus())
-        B = _scale(_rand_int_mat(n, rng), Fraction(1, p))
-        return from_blocks(kind, p, A, B, _zeros(n), D)
-    A = _mat_mul(invertible(), p_torus())
-    S = _scale(_rand_symmetric(n, rng), Fraction(rng.choice([1, p]), p))
-    levi = from_blocks(kind, p, A, _zeros(n), _zeros(n), _transpose(_mat_inverse(A)))
-    upper = from_blocks(kind, p, _identity(n), S, _zeros(n), _identity(n))
+        A = p_torus(invertible())
+        D = p_torus(invertible())
+        B = _scaled(_rand_int_mat(n, rng), p)
+        return _from_int_blocks(kind, p, A, B, O, D, p * p)
+    A = p_torus(invertible())
+    S = _scaled(_rand_symmetric(n, rng), rng.choice([1, p]))
+    levi = _levi(kind, p, A, p * p)
+    upper = _from_int_blocks(kind, p, _scalar(n, p), S, O, _scalar(n, p), p)
     return levi * upper

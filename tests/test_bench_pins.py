@@ -4,7 +4,10 @@
 stdout sha256 and every traced count (kernel calls, matrices, points,
 ...).  A change that moves one of them fails the benchmark; these tests
 catch it without a benchmark run, on the items that run ``roots``, four
-flag items, one Weyl item and one ordinary-projector item.
+flag items, one Weyl item, one ordinary-projector item and the three
+seeded ``padic`` items.  The padic pins fix the stdout and the
+``BlockMatrix.mul``, ``h_invariant`` and ``factor_P_Gamma1`` counts, so a
+change to the samplers' draw order fails here.
 """
 
 import hashlib
@@ -28,6 +31,9 @@ ITEMS = [
     "flag check-finding-j --kind A --n 3 --q 2",
     "flag census --kind C --n 3 --q 3",
     "ordcoh ordinary --d 10 --p 3 --r 2",
+    "padic factor --kind C --n 3 --p 3 --m 2 --seed 5306 --count 50",
+    "padic h --kind A --n 3 --p 5 --m 3 --seed 55125 --count 100",
+    "padic h --kind C --n 2 --p 3 --m 2 --seed 50494 --count 100",
     "weyl cosets --kind A --n 4",
 ]
 

@@ -1,9 +1,11 @@
+import hashlib
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bruhat_satake import padic
@@ -51,6 +53,18 @@ def test_valuation_literals():
     assert valuation(0, 7) == math.inf
 
 
+@pytest.mark.parametrize(
+    "x, p, expected",
+    [(3 * 2**200_000, 2, 200_000), (Fraction(5, 3**50_000), 3, -50_000)],
+    ids=["2-adic 200000", "3-adic -50000"],
+)
+def test_valuation_of_a_deep_power_is_fast(x, p, expected):
+    # one division per factor of p makes v divisions of a long integer; squaring p^(2^k) needs O(log v)
+    started = time.perf_counter()
+    assert valuation(x, p) == expected
+    assert time.perf_counter() - started < 2.0
+
+
 # ------------------------------------------------------------ block matrices
 
 
@@ -90,6 +104,28 @@ def test_block_views_and_products():
     assert g.transpose().transpose().rows == g.rows
     with pytest.raises(ValueError):
         g * block_matrix(A2, 3, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+
+
+def test_equal_rationals_give_equal_matrices():
+    half = block_matrix(A1, 3, [["1/2", 0], [0, 2]])
+    assert (half.num, half.den) == (((1, 0), (0, 4)), 2)
+    for same in (
+        block_matrix(A1, 3, [["2/4", 0], [0, "6/3"]]),
+        block_matrix(A1, 3, [[Fraction(-3, -6), "0/5"], [0, 2]]),
+        from_blocks(A1, 3, [["3/6"]], [[0]], [[0]], [["4/2"]]),
+        BlockMatrix(A1, 3, half.rows),
+    ):
+        assert same == half
+        assert hash(same) == hash(half)
+        assert (same.num, same.den) == (half.num, half.den)
+    assert half != block_matrix(A1, 5, [["1/2", 0], [0, 2]])
+    assert half != block_matrix(A1, 3, [["1/4", 0], [0, 2]])
+    # the same rational matrix reached through other denominators
+    g = block_matrix(A2, 5, [["1/3", 2, 0, "5/7"], [0, 1, 4, 0], [1, 0, "2/5", 1], [0, "1/6", 0, 1]])
+    one = block_matrix(A2, 5, [[int(i == j) for j in range(4)] for i in range(4)])
+    assert g * g.inverse() == one == g.inverse() * g
+    assert g.inverse().inverse() == g
+    assert len({g, g.inverse().inverse(), one, g * g.inverse()}) == 2
 
 
 def test_string_entries_coerce():
@@ -176,6 +212,25 @@ def test_factorization_reassembles(kind, p):
             # type C factors pass the symplectic constructor check by existing
 
 
+def test_no_fraction_arithmetic_past_the_boundary(monkeypatch):
+    # Products, eliminations, the invariant, the factorization and the level
+    # tests run on integers; Fraction is only built at the boundary.
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic inside padic")
+
+    for op in ("add", "radd", "sub", "rsub", "mul", "rmul", "truediv", "rtruediv", "pow", "neg"):
+        monkeypatch.setattr(Fraction, f"__{op}__", refuse)
+    rng = random.Random(5)
+    for kind in KINDS:
+        for p in PRIMES:
+            g = random_congruence_element(kind, p, 2, rng)
+            gk = random_parabolic_element(kind, p, rng) * g * gamma(kind, p)
+            assert h_invariant(gk) >= 2
+            p_part, g1_part = factor_P_Gamma1(gk, 2)
+            assert in_level(g1_part, Level(LevelFlavor.GAMMA1, 2))
+            assert g.inverse().transpose() * g.transpose() == gamma(kind, p) * gamma(kind, p).inverse()
+
+
 def test_factorization_needs_enough_depth():
     g = block_matrix(A1, 2, [[1, 0], [2, 1]])  # h = 1
     factor_P_Gamma1(g, 1)
@@ -243,6 +298,27 @@ def test_congruence_sampler_hits_its_level_exactly():
         random_congruence_element(A1, 2, 1, rng, flavor=LevelFlavor.GAMMA0)
 
 
+def test_samplers_reproduce_their_seeded_draws():
+    # The digest was taken from the Fraction implementation of the samplers.
+    # It pins the order of the draws: swapping two draws of one shape (the A
+    # and D blocks, say) leaves every pinned CLI report unchanged.
+    rng = random.Random(2026)
+    text = []
+    for family in Family:
+        for n in (1, 2, 3):
+            kind = GroupKind(family, n)
+            for p in PRIMES:
+                for m in (1, 2):
+                    for g in (
+                        random_congruence_element(kind, p, m, rng),
+                        random_congruence_element(kind, p, m, rng, LevelFlavor.GAMMA_FULL),
+                        random_parabolic_element(kind, p, rng),
+                    ):
+                        text.append(repr([[str(x) for x in row] for row in g.rows]))
+    digest = hashlib.sha256("\n".join(text).encode()).hexdigest()
+    assert digest == "d572d6f61a90c2afb3ba8b70af66bd7add200050610c4cdc7ae3f108371cee47"
+
+
 # --------------------------------------------------------------- the radius
 
 
@@ -308,3 +384,192 @@ def test_radius_key_hygiene():
         )  # not a coordinate subset here
     with pytest.raises(ValueError):
         anticanonical_radius(A1, {frozenset({1}): 0.5, frozenset({2}): 0})  # non-integer
+
+
+# ------------------------------------------------------ the Fraction oracle
+# Gauss-Jordan over Fraction, the arithmetic padic used before it went
+# fraction-free, with a valuation by one division per factor of p.
+
+
+def ref_valuation(x, p):
+    x = Fraction(x)
+    if x == 0:
+        return math.inf
+    v, num, den = 0, x.numerator, x.denominator
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    return v
+
+
+def ref_solve(d, c):
+    """(det d, d^{-1} c) over Fraction, or (0, None) when d is singular."""
+    n = len(d)
+    work = [[Fraction(x) for x in (*dr, *cr)] for dr, cr in zip(d, c)]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
+        if pivot is None:
+            return 0, None
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            det = -det
+        det *= work[col][col]
+        work[col] = [x / work[col][col] for x in work[col]]
+        for r in range(n):
+            if r != col and work[r][col] != 0:
+                f = work[r][col]
+                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+    return det, tuple(tuple(row[n:]) for row in work)
+
+
+def ref_mul(a, b):
+    return tuple(tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)) for row in a)
+
+
+def ref_blocks(rows, n):
+    return [tuple(tuple(row[j : j + n]) for row in rows[i : i + n]) for i in (0, n) for j in (0, n)]
+
+
+def ref_h(rows, n, p):
+    _, _, c, d = ref_blocks(rows, n)
+    _, L = ref_solve(d, c)
+    if L is None:
+        return -math.inf
+    return min(ref_valuation(x, p) for row in L for x in row)
+
+
+def ref_factor(rows, n):
+    """The rows of [[A - B L, B], [0, D]] and [[I, 0], [L, I]] with L = D^{-1} C."""
+    a, b, c, d = ref_blocks(rows, n)
+    _, L = ref_solve(d, c)
+    top_left = tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(a, ref_mul(b, L)))
+    zero = tuple((Fraction(0),) * n for _ in range(n))
+    one = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+
+    def stack(A, B, C, D):
+        return tuple(r + s for r, s in zip(A, B)) + tuple(r + s for r, s in zip(C, D))
+
+    return stack(top_left, b, zero, d), stack(one, zero, L, one)
+
+
+RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 1, 2, 3, 5, 9]))
+
+
+def _fraction_matrix(draw, n, entries=RATIONALS):
+    return tuple(tuple(draw(entries) for _ in range(n)) for _ in range(n))
+
+
+@st.composite
+def type_a_elements(draw):
+    """A rational GL_2n matrix, shaped to hit each case of the invariant:
+    deep C (h >= 1 often), C = 0 (h = +inf), singular D (h = -inf) and
+    det D < 0."""
+    n, p = draw(st.integers(1, 3)), draw(st.sampled_from(PRIMES))
+    case = draw(st.sampled_from(["random", "deep_c", "zero_c", "singular_d", "negative_det"]))
+    a, b, c, d = (_fraction_matrix(draw, n) for _ in range(4))
+    if case == "deep_c":
+        d = _fraction_matrix(draw, n, st.integers(-4, 4).map(Fraction))
+        c = _fraction_matrix(draw, n, st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 7])))
+        c = tuple(tuple(x * p ** draw(st.integers(1, 3)) for x in row) for row in c)
+    elif case == "zero_c":
+        c = tuple((Fraction(0),) * n for _ in range(n))
+    elif case == "singular_d":
+        d = d[:-1] + (tuple(2 * x for x in d[0]),) if n > 1 else ((Fraction(0),),)
+    elif case == "negative_det" and ref_solve(d, ((),) * n)[0] > 0:
+        d = (tuple(-x for x in d[0]),) + d[1:]
+    rows = tuple(ra + rb for ra, rb in zip(a, b)) + tuple(rc + rd for rc, rd in zip(c, d))
+    assume(ref_solve(rows, ((),) * (2 * n))[0] != 0)
+    return GroupKind(Family.TYPE_A, n), p, rows
+
+
+@st.composite
+def type_c_elements(draw):
+    """A rational Sp_2n matrix as a product of one to three generators:
+    [[I, S], [0, I]], [[I, 0], [p^k S, I]], [[A, 0], [0, A^-T]] and J.
+    Only the first and third give C = 0; a trailing J swaps C into D, so a
+    C = 0 prefix ends in a singular D; det A < 0 makes det D < 0."""
+    n, p = draw(st.integers(1, 3)), draw(st.sampled_from(PRIMES))
+    zero = tuple((Fraction(0),) * n for _ in range(n))
+    one = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+
+    def stack(A, B, C, D):
+        return tuple(r + s for r, s in zip(A, B)) + tuple(r + s for r, s in zip(C, D))
+
+    def symmetric():
+        upper = {(i, j): draw(RATIONALS) for i in range(n) for j in range(i, n)}
+        return tuple(tuple(upper[min(i, j), max(i, j)] for j in range(n)) for i in range(n))
+
+    rows = stack(one, zero, zero, one)
+    for gen in draw(st.lists(st.sampled_from(["upper", "lower", "levi", "J"]), min_size=1, max_size=3)):
+        if gen == "upper":
+            factor = stack(one, symmetric(), zero, one)
+        elif gen == "lower":
+            depth = p ** draw(st.integers(0, 3))
+            factor = stack(one, zero, tuple(tuple(depth * x for x in row) for row in symmetric()), one)
+        elif gen == "levi":
+            a = _fraction_matrix(draw, n)
+            det, inv = ref_solve(a, one)
+            assume(det != 0)
+            factor = stack(a, zero, zero, tuple(zip(*inv)))
+        else:
+            factor = stack(zero, one, tuple(tuple(-x for x in row) for row in one), zero)
+        rows = ref_mul(rows, factor)
+    return GroupKind(Family.TYPE_C, n), p, rows
+
+
+@given(st.one_of(type_a_elements(), type_c_elements()))
+@settings(max_examples=300, deadline=None)
+def test_invariant_and_factors_match_the_fraction_oracle(element):
+    kind, p, rows = element
+    n = kind.n
+    g = block_matrix(kind, p, rows)
+    assert g.rows == rows
+    h = ref_h(rows, n, p)
+    assert h_invariant(g) == h
+    if h < 1:
+        with pytest.raises(ValueError):
+            factor_P_Gamma1(g, 1)
+        return
+    m = 1 if h == math.inf else min(h, 4)
+    p_part, g1_part = factor_P_Gamma1(g, m)
+    expected_p, expected_g1 = ref_factor(rows, n)
+    assert p_part.rows == expected_p
+    assert g1_part.rows == expected_g1
+    assert p_part * g1_part == g
+    assert ref_mul(p_part.rows, g1_part.rows) == rows
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n),
+            st.integers(0, 3).flatmap(
+                lambda k: st.lists(
+                    st.lists(st.integers(-10**12, 10**12), min_size=k, max_size=k), min_size=n, max_size=n
+                )
+            ),
+        )
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_bareiss_solve_matches_the_fraction_oracle(dc):
+    d, c = dc
+    det, solved = padic._bareiss_solve(d, c)
+    ref_det, ref_x = ref_solve(d, c)
+    if ref_x is None:
+        assert (det, solved) == (0, None)
+        return
+    assert abs(det) == abs(ref_det)
+    assert solved == tuple(tuple(det * x for x in row) for row in ref_x)
+    assert all(isinstance(x, int) for row in solved for x in row)
+
+
+def test_bareiss_solve_literals():
+    assert padic._bareiss_solve(((0, 1), (1, 0)), ((2,), (3,))) in ((-1, ((-3,), (-2,))), (1, ((3,), (2,))))
+    assert padic._bareiss_solve(((2, 4), (1, 2)), ((1,), (1,))) == (0, None)
+    assert padic._bareiss_solve(((0, 0), (0, 0)), ((), ())) == (0, None)
+    assert padic._bareiss_solve(((3,),), ((6, 7),)) == (3, ((6, 7),))
+    det, _ = padic._bareiss_solve(((1, 2, 3), (4, 5, 6), (7, 8, 10)), ((),) * 3)
+    assert abs(det) == 3
