@@ -8,11 +8,11 @@ and the statistic ``tau_of_point`` (codimension of the meet with U_0)
 reads off the P_I-orbit.
 
 The module provides the orbit census, the orbit-versus-tau partition
-check, the elementwise cover checks for translates of Pbar_I P_I, the
-existence check for complementary frames J over whole Borel orbits, and
-Pluecker coordinates.  Group elements are enumerated by breadth-first
-closure over explicit generators, with orders certified against the
-classical formulas.  Bulk matrix work runs through :mod:`.kernels`.
+check, the elementwise cover checks for translates of Pbar_I P_I, and the
+existence check for complementary frames J over whole Borel orbits.
+Group elements are enumerated by breadth-first closure over explicit
+generators, with orders certified against the classical formulas.  Bulk
+matrix work runs through :mod:`.kernels`.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from . import kernels
+from .kernels import np
 from .weyl import (
     Family,
     GroupKind,
@@ -529,43 +528,3 @@ def finding_j_check(kind: GroupKind, q: int) -> dict:
         "open_cell_admits_full_J": open_cell_ok,
         "ok": all_ok and open_cell_ok,
     }
-
-
-# ----------------------------------------------------------------- Pluecker
-
-
-def _det_mod(mat: np.ndarray, q: int) -> int:
-    n = mat.shape[0]
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        for i, j in itertools.combinations(range(n), 2):
-            if perm[i] > perm[j]:
-                sign = -sign
-        prod = sign
-        for i in range(n):
-            prod *= int(mat[i, perm[i]])
-        total += prod
-    return total % q
-
-
-def plucker(U: Subspace) -> dict[tuple[int, ...], int]:
-    """Maximal minors by column n-subset, scaled so the lex-first nonzero is 1.
-
-    For RREF rows the pivot minor is already 1, so the scaling is a no-op;
-    it is applied anyway so the output is canonical for any row basis.
-    The coordinate at J^c is nonzero iff U meets <e_j : j in J> trivially.
-    """
-    n, q = U.dim, U.q
-    mat = U.mat
-    coords: dict[tuple[int, ...], int] = {}
-    first_nonzero = None
-    for cols in itertools.combinations(range(2 * n), n):
-        val = _det_mod(mat[:, cols], q)
-        coords[tuple(c + 1 for c in cols)] = val
-        if first_nonzero is None and val:
-            first_nonzero = val
-    if first_nonzero is None:
-        raise AssertionError("a full-rank matrix must have a nonzero minor")
-    scale = pow(first_nonzero, q - 2, q)
-    return {J: (v * scale) % q for J, v in coords.items()}

@@ -9,11 +9,34 @@ would dominate the few arithmetic steps.  The array functions take and
 return int64 arrays; entries are reduced mod q on entry, and q must be one
 of the primes 2, 3, 5.  ``rref_rows``, the scalar routine, takes Python
 rows and any prime.
+
+numpy is bound lazily: it is imported on the first attribute access of
+``np``, so a process that never runs a kernel (the Weyl, root, padic and
+Satake reports) never pays for importing it.  ``flagfq`` and ``ordcoh`` take
+their ``np`` from here.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import importlib.util
+import sys
+
+
+def _lazy_module(name: str):
+    """The module ``name``, executed on its first attribute access (the
+    ``importlib.util.LazyLoader`` recipe), or the module itself when it is
+    already imported."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_module("numpy")
 
 PRIMES = (2, 3, 5)
 

@@ -23,9 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .kernels import rref_rows
+from .kernels import np, rref_rows
 from .padic import is_prime
 
 KOSZUL_DEGREE_GUARD = 12
@@ -116,48 +114,15 @@ def koszul_differentials(d: int, lam: Lambda, unit_weights) -> list[np.ndarray]:
     return out
 
 
-# --------------------------------------------------------- rank-one building
-
-
-@dataclass(frozen=True)
-class Rank1Cores:
-    """The level-p^a model of the rank-one tower with its corestriction.
-
-    delta is the circulant (Df)_x = f_{x+1} - f_x on Lambda^{p^a};
-    cores_row sums a function over the fiber.  deg0 and deg1 are the maps
-    induced on H^0 (constants) and H^1 (class of a delta function).
-    """
-
-    a: int
-    lam: Lambda
-    delta: np.ndarray
-    cores_row: np.ndarray
-    deg0: np.ndarray
-    deg1: np.ndarray
-
-
-def cores_rank1(a: int, lam: Lambda) -> Rank1Cores:
-    if a < 1:
-        raise ValueError("level exponent must be >= 1")
-    size, mod = lam.p**a, lam.modulus
-    shift = np.zeros((size, size), dtype=np.int64)
-    for x in range(size):
-        shift[x, (x + 1) % size] = 1
-    delta = (shift - np.eye(size, dtype=np.int64)) % mod
-    cores_row = np.ones((1, size), dtype=np.int64)
-    constants = np.ones((size, 1), dtype=np.int64)
-    deg0 = (cores_row @ constants) % mod  # the constant 1 sums to p^a
-    delta_fn = np.zeros((size, 1), dtype=np.int64)
-    delta_fn[0, 0] = 1
-    deg1 = (cores_row @ delta_fn) % mod  # [delta_0] |-> 1, since im D is killed
-    return Rank1Cores(a, lam, delta, cores_row, deg0, deg1)
+# ------------------------------------------------------------- corestriction
 
 
 def cores_kunneth(d: int, a: int, lam: Lambda) -> list[np.ndarray]:
     """The corestriction on H^i(Z_p^d) at level p^a, in closed form.
 
-    ``cores_rank1`` induces p^a on H^0 and 1 on H^1, so by Kunneth the map
-    on H^i is diagonal with entry p^{a(d-i)} on every subset basis vector.
+    In rank one, summing over the fiber of the level-p^a model induces p^a
+    on H^0 and 1 on H^1, so by Kunneth the map on H^i is diagonal with
+    entry p^{a(d-i)} on every subset basis vector.
     """
     coh = koszul_cohomology(d, lam)
     if a < 1:

@@ -103,12 +103,13 @@ def cell_dim_formula(kind: GroupKind, t: int) -> int:
 def _pair_tables(kind: GroupKind):
     """The recurring root sets, coded for tight counting loops.
 
-    ``*_pairs`` list the canonical pairs of a set; ``*_codes`` hold
-    a * stride + b for every ordered pair (a, b) in it, so that an image
-    (w(a), w(b)) is looked up without canonicalizing it.
+    ``*_pairs`` list the canonical pairs (a, b) of a set as 0-based
+    indices (a - 1, b - 1) into a one-line permutation; ``*_hits`` are
+    (2n+1) x (2n+1) 0/1 matrices with hits[a][b] = 1 for every ordered
+    pair (a, b) in a set, so that an image (w(a), w(b)) is looked up
+    without canonicalizing it.  Row and column 0 are padding.
     """
-    stride = kind.ambient + 1
-    ordered = list(itertools.permutations(range(1, kind.ambient + 1), 2))
+    span = range(kind.ambient + 1)
 
     def upper(r):  # Phi+ cup Phi_I, the roots of P_I
         return is_positive(kind, r) or in_phi_i(kind, r)
@@ -116,25 +117,26 @@ def _pair_tables(kind: GroupKind):
     def lower(r):  # Phi- cup Phi_I, the roots of Pbar_I
         return not is_positive(kind, r) or in_phi_i(kind, r)
 
-    def codes(pred):
-        return frozenset(a * stride + b for a, b in ordered if pred((a, b)))
+    def pairs(pred):
+        return tuple((a - 1, b - 1) for a, b in sorted(filter(pred, all_roots(kind))))
+
+    def hits(pred):
+        return tuple(tuple(int(a != b and 0 not in (a, b) and pred((a, b))) for b in span) for a in span)
 
     return {
-        "stride": stride,
-        "lower_pairs": tuple(sorted(filter(lower, all_roots(kind)))),
-        "upper_pairs": tuple(sorted(filter(upper, all_roots(kind)))),
-        "upper_codes": codes(upper),
-        "n_codes": codes(partial(in_n_i, kind)),
-        "nbar_codes": codes(partial(in_nbar_i, kind)),
+        "lower_pairs": pairs(lower),
+        "upper_pairs": pairs(upper),
+        "upper_hits": hits(upper),
+        "n_hits": hits(partial(in_n_i, kind)),
+        "nbar_hits": hits(partial(in_nbar_i, kind)),
     }
 
 
-def _moved_into(w: WeylElement, pairs: str, codes: str) -> int:
-    """How many roots of the table ``pairs`` w moves into the table ``codes``."""
+def _moved_into(w: WeylElement, pairs: str, hits: str) -> int:
+    """How many roots of the table ``pairs`` w moves into the table ``hits``."""
     tables = _pair_tables(w.kind)
-    stride, target = tables["stride"], tables[codes]
-    p = (0,) + w.perm
-    return sum(1 for a, b in tables[pairs] if p[a] * stride + p[b] in target)
+    p, target = w.perm, tables[hits]
+    return sum([target[p[a]][p[b]] for a, b in tables[pairs]])
 
 
 def cell_dim_by_roots(w: WeylElement) -> int:
@@ -144,7 +146,7 @@ def cell_dim_by_roots(w: WeylElement) -> int:
     translation is deliberate so that the count at w = w_J matches the rank
     of the corresponding frame pairing (see ``n0j_rank``).
     """
-    return len(_pair_tables(w.kind)["upper_pairs"]) - _moved_into(w, "lower_pairs", "upper_codes")
+    return len(_pair_tables(w.kind)["upper_pairs"]) - _moved_into(w, "lower_pairs", "upper_hits")
 
 
 def schubert_cell_dim(w: WeylElement) -> int:
@@ -157,7 +159,7 @@ def unipotent_intersection_dim(w: WeylElement) -> int:
 
     Pointwise equal to ``cell_dim_by_roots``: the stratum dimension count.
     """
-    return _moved_into(w, "lower_pairs", "nbar_codes")
+    return _moved_into(w, "lower_pairs", "nbar_hits")
 
 
 def standard_unipotent_intersection_dim(w: WeylElement) -> int:
@@ -166,7 +168,7 @@ def standard_unipotent_intersection_dim(w: WeylElement) -> int:
     The mirror of ``unipotent_intersection_dim`` under negating all roots;
     equals the dimension of the cell of w * w_0 as well.
     """
-    return _moved_into(w, "upper_pairs", "n_codes")
+    return _moved_into(w, "upper_pairs", "n_hits")
 
 
 def n0j_rank(J: SubsetJ) -> int:

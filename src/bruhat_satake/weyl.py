@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from operator import itemgetter
 
 WEYL_ORDER_GUARD = 10**6
 
@@ -68,6 +69,18 @@ def iota(i: int, n: int) -> int:
     return i + n if i <= n else i - n
 
 
+def compose(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+    """The one-line permutation i -> u(v(i)).
+
+    u and v have length at least 2, as every W here permutes 2n >= 2
+    points: ``itemgetter`` of a single index returns the entry, not a tuple.
+
+    >>> compose((2, 1, 3), (1, 3, 2))
+    (2, 3, 1)
+    """
+    return itemgetter(*v)((0,) + u)  # the padding makes v's entries 0-based indices
+
+
 @dataclass(frozen=True)
 class WeylElement:
     """A permutation of {1, ..., 2n} in one-line notation.
@@ -84,10 +97,10 @@ class WeylElement:
         if len(self.perm) != m or sorted(self.perm) != list(range(1, m + 1)):
             raise ValueError(f"perm must be a bijection of {{1,...,{m}}}")
         if self.kind.family is Family.TYPE_C:
-            n = self.kind.n
-            for i in range(1, m + 1):
-                if self(iota(i, n)) != iota(self(i), n):
-                    raise ValueError("type C element must centralize iota")
+            # w(iota(i)) = iota(w(i)) for i <= n gives it for i > n too, as iota is an involution
+            n, perm = self.kind.n, self.perm
+            if perm[n:] != tuple(iota(x, n) for x in perm[:n]):
+                raise ValueError("type C element must centralize iota")
 
     def __call__(self, i: int) -> int:
         return self.perm[i - 1]
@@ -96,7 +109,7 @@ class WeylElement:
         # (u * v)(i) = u(v(i)), so v acts first.
         if self.kind != other.kind:
             raise ValueError("cannot compose elements of different kinds")
-        return WeylElement(self.kind, tuple(self(other(i)) for i in range(1, self.kind.ambient + 1)))
+        return WeylElement(self.kind, compose(self.perm, other.perm))
 
     def inverse(self) -> "WeylElement":
         inv = [0] * self.kind.ambient
@@ -204,8 +217,24 @@ def walk(start, images) -> dict:
 
 def right_images(gens: list[tuple[int, ...]]):
     """The ``images`` of ``walk`` for right multiplication of one-line
-    permutations by each of ``gens``: (w s)(i) = w(s(i))."""
-    return lambda frontier: ([tuple(perm[i - 1] for i in g) for perm in frontier] for g in gens)
+    permutations by each of ``gens``: (w s)(i) = w(s(i)), one
+    ``compose(w, s)`` per frontier element."""
+    getters = [itemgetter(*[i - 1 for i in g]) for g in gens]
+    return lambda frontier: (list(map(get, frontier)) for get in getters)
+
+
+def two_sided_images(gens: list[tuple[int, ...]]):
+    """The ``images`` of ``walk`` for multiplication by each of ``gens`` on
+    both sides: w s, then s w, generator by generator."""
+    right = right_images(gens)
+    padded = [(0,) + g for g in gens]  # padded[i] = s(i), as in ``compose``
+
+    def images(frontier):
+        for moved, left in zip(right(frontier), padded):
+            yield moved
+            yield [itemgetter(*perm)(left) for perm in frontier]
+
+    return images
 
 
 # The length table doubles as the group enumeration.  lru_cache gives a
@@ -303,13 +332,7 @@ def double_coset_partition(kind: GroupKind) -> list[frozenset[tuple[int, ...]]]:
     Independent of ``tau``; used to certify that the sigma_k really do
     exhaust the double cosets.
     """
-    gens = [s.perm for s in parabolic_mark(kind)]
-
-    def images(frontier):
-        for g in gens:
-            yield [tuple(perm[i - 1] for i in g) for perm in frontier]  # w s
-            yield [tuple(g[i - 1] for i in perm) for perm in frontier]  # s w
-
+    images = two_sided_images([s.perm for s in parabolic_mark(kind)])
     remaining = set(_length_table(kind))
     blocks = []
     while remaining:

@@ -4,10 +4,14 @@
 stdout sha256 and every traced count (kernel calls, matrices, points,
 ...).  A change that moves one of them fails the benchmark; these tests
 catch it without a benchmark run, on the items that run ``roots``, four
-flag items, one Weyl item, one ordinary-projector item and the three
-seeded ``padic`` items.  The padic pins fix the stdout and the
-``BlockMatrix.mul``, ``h_invariant`` and ``factor_P_Gamma1`` counts, so a
-change to the samplers' draw order fails here.
+flag items, one Weyl item, one ordinary-projector item, the three
+seeded ``padic`` items and the seed-0 library sweep.  The padic pins fix
+the stdout and the ``BlockMatrix.mul``, ``h_invariant`` and
+``factor_P_Gamma1`` counts, so a change to the samplers' draw order fails
+here.  The sweep pin fixes ``WeylElement.built`` and
+``cell_dim_by_roots.calls`` over every Weyl element of A and C up to
+n = 4.  An item's key names its ``child.py`` mode: ``sweep ...`` runs the
+library sweep, anything else is a CLI report.
 """
 
 import hashlib
@@ -34,8 +38,14 @@ ITEMS = [
     "padic factor --kind C --n 3 --p 3 --m 2 --seed 5306 --count 50",
     "padic h --kind A --n 3 --p 5 --m 3 --seed 55125 --count 100",
     "padic h --kind C --n 2 --p 3 --m 2 --seed 50494 --count 100",
+    "sweep --seed 0 --max-n 4 --count 500",
     "weyl cosets --kind A --n 4",
 ]
+
+# the sweep's Weyl and root work, spelled out: the 41,508 elements of A and
+# C up to n = 4, each built twice and multiplied twice by w_0, and three
+# cell_dim_by_roots calls per element
+SWEEP_COUNTS = {"weyl.WeylElement.built": 166108, "roots.cell_dim_by_roots.calls": 124524}
 
 
 def _tracer():
@@ -50,10 +60,13 @@ def _tracer():
 @pytest.mark.parametrize("item", ITEMS)
 def test_traced_item_matches_its_pin(item, tmp_path):
     pin = json.loads((PERFBENCH / "expected.json").read_text())[item]
+    mode, *args = item.split()
+    if mode != "sweep":
+        mode, args = "cli", item.split()
     trace = tmp_path / "trace.npz"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     result = subprocess.run(
-        [sys.executable, str(PERFBENCH / "child.py"), "--trace", str(trace), "cli", *item.split()],
+        [sys.executable, str(PERFBENCH / "child.py"), "--trace", str(trace), mode, *args],
         capture_output=True,
         env=env,
         cwd=tmp_path,
@@ -62,4 +75,7 @@ def test_traced_item_matches_its_pin(item, tmp_path):
     assert result.returncode == pin["exit"], result.stderr.decode()
     assert hashlib.sha256(result.stdout).hexdigest() == pin["sha256"]
     tracer = _tracer()
-    assert tracer.counts_of(tracer.report_metrics(*tracer.load(str(trace)))) == pin["counts"]
+    counts = tracer.counts_of(tracer.report_metrics(*tracer.load(str(trace))))
+    assert counts == pin["counts"]
+    if mode == "sweep":
+        assert {key: counts[key] for key in SWEEP_COUNTS} == SWEEP_COUNTS

@@ -481,3 +481,65 @@ def test_ordcoh_ranks_with_a_large_prime_finishes():
 def test_ordcoh_ordinary_refuses_int64_overflow(runner, args):
     result = invoke(runner, ["ordcoh", "ordinary", *args.split()])
     refused(result, "overflow")
+
+
+# ------------------------------------------------------------------ start-up
+# numpy is bound lazily in kernels: the exact reports never import it, and
+# the flag and ordcoh reports load it on first use with unchanged bytes.
+
+NUMPY_FREE = [
+    "weyl cosets --kind A --n 3",
+    "cells dims --kind C --n 2",
+    "satake verify --kind A --n 2 --twist",
+    "padic h --kind C --n 2 --p 3 --m 2 --seed 7 --count 20",
+]
+NUMPY_USERS = ["flag census --kind A --n 1 --q 2", "ordcoh ranks --d 2"]
+
+STARTUP_SCRIPT = """
+import io, json, sys
+if sys.argv[2] == "eager":
+    import numpy
+first = sys.modules.get("numpy")
+from bruhat_satake import cli, kernels
+out = []
+for args in json.loads(sys.argv[1]):
+    real, sys.stdout = sys.stdout, io.TextIOWrapper(io.BytesIO())
+    try:
+        cli.main.main(args, prog_name="bruhat-satake")
+    except SystemExit as stop:
+        code = stop.code
+    finally:
+        captured, sys.stdout = sys.stdout, real
+    numpy_loaded = sorted(name for name in sys.modules if name.startswith("numpy."))
+    out.append({"code": code, "stdout": captured.buffer.getvalue().hex(), "numpy": numpy_loaded})
+import numpy
+works = numpy.zeros(2).tolist() == [0.0, 0.0]
+out.append({"is_kernels_np": numpy is kernels.np, "works": works, "first_kept": first in (None, kernels.np)})
+print(json.dumps(out))
+"""
+
+
+def startup_run(commands, mode):
+    """Each command through ``cli.main`` in one fresh interpreter that imports
+    numpy before the package (``eager``) or only through it (``lazy``)."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", STARTUP_SCRIPT, json.dumps([shlex.split(c) for c in commands]), mode],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    *reports, numpy_module = json.loads(result.stdout)
+    return reports, numpy_module
+
+
+def test_exact_reports_never_import_numpy_and_the_others_load_it():
+    lazy, lazy_numpy = startup_run(NUMPY_FREE + NUMPY_USERS, "lazy")
+    eager, eager_numpy = startup_run(NUMPY_FREE + NUMPY_USERS, "eager")
+    # an earlier ``import numpy`` is the module kernels binds, not replaced by a lazy one
+    assert lazy_numpy == eager_numpy == {"is_kernels_np": True, "works": True, "first_kept": True}
+    for command, report in zip(NUMPY_FREE, lazy):
+        assert report["code"] == 0 and report["numpy"] == [], command
+        assert hashlib.sha256(bytes.fromhex(report["stdout"])).hexdigest() == README_REPORTS[command]
+    for command, report in zip(NUMPY_USERS, lazy[len(NUMPY_FREE):]):
+        assert report["code"] == 0 and report["numpy"], command  # loaded on first use
+    assert [(r["code"], r["stdout"]) for r in lazy] == [(r["code"], r["stdout"]) for r in eager]

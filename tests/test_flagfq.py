@@ -309,12 +309,53 @@ def test_weyl_matrix_guard_refuses_before_any_enumeration(monkeypatch):
         flagfq.weyl_matrix(w, 2)
 
 
+# ----------------------------------------------------------------- Pluecker
+# Leibniz minors: an oracle for meets_trivially, with no kernel in it
+
+
+def det_mod(mat, q):
+    n = mat.shape[0]
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        sign = 1
+        for i, j in itertools.combinations(range(n), 2):
+            if perm[i] > perm[j]:
+                sign = -sign
+        prod = sign
+        for i in range(n):
+            prod *= int(mat[i, perm[i]])
+        total += prod
+    return total % q
+
+
+def plucker(U):
+    """Maximal minors by column n-subset, scaled so the lex-first nonzero is 1.
+
+    For RREF rows the pivot minor is already 1, so the scaling is a no-op;
+    it is applied anyway so the output is canonical for any row basis.
+    The coordinate at J^c is nonzero iff U meets <e_j : j in J> trivially.
+    """
+    n, q = U.dim, U.q
+    mat = U.mat
+    coords = {}
+    first_nonzero = None
+    for cols in itertools.combinations(range(2 * n), n):
+        val = det_mod(mat[:, cols], q)
+        coords[tuple(c + 1 for c in cols)] = val
+        if first_nonzero is None and val:
+            first_nonzero = val
+    if first_nonzero is None:
+        raise AssertionError("a full-rank matrix must have a nonzero minor")
+    scale = pow(first_nonzero, q - 2, q)
+    return {J: (v * scale) % q for J, v in coords.items()}
+
+
 @pytest.mark.parametrize("kind,q", [(weyl.type_a(2), 2), (weyl.type_c(2), 2), (weyl.type_a(2), 3)])
 def test_plucker_duality(kind, q):
     # s_{J^c}(U) != 0 exactly when U meets the frame of J trivially
     points = flagfq.enumerate_flag(kind, q)
     for U in points[:: max(1, len(points) // 15)]:
-        coords = flagfq.plucker(U)
+        coords = plucker(U)
         for J in weyl.all_subsets_j(kind):
             comp = tuple(sorted(set(range(1, 2 * kind.n + 1)) - J.members))
             assert (coords[comp] % q != 0) == flagfq.meets_trivially(U, J)
@@ -324,6 +365,6 @@ def test_plucker_three_term_relation():
     # Grassmannian Gr(2, 4) over F_3: s12 s34 - s13 s24 + s14 s23 = 0
     kind, q = weyl.type_a(2), 3
     for U in flagfq.enumerate_flag(kind, q):
-        s = flagfq.plucker(U)
+        s = plucker(U)
         lhs = s[(1, 2)] * s[(3, 4)] - s[(1, 3)] * s[(2, 4)] + s[(1, 4)] * s[(2, 3)]
         assert lhs % q == 0

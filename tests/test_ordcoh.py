@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from bruhat_satake.ordcoh import (
     KOSZUL_DEGREE_GUARD,
     Lambda,
     cores_kunneth,
-    cores_rank1,
     hecke_gamma,
     koszul_cohomology,
     koszul_differentials,
@@ -101,6 +101,40 @@ def test_differentials_refuse_entries_beyond_int64():
 
 
 # ------------------------------------------------------------------ rank one
+# The level-p^a model of the rank-one tower: the oracle behind the closed
+# form of ``cores_kunneth``.
+
+
+@dataclass(frozen=True)
+class Rank1Cores:
+    """delta is the circulant (Df)_x = f_{x+1} - f_x on Lambda^{p^a};
+    cores_row sums a function over the fiber.  deg0 and deg1 are the maps
+    induced on H^0 (constants) and H^1 (class of a delta function).
+    """
+
+    a: int
+    lam: Lambda
+    delta: np.ndarray
+    cores_row: np.ndarray
+    deg0: np.ndarray
+    deg1: np.ndarray
+
+
+def cores_rank1(a, lam):
+    if a < 1:
+        raise ValueError("level exponent must be >= 1")
+    size, mod = lam.p**a, lam.modulus
+    shift = np.zeros((size, size), dtype=np.int64)
+    for x in range(size):
+        shift[x, (x + 1) % size] = 1
+    delta = (shift - np.eye(size, dtype=np.int64)) % mod
+    cores_row = np.ones((1, size), dtype=np.int64)
+    constants = np.ones((size, 1), dtype=np.int64)
+    deg0 = (cores_row @ constants) % mod  # the constant 1 sums to p^a
+    delta_fn = np.zeros((size, 1), dtype=np.int64)
+    delta_fn[0, 0] = 1
+    deg1 = (cores_row @ delta_fn) % mod  # [delta_0] |-> 1, since im D is killed
+    return Rank1Cores(a, lam, delta, cores_row, deg0, deg1)
 
 
 @pytest.mark.parametrize("lam", [Z4, Z9, Lambda(2, 1)])
@@ -146,6 +180,13 @@ def test_kunneth_corestriction_is_p_power_diagonal(lam, a, d):
         assert mat.shape == (coh.ranks[i], coh.ranks[i])
         expected = pow(lam.p, a * (d - i), lam.modulus)
         assert (mat == expected * np.eye(coh.ranks[i], dtype=np.int64) % lam.modulus).all()
+
+
+@pytest.mark.parametrize("lam", [Z4, Z9, Lambda(2, 1)])
+@pytest.mark.parametrize("a", [1, 2])
+def test_kunneth_in_rank_one_is_the_model_corestriction(lam, a):
+    cores = cores_rank1(a, lam)
+    assert [mat.tolist() for mat in cores_kunneth(1, a, lam)] == [cores.deg0.tolist(), cores.deg1.tolist()]
 
 
 def test_hecke_gamma_is_the_corestriction_here():

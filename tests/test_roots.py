@@ -179,7 +179,7 @@ def test_place_dimension(kind):
 
 @pytest.mark.parametrize("kind", KINDS[:4])
 def test_dim_functions_match_setwise_definitions(kind):
-    # oracle: direct set arithmetic on canonical pairs, no pair-code tables
+    # oracle: direct set arithmetic on canonical pairs, no pair or hit tables
     pos, neg, phi_i, n_i, nbar_i = split(kind)
     upper = pos | phi_i
     lower = neg | phi_i
@@ -189,6 +189,25 @@ def test_dim_functions_match_setwise_definitions(kind):
         assert cell_dim_by_roots(w) == len(upper - img_lo)
         assert roots.unipotent_intersection_dim(w) == len(img_lo & nbar_i)
         assert roots.standard_unipotent_intersection_dim(w) == len(img_up & n_i)
+
+
+@pytest.mark.parametrize("kind", ORACLE_KINDS, ids=lambda k: f"{k.family.value}{k.n}")
+def test_pair_counts_match_counts_over_canonical_pairs(kind):
+    # every (source, target) table pair the dimension functions count with,
+    # against weyl_action on canonical pairs; all of W for n <= 2, a sample above
+    pos, neg, phi_i, n_i, nbar_i = split(kind)
+    upper, lower = pos | phi_i, neg | phi_i
+    tables = roots._pair_tables(kind)
+    assert sorted((a + 1, b + 1) for a, b in tables["upper_pairs"]) == sorted(upper)
+    assert sorted((a + 1, b + 1) for a, b in tables["lower_pairs"]) == sorted(lower)
+    if kind.n == 1:  # one pair: e_2 - e_1 in A1, -2e_1 in C1
+        assert tables["lower_pairs"] == ((1, 0),)
+    counted = {("lower_pairs", "upper_hits"): (lower, upper), ("lower_pairs", "nbar_hits"): (lower, nbar_i),
+               ("upper_pairs", "n_hits"): (upper, n_i)}
+    elements = weyl.all_elements(kind)
+    for w in elements[:: 1 if kind.n <= 2 else 37]:
+        for (source, target), (src, dst) in counted.items():
+            assert roots._moved_into(w, source, target) == sum(weyl_action(w, r) in dst for r in src)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -238,3 +238,58 @@ def test_length_matches_the_closed_form(kind):
             assert twice % 2 == 0
             expected = twice // 2
         assert weyl.length(w) == expected
+
+
+# ------------------------------------------------------- permutation kernels
+# Oracles: the per-entry definitions i -> u(v(i)) and WeylElement products
+
+
+def kind_id(kind):
+    return f"{kind.family.value}{kind.n}"
+
+
+def compose_per_entry(u, v):
+    return tuple(u[v[i] - 1] for i in range(len(v)))
+
+
+@pytest.mark.parametrize("kind", [k for k in UP_TO_4 if k.n <= 2], ids=kind_id)
+def test_compose_matches_the_per_entry_definition_on_all_pairs(kind):
+    perms = list(every_element(kind))
+    for u, v in itertools.product(perms, repeat=2):
+        assert weyl.compose(u, v) == compose_per_entry(u, v)
+
+
+@pytest.mark.parametrize("kind", UP_TO_4, ids=kind_id)
+def test_compose_matches_the_per_entry_definition_on_sampled_pairs(kind):
+    perms = list(every_element(kind))
+    sample = perms[:: max(1, len(perms) // 10)]
+    for u in perms:
+        for v in sample:
+            assert weyl.compose(u, v) == compose_per_entry(u, v)
+
+
+@pytest.mark.parametrize("kind", UP_TO_4, ids=kind_id)
+def test_walk_images_are_weyl_element_products(kind):
+    perms = list(every_element(kind))
+    frontier = perms[:: max(1, len(perms) // 200)]
+    elements = [weyl.WeylElement(kind, perm) for perm in frontier]
+    for gens in (weyl.simple_reflections(kind), weyl.parabolic_mark(kind)):
+        perms_of = [s.perm for s in gens]
+        right = list(weyl.right_images(perms_of)(frontier))
+        assert right == [[(w * s).perm for w in elements] for s in gens]
+        both = list(weyl.two_sided_images(perms_of)(frontier))
+        assert both[0::2] == right
+        assert both[1::2] == [[(s * w).perm for w in elements] for s in gens]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_type_c_accepts_exactly_the_perms_centralizing_iota(n):
+    kind = weyl.type_c(n)
+    signed = set(every_element(kind))
+    for perm in itertools.permutations(range(1, 2 * n + 1)):
+        if perm in signed:
+            assert weyl.WeylElement(kind, perm).perm == perm
+        else:
+            with pytest.raises(ValueError, match="centralize iota"):
+                weyl.WeylElement(kind, perm)
+    assert len(signed) == weyl.order(kind)
