@@ -31,9 +31,9 @@ from .weyl import (
     WeylElement,
     all_elements,
     all_subsets_j,
-    check_order,
+    compose,
+    length_table,
     longest_element,
-    right_images,
     simple_reflections,
     walk,
 )
@@ -120,13 +120,11 @@ def _unit(m: int, i: int, j: int, val: int = 1) -> np.ndarray:
     return out
 
 
-_PRIMITIVE = {2: 1, 3: 2, 5: 2}
-
-
 def borel_generators(kind: GroupKind, q: int) -> list[np.ndarray]:
     """Torus generators plus every positive root subgroup at parameter 1."""
+    kernels.check_q(q)
     n, m = kind.n, kind.ambient
-    g = _PRIMITIVE[q]
+    g = kernels.PRIMITIVE_ROOT[q]
     gens = []
     if kind.family is Family.TYPE_A:
         if g != 1:
@@ -171,11 +169,7 @@ def simple_reflection_matrices(kind: GroupKind, q: int) -> list[np.ndarray]:
         for j in range(1, m + 1):
             mat[s(j) - 1, j - 1] = 1
         if kind.family is Family.TYPE_C and idx == n:
-            mat[:, :] = np.eye(m, dtype=np.int64)
-            mat[n - 1, n - 1] = 0
-            mat[m - 1, m - 1] = 0
-            mat[m - 1, n - 1] = -1  # e_n -> -e_{2n}
-            mat[n - 1, m - 1] = 1  # e_{2n} -> e_n
+            mat[m - 1, n - 1] = -1  # e_n -> -e_{2n}, e_{2n} -> e_n
         mat %= q
         if not is_in_group(kind, mat, q):
             raise AssertionError("reflection lift fell outside the group")
@@ -233,17 +227,19 @@ def _group_matrices(kind: GroupKind, q: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _weyl_matrix_table(kind: GroupKind, q: int) -> dict[tuple[int, ...], np.ndarray]:
-    """One matrix lift per Weyl element, from words in the reflection lifts."""
-    check_order(kind)
-    refl_perms = [s.perm for s in simple_reflections(kind)]
-    refl_mats = simple_reflection_matrices(kind, q)
-    table = walk(tuple(range(1, kind.ambient + 1)), right_images(refl_perms))
-    for perm, link in table.items():  # parents come first
-        if link is None:
-            table[perm] = np.eye(kind.ambient, dtype=np.int64) % q
-        else:
-            parent, gen = link
-            table[perm] = (table[parent] @ refl_mats[gen]) % q
+    """One matrix lift per Weyl element, in the order of ``length_table``: the
+    lift of w is lift(w s) R_s for the first simple reflection s with
+    l(w s) < l(w), so each lift is one product along a reduced word."""
+    lengths = length_table(kind)  # refuses a W over the guard before any lift is built
+    refl = list(zip([s.perm for s in simple_reflections(kind)], simple_reflection_matrices(kind, q)))
+    perms = iter(lengths)  # the identity first, then each w after its right descents
+    table = {next(perms): np.eye(kind.ambient, dtype=np.int64) % q}
+    for perm in perms:
+        for s, mat in refl:
+            shorter = compose(perm, s)
+            if lengths[shorter] < lengths[perm]:
+                table[perm] = (table[shorter] @ mat) % q
+                break
     return table
 
 
@@ -317,8 +313,7 @@ def enumerate_flag(kind: GroupKind, q: int) -> list[Subspace]:
     Within a pivot pattern the points run through the free entries in
     lexicographic order, row by row.
     """
-    if q not in _PRIMITIVE:
-        raise ValueError(f"q must be one of 2, 3, 5, got {q}")
+    kernels.check_q(q)
     n = kind.n
     # the C(2n, n)_q candidates include the q^(n^2) >= 2^(n^2) points of the
     # open cell, so a large n is refused without computing the count

@@ -6,8 +6,8 @@ stack rank.  A stack goes through one numpy routine whose Python loops run
 only over the shape of a single matrix, never over the stack.  A single
 matrix is row reduced in scalar Python, where numpy's per-operation cost
 would dominate the few arithmetic steps.  The array functions take and
-return int64 arrays; entries are reduced mod q on entry, and q must be one
-of the primes 2, 3, 5.  ``rref_rows``, the scalar routine, takes Python
+return int64 arrays; entries are reduced mod q on entry, and q must be a
+key of ``PRIMITIVE_ROOT``.  ``rref_rows``, the scalar routine, takes Python
 rows and any prime.
 
 numpy is bound lazily: it is imported on the first attribute access of
@@ -38,12 +38,13 @@ def _lazy_module(name: str):
 
 np = _lazy_module("numpy")
 
-PRIMES = (2, 3, 5)
+PRIMITIVE_ROOT = {2: 1, 3: 2, 5: 2}  # the supported fields F_q, each with a generator of F_q^x
 
 
-def _check_q(q: int) -> None:
-    if q not in PRIMES:
-        raise ValueError(f"q must be one of {PRIMES}, got {q}")
+def check_q(q: int) -> None:
+    """Refuse a field size that is not a key of ``PRIMITIVE_ROOT``."""
+    if q not in PRIMITIVE_ROOT:
+        raise ValueError(f"q must be one of {', '.join(map(str, PRIMITIVE_ROOT))}, got {q}")
 
 
 def _inverse_table(q: int) -> np.ndarray:
@@ -132,7 +133,7 @@ def backend_name() -> str:
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """Stack matmul mod q.  a: (N, r, s), b: (N, s, t) or (s, t)."""
-    _check_q(q)
+    check_q(q)
     a, b = _reduced(a, q), _reduced(b, q)
     # entries of a @ b lie in [0, s (q-1)^2]; a lookup reduces them faster than %
     residues = np.arange(a.shape[-1] * (q - 1) ** 2 + 1) % q
@@ -146,7 +147,7 @@ def rref_mod(mats: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     matrices have equal row spans iff their RREFs are equal arrays.  A
     single (2-D) matrix returns its RREF and an ``np.int64`` rank.
     """
-    _check_q(q)
+    check_q(q)
     mats = np.asarray(mats, dtype=np.int64)
     if mats.ndim == 2:
         rows, rank = rref_rows(mats.tolist(), q)

@@ -57,7 +57,9 @@ def _int_valuation(x: int, p: int) -> int:
 
 
 def valuation(x, p: int):
-    """The p-adic valuation of a rational number, with v(0) = +infinity."""
+    """The p-adic valuation of a rational number, with v(0) = +infinity; p must be prime."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     x = Fraction(x)
     if x == 0:
         return math.inf

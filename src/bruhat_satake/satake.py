@@ -527,7 +527,7 @@ def verify_determinant_factorization(case: SatakeCase, n: int, twist: bool = Tru
     """
     guard, m_ring, transform, dual_block, dual_unit = _CASES[case]
     if not 1 <= n <= guard:
-        raise ValueError(f"{case.value} factorization is guarded to n <= {guard}")
+        raise ValueError(f"{case.value} factorization needs 1 <= n <= {guard}")
 
     ring = m_ring(n, twist=twist)
     D = char_poly_g(case, n)

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from operator import itemgetter
+from types import MappingProxyType
 
 WEYL_ORDER_GUARD = 10**6
 
@@ -191,28 +192,28 @@ def check_order(kind: GroupKind) -> None:
 
 
 def walk(start, images) -> dict:
-    """Breadth-first tree from ``start``: ``{element: (parent, generator index)}``
-    in discovery order, with ``start`` mapped to None.
+    """Breadth-first walk from ``start``: ``{element: level}`` in discovery
+    order, with ``start`` at level 0.
 
     ``images(frontier)`` yields, for each generator in turn, the images of the
-    frontier's elements in frontier order.  Every parent is discovered before
-    its children, so a table built in the tree's order can read the parent's
-    entry.
+    frontier's elements.  An element's level is the fewest generator steps
+    from ``start``, so levels never decrease along the dict's order.
 
     >>> walk(0, lambda frontier: ([(x + 1) % 4 for x in frontier], [(x - 1) % 4 for x in frontier]))
-    {0: None, 1: (0, 0), 3: (0, 1), 2: (1, 0)}
+    {0: 0, 1: 1, 3: 1, 2: 2}
     """
-    tree = {start: None}
+    levels = {start: 0}
     frontier = [start]
     while frontier:
+        level = levels[frontier[0]] + 1
         fresh = []
-        for gen, moved in enumerate(images(frontier)):
-            for parent, image in zip(frontier, moved):
-                if image not in tree:
-                    tree[image] = (parent, gen)
+        for moved in images(frontier):
+            for image in moved:
+                if image not in levels:
+                    levels[image] = level
                     fresh.append(image)
         frontier = fresh
-    return tree
+    return levels
 
 
 def right_images(gens: list[tuple[int, ...]]):
@@ -237,17 +238,15 @@ def two_sided_images(gens: list[tuple[int, ...]]):
     return images
 
 
-# The length table doubles as the group enumeration.  lru_cache gives a
-# per-(family, n) table computed once; concurrent first calls may race to
-# build it but always install equal values, which is safe under CPython.
 @lru_cache(maxsize=None)
-def _length_table(kind: GroupKind) -> dict[tuple[int, ...], int]:
+def length_table(kind: GroupKind) -> MappingProxyType:
+    """``{perm: Coxeter length}`` for all of W in breadth-first order, so each w
+    comes after every shorter w s: the one enumeration of W.  It is built once
+    per kind (racing first calls install equal tables, safe under CPython) and
+    shared read-only, as ``flagfq`` builds its Weyl lifts over it."""
     check_order(kind)
     gens = [s.perm for s in simple_reflections(kind)]
-    table = walk(identity(kind).perm, right_images(gens))
-    for perm, link in table.items():  # parents come first: depth is the parent's + 1
-        table[perm] = 0 if link is None else table[link[0]] + 1
-    return table
+    return MappingProxyType(walk(identity(kind).perm, right_images(gens)))
 
 
 def length(w: WeylElement) -> int:
@@ -256,12 +255,12 @@ def length(w: WeylElement) -> int:
     >>> length(from_cycles(type_a(1), [(1, 2)]))
     1
     """
-    return _length_table(w.kind)[w.perm]
+    return length_table(w.kind)[w.perm]
 
 
 def all_elements(kind: GroupKind) -> list[WeylElement]:
     """Every element of W, ordered by (length, one-line notation)."""
-    table = _length_table(kind)
+    table = length_table(kind)
     return [WeylElement(kind, perm) for perm in sorted(table, key=lambda p: (table[p], p))]
 
 
@@ -287,7 +286,7 @@ def longest_element(kind: GroupKind) -> WeylElement:
     >>> longest_element(type_a(1)).perm
     (2, 1)
     """
-    table = _length_table(kind)
+    table = length_table(kind)
     top = max(table.values())
     winners = [perm for perm, ell in table.items() if ell == top]
     if len(winners) != 1:
@@ -333,7 +332,7 @@ def double_coset_partition(kind: GroupKind) -> list[frozenset[tuple[int, ...]]]:
     exhaust the double cosets.
     """
     images = two_sided_images([s.perm for s in parabolic_mark(kind)])
-    remaining = set(_length_table(kind))
+    remaining = set(length_table(kind))
     blocks = []
     while remaining:
         block = frozenset(walk(min(remaining), images))

@@ -309,6 +309,68 @@ def test_weyl_matrix_guard_refuses_before_any_enumeration(monkeypatch):
         flagfq.weyl_matrix(w, 2)
 
 
+def reference_weyl_lifts(kind, q):
+    """The lifts as words along a breadth-first tree of W: walk W keeping
+    each element's (parent, generator), generator-major, and take
+    lift(parent) R_gen."""
+    refl = weyl.simple_reflections(kind)
+    mats = flagfq.simple_reflection_matrices(kind, q)
+    start = weyl.identity(kind).perm
+    tree, frontier = {start: None}, [start]
+    while frontier:
+        fresh = []
+        for gen, s in enumerate(refl):
+            for parent in frontier:
+                child = (weyl.WeylElement(kind, parent) * s).perm
+                if child not in tree:
+                    tree[child] = (parent, gen)
+                    fresh.append(child)
+        frontier = fresh
+    lifts = {}
+    for perm, link in tree.items():
+        if link is None:
+            lifts[perm] = np.eye(kind.ambient, dtype=np.int64) % q
+        else:
+            parent, gen = link
+            lifts[perm] = (lifts[parent] @ mats[gen]) % q
+    return lifts
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("kind", [weyl.GroupKind(f, n) for f in weyl.Family for n in (1, 2, 3)], ids=str)
+def test_weyl_lifts_match_the_breadth_first_tree_oracle(kind, q):
+    want = reference_weyl_lifts(kind, q)
+    got = flagfq._weyl_matrix_table(kind, q)
+    assert list(got) == list(want)
+    for perm, mat in want.items():
+        assert got[perm].dtype == np.int64 and (got[perm] == mat).all()
+
+
+def test_weyl_lifts_run_no_walk_of_their_own(monkeypatch):
+    # the lifts read the length table; they do not enumerate W a second time
+    kind = weyl.type_c(2)
+    weyl.length_table(kind)
+    flagfq._weyl_matrix_table.cache_clear()
+
+    def walked(*args, **kwargs):
+        raise AssertionError("flagfq walked W")
+
+    monkeypatch.setattr(flagfq, "walk", walked)
+    for w in weyl.all_elements(kind):
+        assert flagfq.is_in_group(kind, flagfq.weyl_matrix(w, 3), 3)
+
+
+def test_unsupported_fields_are_refused_with_value_error():
+    # a field outside kernels.PRIMITIVE_ROOT used to surface as KeyError: 7
+    for q in (4, 7):
+        with pytest.raises(ValueError, match=f"q must be one of 2, 3, 5, got {q}"):
+            flagfq.borel_generators(weyl.type_a(1), q)
+        with pytest.raises(ValueError, match=f"q must be one of 2, 3, 5, got {q}"):
+            flagfq.cover_lemma_check(weyl.type_a(1), q)
+        with pytest.raises(ValueError, match=f"q must be one of 2, 3, 5, got {q}"):
+            flagfq.enumerate_flag(weyl.type_c(1), q)
+
+
 # ----------------------------------------------------------------- Pluecker
 # Leibniz minors: an oracle for meets_trivially, with no kernel in it
 

@@ -125,3 +125,17 @@ def test_mat_keys_are_the_int8_bytes_of_each_matrix_and_round_trip():
 
 def test_backend_name_is_numpy():
     assert kernels.backend_name() == "numpy"
+
+
+@pytest.mark.parametrize("q", sorted(kernels.PRIMITIVE_ROOT))
+def test_primitive_roots_generate_the_multiplicative_group(q):
+    g = kernels.PRIMITIVE_ROOT[q]
+    assert len({pow(g, k, q) for k in range(1, q)}) == q - 1
+
+
+def test_check_q_refuses_an_unsupported_field():
+    for q in (0, 1, 4, 7, -3):
+        with pytest.raises(ValueError, match=f"^q must be one of 2, 3, 5, got {q}$"):
+            kernels.check_q(q)
+    for q in kernels.PRIMITIVE_ROOT:
+        kernels.check_q(q)

@@ -53,6 +53,14 @@ def test_valuation_literals():
     assert valuation(0, 7) == math.inf
 
 
+@pytest.mark.parametrize("p", [1, -1, 0, 4])
+def test_valuation_refuses_a_p_that_is_not_prime(p):
+    # p = 1 or -1 divides every x, so stripping its powers never ended
+    for x in (12, Fraction(1, 3), 0):
+        with pytest.raises(ValueError, match="not prime"):
+            valuation(x, p)
+
+
 @pytest.mark.parametrize(
     "x, p, expected",
     [(3 * 2**200_000, 2, 200_000), (Fraction(5, 3**50_000), 3, -50_000)],

@@ -285,12 +285,11 @@ def test_determinant_factorization(case, n, twist):
 
 
 def test_factorization_guards():
-    with pytest.raises(ValueError):
-        verify_determinant_factorization(SatakeCase.UNITARY, 4)
-    with pytest.raises(ValueError):
-        verify_determinant_factorization(SatakeCase.REAL, 3)
-    with pytest.raises(ValueError):
-        verify_determinant_factorization(SatakeCase.UNITARY, 0)
+    # the message states the whole range, on both sides of it
+    for case, guard in ((SatakeCase.UNITARY, 3), (SatakeCase.REAL, 2)):
+        for n in (0, guard + 1):
+            with pytest.raises(ValueError, match=f"^{case.value} factorization needs 1 <= n <= {guard}$"):
+                verify_determinant_factorization(case, n)
 
 
 def test_unitary_n1_expansion_matches_xw_xqz():

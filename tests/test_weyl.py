@@ -196,48 +196,69 @@ def inversions(seq):
 
 
 def test_walk_keeps_first_discoveries_in_generator_major_order():
-    # Z/6 under +2 and +3.  Generator-major: +2 runs over the whole frontier
-    # [2, 3] before +3 does, so 5 is reached as 3 + 2, not as 2 + 3
-    tree = weyl.walk(0, lambda frontier: ([(x + 2) % 6 for x in frontier], [(x + 3) % 6 for x in frontier]))
-    assert tree == {0: None, 2: (0, 0), 3: (0, 1), 4: (2, 0), 5: (3, 0), 1: (5, 0)}
-    assert list(tree) == [0, 2, 3, 4, 5, 1]
-    assert weyl.walk("x", lambda frontier: [frontier]) == {"x": None}
+    # Z/6 under +2 and +3: 2 and 3 are one step away, 4 = 2 + 2 and
+    # 5 = 3 + 2 two steps, and 1 = 5 + 2 three
+    levels = weyl.walk(0, lambda frontier: ([(x + 2) % 6 for x in frontier], [(x + 3) % 6 for x in frontier]))
+    assert levels == {0: 0, 2: 1, 3: 1, 4: 2, 5: 2, 1: 3}
+    assert list(levels) == [0, 2, 3, 4, 5, 1]
+    assert weyl.walk("x", lambda frontier: [frontier]) == {"x": 0}
+    # words of length <= 2: "ba" is reached before "ab", because "a" is
+    # appended to the whole frontier ["a", "b"] before "b" is
+    words = weyl.walk("", lambda frontier: [[w + c for w in frontier if len(w) < 2] for c in "ab"])
+    assert words == {"": 0, "a": 1, "b": 1, "aa": 2, "ba": 2, "ab": 2, "bb": 2}
+    assert list(words) == ["", "a", "b", "aa", "ba", "ab", "bb"]
 
 
 @pytest.mark.parametrize("kind", UP_TO_4)
 def test_walk_is_a_breadth_first_tree_of_w(kind):
     refl = weyl.simple_reflections(kind)
-    tree = weyl.walk(weyl.identity(kind).perm, weyl.right_images([s.perm for s in refl]))
+    levels = weyl.walk(weyl.identity(kind).perm, weyl.right_images([s.perm for s in refl]))
     # every element of W appears, once
-    assert len(tree) == weyl.order(kind) and set(tree) == set(every_element(kind))
-    position = {perm: i for i, perm in enumerate(tree)}
-    for perm, link in tree.items():
-        if link is None:
-            assert perm == weyl.identity(kind).perm
-            continue
-        parent, gen = link
-        assert position[parent] < position[perm]
-        assert (weyl.WeylElement(kind, parent) * refl[gen]).perm == perm
-        assert weyl.length(weyl.WeylElement(kind, perm)) == weyl.length(weyl.WeylElement(kind, parent)) + 1
+    assert len(levels) == weyl.order(kind) and set(levels) == set(every_element(kind))
+    # levels never decrease in discovery order
+    order = list(levels.values())
+    assert order == sorted(order)
+    for perm, level in levels.items():
+        w = weyl.WeylElement(kind, perm)
+        neighbours = [levels[(w * s).perm] for s in refl]
+        # one step moves at most one level, and every w but the identity has
+        # a w s one level lower
+        assert all(abs(other - level) <= 1 for other in neighbours)
+        assert (level == 0) == w.is_identity()
+        assert level == 0 or level - 1 in neighbours
+        # the level is the closed-form length
+        assert level == closed_form_length(kind, perm)
 
 
-@pytest.mark.parametrize("kind", UP_TO_4)
-def test_length_matches_the_closed_form(kind):
+def closed_form_length(kind, perm):
+    """The inversion count in type A; half the inversions of the signed
+    permutation, after the reordering h, plus its negated entries in type C."""
     n = kind.n
+    if kind.family is weyl.Family.TYPE_A:
+        return inversions(perm)
 
     def h(x):  # the order of roots.is_positive: i <= n first, then 2n, ..., n + 1
         return x if x <= n else 3 * n + 1 - x
 
+    conj = [h(perm[h(i) - 1]) for i in range(1, 2 * n + 1)]  # h is an involution
+    twice = inversions(conj) + sum(conj[j] > n for j in range(n))
+    assert twice % 2 == 0
+    return twice // 2
+
+
+@pytest.mark.parametrize("kind", UP_TO_4)
+def test_length_matches_the_closed_form(kind):
     for perm in every_element(kind):
-        w = weyl.WeylElement(kind, perm)
-        if kind.family is weyl.Family.TYPE_A:
-            expected = inversions(perm)
-        else:
-            conj = [h(w(h(i))) for i in range(1, 2 * n + 1)]  # h is an involution
-            twice = inversions(conj) + sum(conj[j] > n for j in range(n))
-            assert twice % 2 == 0
-            expected = twice // 2
-        assert weyl.length(w) == expected
+        assert weyl.length(weyl.WeylElement(kind, perm)) == closed_form_length(kind, perm)
+
+
+def test_length_table_is_read_only():
+    # flagfq builds its Weyl lifts over the same cached table
+    kind = weyl.type_c(2)
+    table = weyl.length_table(kind)
+    with pytest.raises(TypeError):
+        table[weyl.identity(kind).perm] = 5
+    assert table[weyl.identity(kind).perm] == 0
 
 
 # ------------------------------------------------------- permutation kernels
