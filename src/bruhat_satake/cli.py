@@ -18,9 +18,7 @@ import io
 import json
 import math
 import random
-import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import click
@@ -238,9 +236,6 @@ def satake_verify(kind, n, twist):
 # and a file name that carries a digest of the matrix text.
 
 
-_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?")
-
-
 def _matrix_text(matrix, matrix_file):
     """The JSON text of --matrix or --matrix-file (read once), or None."""
     if matrix and matrix_file:
@@ -253,18 +248,6 @@ def _matrix_text(matrix, matrix_file):
         raise ValueError(f"cannot read --matrix-file {matrix_file}: {exc.strerror}") from None
 
 
-def _entry(x) -> Fraction:
-    """One matrix entry, exactly: a JSON integer or an 'a/b' string."""
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    if isinstance(x, str) and _RATIONAL.fullmatch(x.strip()):
-        num, _, den = x.strip().partition("/")
-        if den and int(den) == 0:
-            raise ValueError(f"matrix entry {x!r} has a zero denominator")
-        return Fraction(int(num), int(den or 1))
-    raise ValueError(f"matrix entries must be integers or 'a/b' strings, got {type(x).__name__} {json.dumps(x)}")
-
-
 def _load_matrix(kind, n, p, text):
     if text is None:
         return None
@@ -274,7 +257,7 @@ def _load_matrix(kind, n, p, text):
         raise ValueError("the matrix JSON is nested too deeply") from None
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError("the matrix must be a JSON list of rows")
-    return padic.block_matrix(_group_kind(kind, n), p, [[_entry(x) for x in row] for row in rows])
+    return padic.block_matrix(_group_kind(kind, n), p, rows)
 
 
 def _padic_setup(kind, n, p, m, seed, count, matrix, matrix_file):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 from .kernels import np, rref_rows
@@ -37,8 +38,8 @@ class Lambda:
     r: int
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ValueError("exponent must be >= 1")
+        if not isinstance(self.r, int) or isinstance(self.r, bool) or self.r < 1:
+            raise ValueError(f"exponent must be an integer >= 1, got {self.r!r}")
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
@@ -90,7 +91,10 @@ def koszul_differentials(d: int, lam: Lambda, unit_weights) -> list[np.ndarray]:
     """
     if not 0 <= d <= KOSZUL_DEGREE_GUARD:
         raise ValueError(f"degree {d} outside the guarded range")
-    units = [int(u) % lam.modulus for u in unit_weights]
+    units = list(unit_weights)
+    if any(isinstance(u, bool) or not isinstance(u, numbers.Integral) for u in units):
+        raise ValueError("unit weights must be integers")
+    units = [int(u) % lam.modulus for u in units]
     if len(units) != d:
         raise ValueError(f"expected {d} unit weights")
     if any(u % lam.p == 0 for u in units):
@@ -177,11 +181,13 @@ def ordinary_limit(U: np.ndarray, lam: Lambda) -> tuple[np.ndarray, int]:
     exponent does.
     """
     mod = lam.modulus
-    U = np.asarray(U, dtype=np.int64)
+    U = np.asarray(U)
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise ValueError("expected a square matrix")
+    if U.dtype.kind not in "iu":
+        raise ValueError(f"expected an integer matrix, got dtype {U.dtype}")
     _check_int64(U.shape[0], lam)
-    U = U % mod
+    U = (U % mod).astype(np.int64)
     a = U.copy()
     n = 1
     for k in range(1, 21):

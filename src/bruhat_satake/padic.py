@@ -2,14 +2,14 @@
 
 A ``BlockMatrix`` is one integer matrix ``num`` over one positive common
 denominator ``den``, kept canonical (the gcd of ``den`` and every entry is
-1), so equal rational matrices have equal ``(num, den)``.  The parabolic
-factor of a coset factorization picks up denominators that are not powers
-of p; the common denominator carries them.  Every elimination is
-fraction-free (Bareiss 1968): ``_bareiss_solve(d, c)`` returns
-``D = +-det d`` and the integer matrix ``D d^{-1} c``.  ``Fraction`` stays
-at the boundary: the constructor takes Fraction rows, ``block_matrix`` and
-``from_blocks`` coerce to them, and ``rows`` and the block views ``a``,
-``b``, ``c``, ``d`` give them back.
+1) by its dataclass constructor, the only way to build one, which also
+checks that the matrix lies in its group.  The parabolic factor of a coset
+factorization picks up denominators that are not powers of p; the common
+denominator carries them.  Every elimination is fraction-free (Bareiss
+1968): ``_bareiss_solve(d, c)`` returns ``D = +-det d`` and the integer
+matrix ``D d^{-1} c``.  ``Fraction`` stays at the boundary: ``exact`` reads
+one entry (an int, a Fraction or an ``"a/b"`` string, never a float),
+``block_matrix`` reads rows of them, and ``rows`` gives them back.
 
 The central quantity is ``h_invariant(g) = min_{i,j} v_p((D^{-1}C)_{ij})``
 for the lower-left block C and lower-right block D of g.  It is invariant
@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -31,6 +32,10 @@ from .weyl import Family, GroupKind, all_subsets_j
 
 Mat = tuple[tuple[Fraction, ...], ...]
 IntMat = tuple[tuple[int, ...], ...]
+
+# The sampler refuses a modulus p^m longer than this many bits: its entries
+# pass through every product and elimination, whose divisions grow quadratically.
+CONGRUENCE_BITS_GUARD = 2**10
 
 
 # ------------------------------------------------------------- valuations
@@ -57,10 +62,10 @@ def _int_valuation(x: int, p: int) -> int:
 
 
 def valuation(x, p: int):
-    """The p-adic valuation of a rational number, with v(0) = +infinity; p must be prime."""
+    """The p-adic valuation of an ``exact`` rational, with v(0) = +infinity; p must be prime."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    x = Fraction(x)
+    x = exact(x)
     if x == 0:
         return math.inf
     return _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p)
@@ -68,7 +73,9 @@ def valuation(x, p: int):
 
 def is_prime(p: int) -> bool:
     """Trial division, so at most 46,341 steps: p >= 2^31 is refused with
-    ValueError before any division."""
+    ValueError before any division, and so is a p that is not an int."""
+    if not isinstance(p, int) or isinstance(p, bool):
+        raise ValueError(f"p must be an integer, got {type(p).__name__} {p!r}")
     if p >= 2**31:
         raise ValueError(f"{p} is too large: primality is checked only below 2^31")
     if p < 2:
@@ -79,6 +86,32 @@ def is_prime(p: int) -> bool:
             return False
         d += 1
     return True
+
+
+_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?")
+
+
+def exact(x) -> Fraction:
+    """One exact rational: an int, a Fraction or an 'a/b' string.
+
+    Floats, booleans, decimal or exponent strings and zero denominators
+    are refused, since a float is already a rounded number.
+
+    >>> exact(3), exact("-6/4"), exact(Fraction(1, 3))
+    (Fraction(3, 1), Fraction(-3, 2), Fraction(1, 3))
+    >>> exact(0.1)
+    Traceback (most recent call last):
+        ...
+    ValueError: entries must be integers, Fractions or 'a/b' strings, got float 0.1
+    """
+    if isinstance(x, Fraction) or (isinstance(x, int) and not isinstance(x, bool)):
+        return Fraction(x)
+    if isinstance(x, str) and _RATIONAL.fullmatch(x.strip()):
+        num, _, den = x.strip().partition("/")
+        if den and int(den) == 0:
+            raise ValueError(f"entry {x!r} has a zero denominator")
+        return Fraction(int(num), int(den or 1))
+    raise ValueError(f"entries must be integers, Fractions or 'a/b' strings, got {type(x).__name__} {x!r}")
 
 
 # -------------------------------------------------------- exact matrix core
@@ -157,15 +190,13 @@ def _nonsingular(d: IntMat) -> bool:
 # ------------------------------------------------------------- block matrix
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class BlockMatrix:
-    """An invertible 2n x 2n rational matrix tied to a group and a prime,
-    held as integer rows ``num`` over one positive denominator ``den``.
-
-    The constructor takes Fraction rows.  Type C instances are validated
-    to satisfy g^T J g = J exactly (num^T J num = den^2 J).  Block views
-    a, b, c, d follow [[a, b], [c, d]] with n x n blocks.  Equality and
-    hashing are exact: the pair (num, den) is canonical.
+    """An invertible 2n x 2n rational matrix tied to a group and a prime:
+    integer rows ``num`` over a nonzero Python int ``den``, which the
+    constructor makes canonical (den > 0, gcd(den, num) = 1), so equality
+    and hashing are exact.  Type A must be nonsingular and type C must
+    satisfy g^T J g = J exactly (num^T J num = den^2 J).
     """
 
     kind: GroupKind
@@ -173,25 +204,27 @@ class BlockMatrix:
     num: IntMat
     den: int
 
-    def __init__(self, kind: GroupKind, p: int, rows: Mat):
+    def __post_init__(self):
+        kind, p, num, den = self.kind, self.p, self.num, self.den
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         m = kind.ambient
-        if len(rows) != m or any(len(r) != m for r in rows):
+        if len(num) != m or any(len(row) != m for row in num):
             raise ValueError(f"expected a {m} x {m} matrix")
-        if any(not isinstance(x, Fraction) for row in rows for x in row):
-            raise ValueError("entries must be Fractions; use block_matrix to coerce")
-        den = math.lcm(*(x.denominator for row in rows for x in row))
-        self._settle(kind, p, tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows), den)
-
-    def _settle(self, kind: GroupKind, p: int, num: IntMat, den: int) -> None:
-        """Set the fields of a canonical num / den and check the group."""
-        for name, value in (("kind", kind), ("p", p), ("num", num), ("den", den)):
-            object.__setattr__(self, name, value)
+        if type(den) is not int or any(type(x) is not int for row in num for x in row):
+            raise ValueError("num and den must be Python ints; use block_matrix for rational entries")
+        if den == 0:
+            raise ValueError("the denominator is zero")
+        common = math.gcd(den, *(x for row in num for x in row))
+        if den < 0:
+            common = -common
+        num = tuple(tuple(x // common for x in row) for row in num) if common != 1 else tuple(map(tuple, num))
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den // common)
         if kind.family is Family.TYPE_C:
             n = kind.n
             j_num = num[n:] + _scaled(num[:n], -1)  # J num: the halves of num swapped, one negated
-            if _mat_mul(_transpose(num), j_num) != _scaled(_symplectic_form_q(n), den * den):
+            if _mat_mul(_transpose(num), j_num) != _scaled(_symplectic_form_q(n), self.den**2):
                 raise ValueError("matrix does not preserve the symplectic form")
         elif not _nonsingular(num):
             raise ValueError("matrix is singular")
@@ -202,65 +235,29 @@ class BlockMatrix:
 
     @property
     def rows(self) -> Mat:
-        return _fractions(self.num, self.den)
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.num)
 
     def _int_block(self, i0: int, j0: int) -> IntMat:
         n = self.n
         return tuple(row[j0 : j0 + n] for row in self.num[i0 : i0 + n])
 
-    @property
-    def a(self) -> Mat:
-        return _fractions(self._int_block(0, 0), self.den)
-
-    @property
-    def b(self) -> Mat:
-        return _fractions(self._int_block(0, self.n), self.den)
-
-    @property
-    def c(self) -> Mat:
-        return _fractions(self._int_block(self.n, 0), self.den)
-
-    @property
-    def d(self) -> Mat:
-        return _fractions(self._int_block(self.n, self.n), self.den)
-
     def __mul__(self, other: "BlockMatrix") -> "BlockMatrix":
         if (self.kind, self.p) != (other.kind, other.p):
             raise ValueError("mixed groups or primes")
-        return _make(self.kind, self.p, _mat_mul(self.num, other.num), self.den * other.den)
+        return BlockMatrix(self.kind, self.p, _mat_mul(self.num, other.num), self.den * other.den)
 
     def transpose(self) -> "BlockMatrix":
-        return _make(self.kind, self.p, _transpose(self.num), self.den)
+        return BlockMatrix(self.kind, self.p, _transpose(self.num), self.den)
 
     def inverse(self) -> "BlockMatrix":
         det, solved = _bareiss_solve(self.num, _scalar(len(self.num), 1))
         if solved is None:
             raise ValueError("matrix is singular")
-        return _make(self.kind, self.p, _scaled(solved, self.den), det)
+        return BlockMatrix(self.kind, self.p, _scaled(solved, self.den), det)
 
     def is_integral(self) -> bool:
         # canonical: p | den leaves some entry with a p in its denominator
         return self.den % self.p != 0
-
-
-def _fractions(num: IntMat, den: int) -> Mat:
-    return tuple(tuple(Fraction(x, den) for x in row) for row in num)
-
-
-def _make(kind: GroupKind, p: int, num: IntMat, den: int) -> BlockMatrix:
-    """The BlockMatrix num / den (den nonzero, any sign), made canonical and
-    checked like the public constructor."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    common = math.gcd(den, *(x for row in num for x in row))
-    if den < 0:
-        common = -common
-    if common != 1:
-        num = tuple(tuple(x // common for x in row) for row in num)
-        den //= common
-    g = object.__new__(BlockMatrix)
-    g._settle(kind, p, num, den)
-    return g
 
 
 def _from_int_blocks(
@@ -268,23 +265,18 @@ def _from_int_blocks(
 ) -> BlockMatrix:
     """[[A, B], [C, D]] / den for integer blocks."""
     top = tuple(ra + rb for ra, rb in zip(A, B))
-    return _make(kind, p, top + tuple(rc + rd for rc, rd in zip(C, D)), den)
+    return BlockMatrix(kind, p, top + tuple(rc + rd for rc, rd in zip(C, D)), den)
 
 
 def block_matrix(kind: GroupKind, p: int, rows) -> BlockMatrix:
-    """Coerce rows of ints, strings, or Fractions into a BlockMatrix."""
-    return BlockMatrix(kind, p, tuple(tuple(Fraction(x) for x in row) for row in rows))
-
-
-def from_blocks(kind: GroupKind, p: int, A, B, C, D) -> BlockMatrix:
-    A, B, C, D = ([[Fraction(x) for x in row] for row in block] for block in (A, B, C, D))
-    return BlockMatrix(kind, p, tuple(tuple(r + s) for r, s in (*zip(A, B), *zip(C, D))))
+    """The BlockMatrix with these rows, each entry read by ``exact``."""
+    rows = [[exact(x) for x in row] for row in rows]
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return BlockMatrix(kind, p, tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows), den)
 
 
 def gamma(kind: GroupKind, p: int) -> BlockMatrix:
     """The contracting diagonal element diag(p 1_n, 1_n) or diag(p 1_n, p^{-1} 1_n)."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     n = kind.n
     top, den = (p, 1) if kind.family is Family.TYPE_A else (p * p, p)
     O = _scalar(n, 0)
@@ -460,11 +452,17 @@ def random_congruence_element(
     (p^m B' for the full level).  Type C builds
     [[I, 0], [p^m C_1, I]] * [[A, 0], [0, A^{-T}]] * [[I, B_1], [0, I]]
     with C_1, B_1 symmetric and A = I + p^m A'', which is exactly
-    symplectic and lands exactly in the level.
+    symplectic and lands exactly in the level.  A modulus p^m longer than
+    ``CONGRUENCE_BITS_GUARD`` bits is refused before the first draw.
     """
-    n, q = kind.n, p**m
     if flavor is LevelFlavor.GAMMA0:
         raise ValueError("sampler covers Gamma_1 and the full level")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    # p >= 2, so m >= the guard already makes p^m too long; p^m is computed only below it
+    if m >= CONGRUENCE_BITS_GUARD or (p**m).bit_length() > CONGRUENCE_BITS_GUARD:
+        raise ValueError(f"p^m = {p}^{m} is longer than CONGRUENCE_BITS_GUARD = {CONGRUENCE_BITS_GUARD} bits")
+    n, q = kind.n, p**m
     I, O = _scalar(n, 1), _scalar(n, 0)
     if kind.family is Family.TYPE_A:
         A = _mat_add(I, _scaled(_rand_int_mat(n, rng), q))

@@ -104,6 +104,8 @@ class LaurentPoly:
         for exps, coeff in self.terms:
             if len(exps) != width:
                 raise ValueError("term width disagrees with the variable tuple")
+            if type(coeff) is not int or any(type(e) is not int for e in exps):
+                raise ValueError("coefficients and exponents must be Python ints")
             if coeff == 0:
                 raise ValueError("zero coefficients must be dropped")
             if exps in seen:

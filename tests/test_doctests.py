@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 MODULES = ["cli", "flagfq", "kernels", "ordcoh", "padic", "roots", "satake", "weyl"]
-WITH_EXAMPLES = {"ordcoh", "roots", "satake", "weyl"}
+WITH_EXAMPLES = {"ordcoh", "padic", "roots", "satake", "weyl"}
 
 
 @pytest.mark.parametrize("name", MODULES)

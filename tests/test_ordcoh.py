@@ -33,6 +33,39 @@ def test_lambda_validation():
         Lambda(2, 0)
 
 
+@pytest.mark.parametrize("p, r", [(3, 2.0), (3, 1.5), (3, True), (5.0, 2), (True, 2)])
+def test_lambda_refuses_a_non_integer_p_or_r(p, r):
+    # Lambda(3, 2.0).modulus was 9.0 and Lambda(5.0, 2).modulus 25.0
+    with pytest.raises(ValueError):
+        Lambda(p, r)
+
+
+@pytest.mark.parametrize("weights", [[1.5], [4.0], [True], ["4"]])
+def test_koszul_differentials_refuse_non_integer_weights(weights):
+    # int(1.5) = 1 made the weight trivial and the map zero
+    with pytest.raises(ValueError, match="integers"):
+        koszul_differentials(1, Z9, weights)
+
+
+@pytest.mark.parametrize(
+    "U", [[[0.5, 0], [0, 1.7]], [[0.5]], np.eye(2), [[True, False], [False, True]], [[2**70]]],
+    ids=["floats", "one float", "float identity", "bools", "beyond int64"],
+)
+def test_ordinary_limit_refuses_a_non_integer_matrix(U):
+    # the int64 cast truncated [[0.5, 0], [0, 1.7]] to [[0, 0], [0, 1]]
+    with pytest.raises(ValueError, match="integer matrix"):
+        ordinary_limit(U, Z9)
+
+
+def test_ordinary_limit_takes_integer_dtypes():
+    for dtype in (np.int8, np.int32, np.uint8, np.uint64):
+        e, _ = ordinary_limit(np.array([[4, 0], [0, 3]], dtype=dtype), Z9)
+        assert e.dtype == np.int64
+        assert (e == np.diag([1, 0])).all()
+    e, _ = ordinary_limit(np.array([[2**64 - 1]], dtype=np.uint64), Z9)  # 2^64 - 1 = 6 mod 9 is nilpotent
+    assert (e == 0).all()
+
+
 def test_cohomology_ranks_and_bases():
     coh = koszul_cohomology(3, Z4)
     assert coh.ranks == (1, 3, 3, 1)

@@ -15,8 +15,8 @@ from bruhat_satake.padic import (
     LevelFlavor,
     anticanonical_radius,
     block_matrix,
+    exact,
     factor_P_Gamma1,
-    from_blocks,
     gamma,
     h_invariant,
     in_P_Gamma1,
@@ -53,6 +53,13 @@ def test_valuation_literals():
     assert valuation(0, 7) == math.inf
 
 
+@pytest.mark.parametrize("x", [0.1, 0.5, 2.0, True, "0.1", "1e3", "1/0", None])
+def test_valuation_refuses_inexact_input(x):
+    # Fraction(0.1) is 3602879701896397/2^55, so v_2(0.1) read -55
+    with pytest.raises(ValueError):
+        valuation(x, 2)
+
+
 @pytest.mark.parametrize("p", [1, -1, 0, 4])
 def test_valuation_refuses_a_p_that_is_not_prime(p):
     # p = 1 or -1 divides every x, so stripping its powers never ended
@@ -82,11 +89,19 @@ def test_block_matrix_validation():
     with pytest.raises(ValueError):
         block_matrix(C1, 2, [[2, 0], [0, 1]])  # not symplectic
     with pytest.raises(ValueError):
-        BlockMatrix(A1, 2, ((1, 0), (0, 1)))  # raw ints, not Fractions
+        BlockMatrix(A1, 2, ((Fraction(1), 0), (0, 1)), 1)  # num holds ints, not Fractions
+    with pytest.raises(ValueError):
+        BlockMatrix(A1, 2, ((1, 0), (0, 1)), 0)  # zero denominator
     with pytest.raises(ValueError):
         block_matrix(A1, 2, [[1, 0, 0], [0, 1, 0]])  # wrong shape
     with pytest.raises(ValueError):
         block_matrix(A1, 6, [[1, 0], [0, 1]])  # composite prime
+    # inexact entries: 0.1 used to read as 3602879701896397/2^55, and [[1, 0], [0.3, 1]] gave h = -54
+    inexact = [[[0.1, 0], [0, 10]], [[True, 0], [0, 1]]]
+    inexact += [[[1, 0], [x, 1]] for x in (0.3, 0.5, "0.5", "1.5", "1e3", "1/0", None)]
+    for rows in inexact:
+        with pytest.raises(ValueError):
+            block_matrix(A1, 2, rows)
 
 
 def test_is_prime_is_bounded():
@@ -100,12 +115,27 @@ def test_is_prime_is_bounded():
         padic.gamma(A1, 1000000000000000003)
 
 
+@pytest.mark.parametrize("p", [5.0, 2.0, True, False, Fraction(5), "5"])
+def test_is_prime_refuses_a_p_that_is_not_an_int(p):
+    # is_prime(5.0) was True, so valuation(25, 5.0) returned 2 and a
+    # BlockMatrix could carry p = 5.0
+    with pytest.raises(ValueError, match="integer"):
+        padic.is_prime(p)
+    with pytest.raises(ValueError):
+        valuation(25, p)
+    with pytest.raises(ValueError):
+        block_matrix(A1, p, [[1, 0], [25, 1]])
+    with pytest.raises(ValueError):
+        random_congruence_element(A1, p, 1, random.Random(0))
+
+
 def test_block_views_and_products():
     g = block_matrix(A2, 2, [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 12, 12], [13, 14, 15, 17]])
-    assert g.a == ((1, 2), (5, 6))
-    assert g.b == ((3, 4), (7, 8))
-    assert g.c == ((9, 10), (13, 14))
-    assert g.d == ((12, 12), (15, 17))
+    assert g.den == 1
+    assert tuple(row[:2] for row in g.num[:2]) == ((1, 2), (5, 6))
+    assert tuple(row[2:] for row in g.num[:2]) == ((3, 4), (7, 8))
+    assert tuple(row[:2] for row in g.num[2:]) == ((9, 10), (13, 14))
+    assert tuple(row[2:] for row in g.num[2:]) == ((12, 12), (15, 17))
     gi = g.inverse()
     prod = g * gi
     assert prod.rows == block_matrix(A2, 2, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]).rows
@@ -120,8 +150,9 @@ def test_equal_rationals_give_equal_matrices():
     for same in (
         block_matrix(A1, 3, [["2/4", 0], [0, "6/3"]]),
         block_matrix(A1, 3, [[Fraction(-3, -6), "0/5"], [0, 2]]),
-        from_blocks(A1, 3, [["3/6"]], [[0]], [[0]], [["4/2"]]),
-        BlockMatrix(A1, 3, half.rows),
+        block_matrix(A1, 3, [["3/6"] + [0], [0] + ["4/2"]]),
+        BlockMatrix(A1, 3, ((2, 0), (0, 8)), 4),
+        BlockMatrix(A1, 3, [[-1, 0], [0, -4]], -2),
     ):
         assert same == half
         assert hash(same) == hash(half)
@@ -198,7 +229,7 @@ def test_parabolic_elements_have_infinite_h():
     for kind in KINDS:
         for _ in range(5):
             q = random_parabolic_element(kind, 2, rng)
-            assert all(x == 0 for row in q.c for x in row)
+            assert all(x == 0 for row in q.num[kind.n :] for x in row[: kind.n])
             assert h_invariant(q) == math.inf
 
 
@@ -214,8 +245,9 @@ def test_factorization_reassembles(kind, p):
             g = random_parabolic_element(kind, p, rng) * random_congruence_element(kind, p, m, rng)
             assert in_P_Gamma1(g, m)
             p_part, c_part = factor_P_Gamma1(g, m)
+            n = kind.n
             assert (p_part * c_part).rows == g.rows
-            assert all(x == 0 for row in p_part.c for x in row)
+            assert all(x == 0 for row in p_part.num[n:] for x in row[:n])
             assert in_level(c_part, Level(LevelFlavor.GAMMA1, m))
             # type C factors pass the symplectic constructor check by existing
 
@@ -276,9 +308,9 @@ def test_level_separation_by_the_b_block():
     # unipotent with a unit in the B block: Gamma_1 but not Gamma
     for kind, p, m in ((A1, 2, 1), (A2, 3, 2), (C1, 5, 1), (C2, 2, 3)):
         n = kind.n
-        B = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        g = from_blocks(kind, p, [[int(i == j) for j in range(n)] for i in range(n)], B,
-                        [[0] * n for _ in range(n)], [[int(i == j) for j in range(n)] for i in range(n)])
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        zero = [[0] * n for _ in range(n)]
+        g = block_matrix(kind, p, [a + b for a, b in zip(eye, eye)] + [c + d for c, d in zip(zero, eye)])
         assert in_level(g, Level(LevelFlavor.GAMMA1, m))
         assert not in_level(g, Level(LevelFlavor.GAMMA_FULL, m))
 
@@ -306,6 +338,26 @@ def test_congruence_sampler_hits_its_level_exactly():
         random_congruence_element(A1, 2, 1, rng, flavor=LevelFlavor.GAMMA0)
 
 
+def test_congruence_sampler_guards_the_length_of_p_to_the_m():
+    guard = padic.CONGRUENCE_BITS_GUARD
+    refused = [(2, 10**6), (2**31 - 1, 10**9)]
+    for p in PRIMES:
+        # the deepest level whose modulus fits the guard is drawn, one level more is refused
+        m = guard
+        while (p**m).bit_length() > guard:
+            m -= 1
+        assert in_level(random_congruence_element(A1, p, m, random.Random(1)), Level(LevelFlavor.GAMMA1, m))
+        refused.append((p, m + 1))
+    for p, m in refused:
+        rng = random.Random(1)
+        state = rng.getstate()
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="CONGRUENCE_BITS_GUARD"):
+            random_congruence_element(C2, p, m, rng)
+        assert time.perf_counter() - started < 0.5
+        assert rng.getstate() == state  # refused before the first draw
+
+
 def test_samplers_reproduce_their_seeded_draws():
     # The digest was taken from the Fraction implementation of the samplers.
     # It pins the order of the draws: swapping two draws of one shape (the A
@@ -325,6 +377,21 @@ def test_samplers_reproduce_their_seeded_draws():
                         text.append(repr([[str(x) for x in row] for row in g.rows]))
     digest = hashlib.sha256("\n".join(text).encode()).hexdigest()
     assert digest == "d572d6f61a90c2afb3ba8b70af66bd7add200050610c4cdc7ae3f108371cee47"
+
+
+# ----------------------------------------------------------- exact entries
+
+
+@given(st.one_of(st.integers(), st.fractions(), st.builds(lambda f: f"{f.numerator}/{f.denominator}", st.fractions()),
+                 st.integers().map(str)))
+def test_exact_reads_ints_fractions_and_ratio_strings(x):
+    assert exact(x) == Fraction(x)
+
+
+@given(st.one_of(st.floats(), st.booleans(), st.sampled_from(["1.5", "1e3", "1/0", "-2/0", "0.5", "1/2.0", "", None])))
+def test_exact_refuses_inexact_entries(x):
+    with pytest.raises(ValueError):
+        exact(x)
 
 
 # --------------------------------------------------------------- the radius

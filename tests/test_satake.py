@@ -70,6 +70,19 @@ def test_canonical_storage_rejects_garbage():
         LaurentPoly(RING, (((1, 0, 0), 1), ((0, 0, 0), 1)))  # unsorted
 
 
+@pytest.mark.parametrize(
+    "coeff, exps",
+    [(0.5, {"v": 1}), (1, {"v": 0.5}), (2.0, {}), (True, {}), (1, {"v": True})],
+    ids=["float coefficient", "float exponent", "integral float", "bool coefficient", "bool exponent"],
+)
+def test_laurent_polys_refuse_inexact_coefficients_and_exponents(coeff, exps):
+    # both float cases used to build a polynomial
+    with pytest.raises(ValueError, match="Python ints"):
+        monomial(("v", "W1"), coeff, exps)
+    with pytest.raises(ValueError, match="Python ints"):
+        LaurentPoly(("v", "W1"), (((0, exps.get("v", 0)), coeff),))
+
+
 def test_symmetry_tag_validation():
     sym = elementary_symmetric(1, ("W1", "W2"), RING)
     sym.tagged(SymmetryTag("S", (("W1", "W2"),)))  # fine
