@@ -269,6 +269,15 @@ def _padic_setup(kind, n, p, m, seed, count, matrix, matrix_file):
         if count < 1:
             raise ValueError(f"--count must be at least 1, got {count}")
         text = _matrix_text(matrix, matrix_file)
+        # p^m has more than m (bit length of |p|, less 1) bits, so a long p^m
+        # is refused before it is computed
+        if text is None and (
+            count * m * (abs(p).bit_length() - 1) >= padic.SUITE_WORK_GUARD
+            or count * (p**m).bit_length() > padic.SUITE_WORK_GUARD
+        ):
+            raise ValueError(
+                f"--count times the bit length of p^m exceeds the guard SUITE_WORK_GUARD = {padic.SUITE_WORK_GUARD}"
+            )
     except ValueError as exc:
         _fail(exc)
     params = {"kind": kind, "n": n, "p": p, "m": m, "seed": seed, "count": count}

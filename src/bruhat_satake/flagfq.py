@@ -5,7 +5,11 @@ stored as reduced row echelon matrices, which are canonical for row span.
 The ambient group acts on the right of row matrices through g^T, the
 parabolic P_I is the stabilizer of the base point U_0 = <e_1, ..., e_n>,
 and the statistic ``tau_of_point`` (codimension of the meet with U_0)
-reads off the P_I-orbit.
+reads off the P_I-orbit.  It is the rank of the right n x n block of a
+point's rows, found by one scalar rank per point.  Type C points are
+walked row by row, and a prefix is pruned at its first row that pairs
+nonzero with an earlier one, so the non-isotropic candidates are never
+built.
 
 The module provides the orbit census, the orbit-versus-tau partition
 check, the elementwise cover checks for translates of Pbar_I P_I, and the
@@ -295,23 +299,48 @@ def act(g: np.ndarray, U: Subspace) -> Subspace:
     return subspace_from_rows((U.mat @ g.T) % U.q, U.q)
 
 
+def _pairing(u, v, n: int) -> int:
+    """The symplectic pairing of two rows, sum_k u_k v_{n+k} - u_{n+k} v_k, as
+    an integer; it vanishes in F_q iff it is 0 mod q."""
+    return sum(u[k] * v[n + k] - u[n + k] * v[k] for k in range(n))
+
+
 def is_isotropic(U: Subspace, n: int) -> bool:
-    """Every pair of rows u, v pairs to zero: sum_k u_k v_{n+k} - u_{n+k} v_k = 0 mod q.
+    """Every pair of rows u, v pairs to zero mod q under ``_pairing``.
 
     A row always pairs to zero with itself, so only pairs i < j are tested.
     """
-    rows, q = U.rows, U.q
-    return not any(
-        sum(u[k] * v[n + k] - u[n + k] * v[k] for k in range(n)) % q
-        for u, v in itertools.combinations(rows, 2)
-    )
+    return not any(_pairing(u, v, n) % U.q for u, v in itertools.combinations(U.rows, 2))
+
+
+def _isotropic_products(row_choices: list[list[tuple[int, ...]]], n: int, q: int):
+    """The row tuples of ``itertools.product(*row_choices)`` whose rows pair
+    to zero two by two, in the same order.
+
+    A depth-first walk over the rows: a prefix is dropped as soon as its
+    newest row pairs nonzero with an earlier one, so no non-isotropic
+    candidate is ever completed.
+    """
+
+    def extend(prefix: tuple, depth: int):
+        if depth == len(row_choices):
+            yield prefix
+            return
+        for row in row_choices[depth]:
+            if not any(_pairing(u, row, n) % q for u in prefix):
+                yield from extend(prefix + (row,), depth + 1)
+
+    return extend((), 0)
 
 
 def enumerate_flag(kind: GroupKind, q: int) -> list[Subspace]:
     """Every point, by RREF pivot pattern (isotropic ones only in type C).
 
     Within a pivot pattern the points run through the free entries in
-    lexicographic order, row by row.
+    lexicographic order, row by row.  Type C walks the rows depth first and
+    prunes a prefix at its first nonzero pairing (``_isotropic_products``),
+    so the non-isotropic candidates are never built; the guard still counts
+    all C(2n, n)_q candidates.
     """
     kernels.check_q(q)
     n = kind.n
@@ -336,27 +365,22 @@ def enumerate_flag(kind: GroupKind, q: int) -> list[Subspace]:
                     row[j] = v
                 choices.append(tuple(row))
             row_choices.append(choices)
-        for rows in itertools.product(*row_choices):
-            U = Subspace(q, rows)
-            if symplectic and not is_isotropic(U, n):
-                continue
-            points.append(U)
+        products = _isotropic_products(row_choices, n, q) if symplectic else itertools.product(*row_choices)
+        points.extend(Subspace(q, rows) for rows in products)
     if len(points) != flag_size(kind, q):
         raise AssertionError("point count disagrees with the closed formula")
     return points
 
 
 def tau_of_point(U: Subspace) -> int:
-    """n - dim(U cap U_0) for the base U_0 = <e_1, ..., e_n>."""
+    """n - dim(U cap U_0) for the base U_0 = <e_1, ..., e_n>.
+
+    With U's rows written [A | B] in n-column blocks, rank [[A, B], [I, 0]]
+    = n + rank(B), so tau is the rank of the n x n block B: one
+    ``kernels.rank_mod`` call on Python rows.
+    """
     n = U.dim
-    stacked = np.array(U.rows + _base_rows(n), dtype=np.int64)
-    return int(kernels.rank_mod(stacked, U.q)) - n
-
-
-@lru_cache(maxsize=None)
-def _base_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """The rows e_1, ..., e_n of F_q^{2n}, spanning the base point U_0."""
-    return tuple(tuple(int(i == j) for j in range(2 * n)) for i in range(n))
+    return int(kernels.rank_mod([row[n:] for row in U.rows], U.q))
 
 
 def cell_census(kind: GroupKind, q: int) -> dict[int, int]:

@@ -5,10 +5,12 @@ integer matrices mod q: stack matmul, stack reduced row echelon form, and
 stack rank.  A stack goes through one numpy routine whose Python loops run
 only over the shape of a single matrix, never over the stack.  A single
 matrix is row reduced in scalar Python, where numpy's per-operation cost
-would dominate the few arithmetic steps.  The array functions take and
-return int64 arrays; entries are reduced mod q on entry, and q must be a
-key of ``PRIMITIVE_ROOT``.  ``rref_rows``, the scalar routine, takes Python
-rows and any prime.
+would dominate the few arithmetic steps: ``rref_mod`` and ``rank_mod`` take
+it as Python rows, handed to the scalar routine ``rref_rows`` with no array
+built on the way in, or as a 2-D array, which is turned into rows first.
+The array functions return int64 arrays; entries are reduced mod q on
+entry, and q must be a key of ``PRIMITIVE_ROOT``.  ``rref_rows`` itself
+takes any prime.
 
 numpy is bound lazily: it is imported on the first attribute access of
 ``np``, so a process that never runs a kernel (the Weyl, root, padic and
@@ -140,22 +142,29 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     return residues.take(a @ b)
 
 
-def rref_mod(mats: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+def rref_mod(mats, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Stack RREF mod q: returns (rref stack, rank vector).
 
     The RREF is the canonical representative of the row space, so two
     matrices have equal row spans iff their RREFs are equal arrays.  A
-    single (2-D) matrix returns its RREF and an ``np.int64`` rank.
+    single matrix, given as Python rows (a list or tuple of rows) or as a
+    2-D array, returns its RREF as an int64 array and an ``np.int64`` rank.
+    Python rows go straight to ``rref_rows``, with no array built on the
+    way in.
     """
     check_q(q)
-    mats = np.asarray(mats, dtype=np.int64)
-    if mats.ndim == 2:
-        rows, rank = rref_rows(mats.tolist(), q)
-        return np.array(rows, dtype=np.int64).reshape(mats.shape), np.int64(rank)
-    return _rref_stack(mats % q, q)  # a fresh array
+    if isinstance(mats, (list, tuple)):
+        rows, shape = mats, (len(mats), len(mats[0]) if mats else 0)
+    else:
+        mats = np.asarray(mats, dtype=np.int64)
+        if mats.ndim != 2:
+            return _rref_stack(mats % q, q)  # a fresh array
+        rows, shape = mats.tolist(), mats.shape
+    red, rank = rref_rows(rows, q)
+    return np.array(red, dtype=np.int64).reshape(shape), np.int64(rank)
 
 
-def rank_mod(mats: np.ndarray, q: int) -> np.ndarray:
+def rank_mod(mats, q: int) -> np.ndarray:
     return rref_mod(mats, q)[1]
 
 

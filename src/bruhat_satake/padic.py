@@ -37,6 +37,11 @@ IntMat = tuple[tuple[int, ...], ...]
 # pass through every product and elimination, whose divisions grow quadratically.
 CONGRUENCE_BITS_GUARD = 2**10
 
+# A sampled suite (``padic h`` and ``padic factor`` with no matrix) is refused
+# when its work estimate, the sample count times the bit length of p^m, is
+# past this: the default suite of 50 at a 1024-bit modulus is 51,200.
+SUITE_WORK_GUARD = 2**16
+
 
 # ------------------------------------------------------------- valuations
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from bruhat_satake import cli
+from bruhat_satake import cli, padic
 
 
 @pytest.fixture()
@@ -420,6 +420,20 @@ def test_matrix_file_digest_matches_inline_text(runner, tmp_path):
 def test_padic_refuses_bad_level_and_count(runner, command, extra):
     result = invoke(runner, ["padic", command, "--kind", "A", "--n", "1", "--p", "2", *extra.split()])
     refused(result, extra.split()[0])
+
+
+@pytest.mark.parametrize("command", ["h", "factor"])
+def test_padic_suite_work_guard_at_its_limit(runner, command):
+    # 2^1023 has 1024 bits, so 64 samples reach SUITE_WORK_GUARD = 2^16 exactly
+    assert padic.SUITE_WORK_GUARD == 64 * 1024
+    base = ["padic", command, "--kind", "A", "--n", "1", "--p", "2", "--m", "1023"]
+    assert invoke(runner, base + ["--count", "64"]).exit_code == 0
+    refused(invoke(runner, base + ["--count", "65"]), "SUITE_WORK_GUARD")
+    # a modulus far past the guard is refused before p^m is computed
+    refused(invoke(runner, ["padic", command, "--kind", "A", "--n", "1", "--p", "3", "--m", str(10**30)]), "SUITE_WORK_GUARD")
+    # a given matrix draws no samples, so the count is not bounded
+    matrix = ["--count", "10000", "--matrix", "[[1,0],[2,1]]"]
+    assert invoke(runner, ["padic", command, "--kind", "A", "--n", "1", "--p", "2", *matrix]).exit_code == 0
 
 
 def test_padic_refuses_a_non_prime_before_building_gamma(runner):

@@ -430,3 +430,99 @@ def test_plucker_three_term_relation():
         s = plucker(U)
         lhs = s[(1, 2)] * s[(3, 4)] - s[(1, 3)] * s[(2, 4)] + s[(1, 4)] * s[(2, 3)]
         assert lhs % q == 0
+
+
+# ------------------------------------------------- per-point work, oracles
+
+
+def stacked_tau(U):
+    """tau from the rank of U's rows stacked over e_1, ..., e_n, minus n."""
+    n = U.dim
+    stacked = np.vstack([U.mat, np.eye(n, 2 * n, dtype=np.int64)])
+    return int(flagfq.kernels.rank_mod(stacked, U.q)) - n
+
+
+def case_id(value):
+    return f"{value.family.value}{value.n}" if isinstance(value, weyl.GroupKind) else str(value)
+
+
+TAU_CASES = [(weyl.type_a(2), q) for q in (2, 3, 5)] + [(weyl.type_a(3), 2)]
+TAU_CASES += [(weyl.type_c(2), q) for q in (2, 3, 5)] + [(weyl.type_c(3), 3)]
+
+
+@pytest.mark.parametrize("kind,q", TAU_CASES, ids=case_id)
+def test_block_rank_tau_matches_the_stacked_rank(kind, q):
+    for U in flagfq.enumerate_flag(kind, q):
+        assert flagfq.tau_of_point(U) == stacked_tau(U)
+
+
+def product_and_filter_flag(kind, q):
+    """Every point by product and filter, the oracle for the pruned walk of
+    ``enumerate_flag``: all C(2n, n)_q candidates, each pivot pattern's rows
+    taken from the full product of the row choices, then the non-isotropic
+    ones dropped."""
+    n = kind.n
+    points = []
+    for pivots in itertools.combinations(range(2 * n), n):
+        row_choices = []
+        for p in pivots:
+            free = [j for j in range(p + 1, 2 * n) if j not in pivots]
+            choices = []
+            for values in itertools.product(range(q), repeat=len(free)):
+                row = [0] * (2 * n)
+                row[p] = 1
+                for j, v in zip(free, values):
+                    row[j] = v
+                choices.append(tuple(row))
+            row_choices.append(choices)
+        for rows in itertools.product(*row_choices):
+            U = flagfq.Subspace(q, rows)
+            if kind.family is weyl.Family.TYPE_C and not flagfq.is_isotropic(U, n):
+                continue
+            points.append(U)
+    return points
+
+
+@pytest.mark.parametrize("kind,q", [(weyl.type_c(1), 2), (weyl.type_c(2), 2), (weyl.type_c(2), 3), (weyl.type_c(2), 5), (weyl.type_c(3), 3)], ids=case_id)
+def test_pruned_walk_matches_product_and_filter(kind, q):
+    assert flagfq.enumerate_flag(kind, q) == product_and_filter_flag(kind, q)
+
+
+def q_binomial(m, k, q):
+    """[m choose k]_q by the q-Pascal rule, sharing no code with flagfq."""
+    if k < 0 or k > m:
+        return 0
+    if k in (0, m):
+        return 1
+    return q_binomial(m - 1, k - 1, q) + q**k * q_binomial(m - 1, k, q)
+
+
+def bruhat_census(kind, q):
+    """The tau census by the Bruhat decomposition G/P_I = the disjoint union of
+    the cells B w P_I / P_I, one per minimal representative w of w W_I, each
+    with q^l(w) points: read off the Weyl layer alone."""
+    lengths = weyl.length_table(kind)
+    mark = [s.perm for s in weyl.parabolic_mark(kind)]
+    census = {}
+    for perm, ell in lengths.items():
+        if all(lengths[weyl.compose(perm, s)] > ell for s in mark):
+            t = weyl.tau(weyl.WeylElement(kind, perm))
+            census[t] = census.get(t, 0) + q**ell
+    return census
+
+
+# every (kind, n, q) whose flag the tier-1 tests enumerate
+CENSUS_CASES = [(weyl.GroupKind(f, n), q) for f in weyl.Family for n in (1, 2) for q in (2, 3, 5)]
+CENSUS_CASES += [(weyl.type_a(3), 2), (weyl.type_c(3), 2), (weyl.type_c(3), 3)]
+
+
+@pytest.mark.parametrize("kind,q", CENSUS_CASES, ids=case_id)
+def test_census_matches_the_bruhat_q_count(kind, q):
+    assert flagfq.cell_census(kind, q) == bruhat_census(kind, q)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_type_a_bruhat_q_count_closed_form(n, q):
+    census = bruhat_census(weyl.type_a(n), q)
+    assert census == {k: q ** (k * k) * q_binomial(n, k, q) ** 2 for k in range(n + 1)}

@@ -51,7 +51,7 @@ def test_rref_matches_naive_oracle(q):
         *rng.integers(-7, 9, size=(20, 6, 3)),  # tall, entries outside [0, q)
         np.zeros((3, 5), dtype=np.int64),
         full_rank,
-        np.vstack([np.eye(3, 6, dtype=np.int64), rng.integers(0, q, size=(3, 6))]),  # as in tau_of_point
+        np.vstack([rng.integers(0, q, size=(3, 6)), np.eye(3, 6, dtype=np.int64)]),  # as in meets_trivially
     ]
     for mat in singles:
         before = mat.copy()
@@ -99,6 +99,30 @@ def test_matmul_mod_reduces_unreduced_operands(q):
         got = kernels.matmul_mod(x, y, q)
         assert got.dtype == np.int64
         assert (got == ((x % q) @ (y % q)) % q).all()
+
+
+@Q
+def test_rref_on_python_rows_matches_the_equal_array(q):
+    rng = np.random.default_rng(7)
+    full = np.eye(4, dtype=np.int64) * (q - 1) + np.triu(rng.integers(0, q, size=(4, 4)), 1)
+    mats = [
+        *rng.integers(-7, 9, size=(20, 3, 3)),  # as in tau_of_point, entries outside [0, q)
+        *rng.integers(0, q, size=(10, 3, 6)),
+        *rng.integers(0, q, size=(10, 5, 2)),
+        full,
+        np.zeros((3, 3), dtype=np.int64),
+        np.vstack([full[:2], full[:1] * 2, np.zeros((1, 4), dtype=np.int64)]),  # rank 2 with a zero row
+        np.array([[1, 2, 0], [0, 0, 0], [2, 4, 0]]),  # rank 1, dependent and zero rows
+    ]
+    for mat in mats:
+        want_red, want_rank = kernels.rref_mod(mat, q)
+        for rows in (mat.tolist(), tuple(map(tuple, mat.tolist()))):
+            red, rank = kernels.rref_mod(rows, q)
+            assert red.dtype == want_red.dtype == np.int64 and red.shape == want_red.shape
+            assert (red == want_red).all()
+            assert isinstance(rank, np.int64) and rank == want_rank
+            assert kernels.rank_mod(rows, q) == want_rank
+        assert (want_red == naive_rref(mat, q)[0]).all()
 
 
 def test_single_matrix_round_trips_without_a_stack_axis():
