@@ -13,7 +13,6 @@ returns the report body, registered once by ``_report``.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import math
@@ -271,18 +270,22 @@ def _padic_setup(kind, n, p, m, seed, count, matrix, matrix_file):
         text = _matrix_text(matrix, matrix_file)
         # p^m has more than m (bit length of |p|, less 1) bits, so a long p^m
         # is refused before it is computed
+        extra = padic.SUITE_SAMPLE_BITS
         if text is None and (
-            count * m * (abs(p).bit_length() - 1) >= padic.SUITE_WORK_GUARD
-            or count * (p**m).bit_length() > padic.SUITE_WORK_GUARD
+            count * (m * (abs(p).bit_length() - 1) + extra) >= padic.SUITE_WORK_GUARD
+            or count * ((p**m).bit_length() + extra) > padic.SUITE_WORK_GUARD
         ):
             raise ValueError(
-                f"--count times the bit length of p^m exceeds the guard SUITE_WORK_GUARD = {padic.SUITE_WORK_GUARD}"
+                f"--count times (the bit length of p^m + {extra}) exceeds the guard"
+                f" SUITE_WORK_GUARD = {padic.SUITE_WORK_GUARD}"
             )
     except ValueError as exc:
         _fail(exc)
     params = {"kind": kind, "n": n, "p": p, "m": m, "seed": seed, "count": count}
     name_params = dict(params)
     if text is not None:
+        import hashlib  # only a given matrix needs a digest
+
         name_params["digest"] = hashlib.sha256(text.encode()).hexdigest()[:12]
     return params, name_params, text
 

@@ -436,27 +436,35 @@ def closure_order_check(kind: GroupKind, q: int) -> dict:
 # ------------------------------------------------------------- cover lemmas
 
 
+def _product_keys(left: np.ndarray, right: np.ndarray, q: int):
+    """The keys of all products x y for x in left, y in right, x outer and y
+    inner: one ``mat_keys`` list per ``matmul_mod`` call of at most
+    ``_PRODUCT_CHUNK`` products (at least one x per call)."""
+    per = max(1, _PRODUCT_CHUNK // right.shape[0])
+    tiled = np.tile(right, (min(per, left.shape[0]), 1, 1))  # tiled once; a short last block takes a prefix
+    for start in range(0, left.shape[0], per):
+        block = left[start : start + per]
+        repeated = np.repeat(block, right.shape[0], axis=0)
+        yield kernels.mat_keys(kernels.matmul_mod(repeated, tiled[: repeated.shape[0]], q))
+
+
 def _product_set(left: np.ndarray, right: np.ndarray, q: int) -> list[bytes]:
     """The keys of all products x y for x in left, y in right, deduplicated
     in order of first occurrence."""
-    per = max(1, _PRODUCT_CHUNK // right.shape[0])
-    blocks = (left[start : start + per] for start in range(0, left.shape[0], per))
-    products = (
-        kernels.matmul_mod(np.repeat(block, right.shape[0], axis=0), np.tile(right, (block.shape[0], 1, 1)), q)
-        for block in blocks
-    )
     # one chunk of keys alive at a time; the dict is an insertion-ordered set
-    return list(dict.fromkeys(itertools.chain.from_iterable(kernels.mat_keys(prod) for prod in products)))
+    return list(dict.fromkeys(itertools.chain.from_iterable(_product_keys(left, right, q))))
+
+
+def _products_within(left: np.ndarray, right: np.ndarray, q: int, target: set[bytes]) -> bool:
+    """Whether every product x y (x in left, y in right) has its key in
+    ``target``.  Every chunk is tested, so the kernel calls do not depend on
+    the answer."""
+    return all([target.issuperset(keys) for keys in _product_keys(left, right, q)])
 
 
 def _translate_keys(g: np.ndarray, stack: np.ndarray, q: int) -> set[bytes]:
     moved = kernels.matmul_mod(np.broadcast_to(g, stack.shape).copy(), stack, q)
     return set(kernels.mat_keys(moved))
-
-
-def _left_right_keys(left: np.ndarray, mid: np.ndarray, right: np.ndarray, q: int) -> set[bytes]:
-    """Keys of {x (mid) y}: left translate of mid applied to every right element."""
-    return set(_product_set(kernels.matmul_mod(left, mid, q), right, q))
 
 
 def cover_lemma_check(kind: GroupKind, q: int) -> dict:
@@ -483,10 +491,10 @@ def cover_lemma_check(kind: GroupKind, q: int) -> dict:
         wm = weyl_matrix(w, q)
         target_lower = _translate_keys(wm, pbar_p, q)
         covered |= target_lower
-        if not _left_right_keys(Bbar, wm, P, q) <= target_lower:
+        if not _products_within(kernels.matmul_mod(Bbar, wm, q), P, q, target_lower):
             lower_ok = False
         target_upper = _translate_keys((wm @ w0_mat) % q, p_w0_p, q)
-        if not _left_right_keys(B, wm, P, q) <= target_upper:
+        if not _products_within(kernels.matmul_mod(B, wm, q), P, q, target_upper):
             upper_ok = False
     covers = covered == g_keys
     return {

@@ -12,7 +12,8 @@ The array functions return int64 arrays; entries are reduced mod q on
 entry, and q must be a key of ``PRIMITIVE_ROOT``.  ``rref_rows`` itself
 takes any prime.
 
-numpy is bound lazily: it is imported on the first attribute access of
+numpy is bound lazily, through the package's ``_lazy_module`` like the
+package's own modules: it is imported on the first attribute access of
 ``np``, so a process that never runs a kernel (the Weyl, root, padic and
 Satake reports) never pays for importing it.  ``flagfq`` and ``ordcoh`` take
 their ``np`` from here.
@@ -20,23 +21,7 @@ their ``np`` from here.
 
 from __future__ import annotations
 
-import importlib.util
-import sys
-
-
-def _lazy_module(name: str):
-    """The module ``name``, executed on its first attribute access (the
-    ``importlib.util.LazyLoader`` recipe), or the module itself when it is
-    already imported."""
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
+from . import _lazy_module
 
 np = _lazy_module("numpy")
 
@@ -123,7 +108,8 @@ def rref_rows(rows: list[list[int]], q: int) -> tuple[list[list[int]], int]:
 def _reduced(a: np.ndarray, q: int) -> np.ndarray:
     """``a`` as int64 mod q; reduces (and copies) only if some entry needs it."""
     a = np.ascontiguousarray(a, dtype=np.int64)
-    if a.size and (a.min() < 0 or a.max() >= q):
+    # read as uint64 a negative entry is past q too, so one max finds any entry outside [0, q)
+    if a.size and a.view(np.uint64).max() >= q:
         return a % q
     return a
 

@@ -38,9 +38,13 @@ IntMat = tuple[tuple[int, ...], ...]
 CONGRUENCE_BITS_GUARD = 2**10
 
 # A sampled suite (``padic h`` and ``padic factor`` with no matrix) is refused
-# when its work estimate, the sample count times the bit length of p^m, is
-# past this: the default suite of 50 at a 1024-bit modulus is 51,200.
-SUITE_WORK_GUARD = 2**16
+# when its work estimate, the sample count times (the bit length of p^m plus
+# SUITE_SAMPLE_BITS), is past this, so 64 samples at a 1024-bit modulus are
+# the edge.  SUITE_SAMPLE_BITS is the part of a sample's cost that does not
+# grow with p^m, in bits of p^m: a C n = 3 ``padic h`` sample measured 1.5 ms
+# at p^m = 2 and 57 ms at 1024 bits, a fixed part worth about 28 bits.
+SUITE_SAMPLE_BITS = 32
+SUITE_WORK_GUARD = 64 * (CONGRUENCE_BITS_GUARD + SUITE_SAMPLE_BITS)
 
 
 # ------------------------------------------------------------- valuations

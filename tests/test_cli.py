@@ -424,11 +424,17 @@ def test_padic_refuses_bad_level_and_count(runner, command, extra):
 
 @pytest.mark.parametrize("command", ["h", "factor"])
 def test_padic_suite_work_guard_at_its_limit(runner, command):
-    # 2^1023 has 1024 bits, so 64 samples reach SUITE_WORK_GUARD = 2^16 exactly
-    assert padic.SUITE_WORK_GUARD == 64 * 1024
+    # 2^1023 has 1024 bits, so 64 samples reach SUITE_WORK_GUARD exactly
+    assert padic.SUITE_WORK_GUARD == 64 * (1024 + padic.SUITE_SAMPLE_BITS)
     base = ["padic", command, "--kind", "A", "--n", "1", "--p", "2", "--m", "1023"]
     assert invoke(runner, base + ["--count", "64"]).exit_code == 0
     refused(invoke(runner, base + ["--count", "65"]), "SUITE_WORK_GUARD")
+    # every sample also costs SUITE_SAMPLE_BITS, so p^m = 2 admits 1,987 samples (2^15 before that term)
+    limit = padic.SUITE_WORK_GUARD // (2 + padic.SUITE_SAMPLE_BITS)
+    assert limit == 1987
+    base = ["padic", command, "--kind", "A", "--n", "1", "--p", "2", "--m", "1"]
+    assert invoke(runner, base + ["--count", str(limit)]).exit_code == 0
+    refused(invoke(runner, base + ["--count", str(limit + 1)]), "SUITE_WORK_GUARD")
     # a modulus far past the guard is refused before p^m is computed
     refused(invoke(runner, ["padic", command, "--kind", "A", "--n", "1", "--p", "3", "--m", str(10**30)]), "SUITE_WORK_GUARD")
     # a given matrix draws no samples, so the count is not bounded
@@ -500,6 +506,8 @@ def test_ordcoh_ordinary_refuses_int64_overflow(runner, args):
 # ------------------------------------------------------------------ start-up
 # numpy is bound lazily in kernels: the exact reports never import it, and
 # the flag and ordcoh reports load it on first use with unchanged bytes.
+# The package's own modules are lazy too: each command runs only the ones
+# it uses.
 
 NUMPY_FREE = [
     "weyl cosets --kind A --n 3",
@@ -557,3 +565,54 @@ def test_exact_reports_never_import_numpy_and_the_others_load_it():
     for command, report in zip(NUMPY_USERS, lazy[len(NUMPY_FREE):]):
         assert report["code"] == 0 and report["numpy"], command  # loaded on first use
     assert [(r["code"], r["stdout"]) for r in lazy] == [(r["code"], r["stdout"]) for r in eager]
+
+
+# the library modules each command runs (cli runs for every command), and
+# whether it loads numpy
+MODULES_RUN = {
+    "--help": ([], False),
+    "weyl cosets --kind A --n 3": (["weyl"], False),
+    "cells dims --kind C --n 2": (["roots", "weyl"], False),
+    "satake verify --kind A --n 2 --twist": (["satake"], False),
+    "padic h --kind C --n 2 --p 3 --m 2 --seed 7 --count 20": (["padic", "weyl"], False),
+    "padic factor --kind A --n 1 --p 2 --matrix '[[1,0],[2,1]]'": (["padic", "weyl"], False),
+    "ordcoh ranks --d 2": (["kernels", "ordcoh", "padic", "weyl"], True),
+    "ordcoh ordinary --d 2": (["kernels", "ordcoh", "padic", "weyl"], True),
+    "flag census --kind A --n 1 --q 2": (["flagfq", "kernels", "roots", "weyl"], True),
+    "flag check-cover --kind A --n 1 --q 2": (["flagfq", "kernels", "weyl"], True),
+}
+
+RAN_SCRIPT = """
+import io, json, sys, types
+from bruhat_satake import cli
+real, sys.stdout = sys.stdout, io.TextIOWrapper(io.BytesIO())
+try:
+    cli.main.main(json.loads(sys.argv[1]), prog_name="bruhat-satake")
+except SystemExit as stop:
+    code = stop.code
+finally:
+    sys.stdout = real
+# a registered module that never ran is still of the lazy loader's type;
+# type() reads it without loading the module
+ours = {name: module for name, module in sys.modules.items() if name.startswith("bruhat_satake.")}
+ran = sorted(name for name, module in ours.items() if type(module) is types.ModuleType)
+numpy = type(sys.modules.get("numpy")) is types.ModuleType
+print(json.dumps({"code": code, "registered": sorted(ours), "ran": ran, "numpy": numpy}))
+"""
+
+
+@pytest.mark.parametrize("command", MODULES_RUN)
+def test_each_command_runs_only_the_modules_it_uses(command):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", RAN_SCRIPT, json.dumps(shlex.split(command))],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    report = json.loads(result.stdout)
+    modules, numpy = MODULES_RUN[command]
+    library = ["flagfq", "kernels", "ordcoh", "padic", "roots", "satake", "weyl"]
+    assert report["code"] == 0
+    assert report["registered"] == [f"bruhat_satake.{name}" for name in ["cli", *library]]
+    assert report["ran"] == [f"bruhat_satake.{name}" for name in sorted(["cli", *modules])]
+    assert report["numpy"] is numpy

@@ -22,8 +22,9 @@ def test_module_doctests(name):
 
 
 def test_package_import_loads_every_library_module():
-    # perfbench/tracer.py wraps functions in every module but cli after
-    # a bare ``import bruhat_satake``
+    # perfbench/tracer.py wraps functions in every module but cli after a
+    # bare ``import bruhat_satake``, which registers every module name in
+    # sys.modules; each module runs on the first access to its attributes
     src = str(Path(importlib.import_module("bruhat_satake").__file__).resolve().parents[1])
     code = "import json, sys, bruhat_satake; print(json.dumps(sorted(m for m in sys.modules if 'bruhat_satake' in m)))"
     env = dict(os.environ, PYTHONPATH=src)

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from bruhat_satake import flagfq, roots, weyl
+from bruhat_satake import flagfq, kernels, roots, weyl
 
 SMALL = [
     (weyl.type_a(1), 2),
@@ -151,6 +151,27 @@ def test_product_set_is_every_pair_product(chunk, monkeypatch):
     # keys of the pair products, x outer and y inner, deduplicated in order of first occurrence
     brute = list(dict.fromkeys(((x @ y) % q).astype(np.int8).tobytes() for x in left for y in right))
     assert flagfq._product_set(left, right, q) == brute
+
+
+@pytest.mark.parametrize(
+    "kind,q",
+    [(weyl.type_a(1), 2), (weyl.type_a(1), 3), (weyl.type_a(1), 5), (weyl.type_c(1), 2), (weyl.type_c(1), 3), (weyl.type_a(2), 2)],
+)
+def test_chunked_inclusion_matches_the_product_set(kind, q):
+    # the lower inclusions of cover_lemma_check, against the product set; a
+    # target short of one product key runs the False branch too
+    P = flagfq._parabolic_matrices(kind, q)
+    Pbar, Bbar = P.transpose(0, 2, 1) % q, flagfq._borel_matrices(kind, q).transpose(0, 2, 1) % q
+    pbar_p = kernels.mats_from_keys(flagfq._product_set(Pbar, P, q), P.shape[1:])
+    for w in weyl.all_elements(kind):
+        wm = flagfq.weyl_matrix(w, q)
+        left = kernels.matmul_mod(Bbar, wm, q)
+        products = flagfq._product_set(left, P, q)
+        target = flagfq._translate_keys(wm, pbar_p, q)
+        short = target - {products[len(products) // 2]}
+        for t, expected in ((target, True), (short, False)):
+            assert (set(products) <= t) is expected
+            assert flagfq._products_within(left, P, q, t) is expected
 
 
 @pytest.mark.parametrize("kind,q", SMALL)
