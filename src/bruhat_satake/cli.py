@@ -270,13 +270,12 @@ def _padic_setup(kind, n, p, m, seed, count, matrix, matrix_file):
         text = _matrix_text(matrix, matrix_file)
         # p^m has more than m (bit length of |p|, less 1) bits, so a long p^m
         # is refused before it is computed
-        extra = padic.SUITE_SAMPLE_BITS
         if text is None and (
-            count * (m * (abs(p).bit_length() - 1) + extra) >= padic.SUITE_WORK_GUARD
-            or count * ((p**m).bit_length() + extra) > padic.SUITE_WORK_GUARD
+            padic.suite_work(n, m * (abs(p).bit_length() - 1), count) >= padic.SUITE_WORK_GUARD
+            or padic.suite_work(n, (p**m).bit_length(), count) > padic.SUITE_WORK_GUARD
         ):
             raise ValueError(
-                f"--count times (the bit length of p^m + {extra}) exceeds the guard"
+                f"the work estimate of {count} samples at n = {n} and modulus p^m exceeds the guard"
                 f" SUITE_WORK_GUARD = {padic.SUITE_WORK_GUARD}"
             )
     except ValueError as exc:

@@ -15,8 +15,11 @@ The module provides the orbit census, the orbit-versus-tau partition
 check, the elementwise cover checks for translates of Pbar_I P_I, and the
 existence check for complementary frames J over whole Borel orbits.
 Group elements are enumerated by breadth-first closure over explicit
-generators, with orders certified against the classical formulas.  Bulk
-matrix work runs through :mod:`.kernels`.
+generators, with orders certified against the classical formulas.  The
+cover checks hold each set of matrices as a sorted array of distinct
+``kernels.mat_keys`` codes, so membership is a ``searchsorted`` and the
+cover is one array comparison.  Bulk matrix work runs through
+:mod:`.kernels`.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .weyl import (
 
 FLAG_POINT_GUARD = 10**6
 GROUP_ORDER_GUARD = 10**6
-_PRODUCT_CHUNK = 1 << 14  # matrices per matmul_mod call in _product_set; sets the call count
+_PRODUCT_CHUNK = 1 << 14  # products per matmul_mod and mat_keys call in _product_keys; sets the call count
 
 
 # ------------------------------------------------------------- order formulas
@@ -198,11 +201,11 @@ def _closure(gens: list[np.ndarray], q: int, expected: int) -> np.ndarray:
     gen_stack = np.stack([g % q for g in gens])
 
     def images(frontier):
-        stack = kernels.mats_from_keys(frontier, (m, m))
-        return (kernels.mat_keys(kernels.matmul_mod(stack, g, q)) for g in gen_stack)
+        stack = kernels.mats_from_keys(frontier, (m, m), q)
+        return (kernels.mat_keys(kernels.matmul_mod(stack, g, q), q).tolist() for g in gen_stack)
 
-    start = kernels.mat_keys(np.eye(m, dtype=np.int64)[None] % q)[0]
-    out = kernels.mats_from_keys(list(walk(start, images)), (m, m))
+    start = kernels.mat_keys(np.eye(m, dtype=np.int64)[None] % q, q).item()
+    out = kernels.mats_from_keys(list(walk(start, images)), (m, m), q)
     if out.shape[0] != expected:
         raise AssertionError(f"closure reached {out.shape[0]} elements, expected {expected}")
     return out
@@ -395,14 +398,14 @@ def cell_census(kind: GroupKind, q: int) -> dict[int, int]:
 def _orbits(points: list[Subspace], gens: list[np.ndarray], q: int) -> list[list[int]]:
     """The orbits of the group generated by ``gens``, acting as in ``act``:
     each as ascending point indices, ordered by their first point."""
-    index = {kernels.mat_keys(U.mat[None])[0]: i for i, U in enumerate(points)}
+    index = {kernels.mat_keys(U.mat[None], q).item(): i for i, U in enumerate(points)}
     stack = np.stack([U.mat for U in points])
 
     def images(frontier):
         batch = stack[frontier]
         for g in gens:
             moved, _ = kernels.rref_mod(kernels.matmul_mod(batch, g.T % q, q), q)
-            yield [index[key] for key in kernels.mat_keys(moved)]
+            yield [index[key] for key in kernels.mat_keys(moved, q).tolist()]
 
     orbits: list[list[int]] = []
     placed: set[int] = set()
@@ -436,35 +439,52 @@ def closure_order_check(kind: GroupKind, q: int) -> dict:
 # ------------------------------------------------------------- cover lemmas
 
 
+def _sorted_unique(codes: np.ndarray) -> np.ndarray:
+    """The distinct values of ``codes`` in ascending order: a sort and an
+    adjacent-difference mask, much cheaper than ``np.unique``."""
+    codes = np.sort(codes)
+    keep = np.empty(codes.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+    return codes[keep]
+
+
 def _product_keys(left: np.ndarray, right: np.ndarray, q: int):
     """The keys of all products x y for x in left, y in right, x outer and y
-    inner: one ``mat_keys`` list per ``matmul_mod`` call of at most
+    inner: one ``mat_keys`` array per ``matmul_mod`` call of at most
     ``_PRODUCT_CHUNK`` products (at least one x per call)."""
     per = max(1, _PRODUCT_CHUNK // right.shape[0])
     tiled = np.tile(right, (min(per, left.shape[0]), 1, 1))  # tiled once; a short last block takes a prefix
     for start in range(0, left.shape[0], per):
         block = left[start : start + per]
         repeated = np.repeat(block, right.shape[0], axis=0)
-        yield kernels.mat_keys(kernels.matmul_mod(repeated, tiled[: repeated.shape[0]], q))
+        yield kernels.mat_keys(kernels.matmul_mod(repeated, tiled[: repeated.shape[0]], q), q)
 
 
-def _product_set(left: np.ndarray, right: np.ndarray, q: int) -> list[bytes]:
-    """The keys of all products x y for x in left, y in right, deduplicated
-    in order of first occurrence."""
-    # one chunk of keys alive at a time; the dict is an insertion-ordered set
-    return list(dict.fromkeys(itertools.chain.from_iterable(_product_keys(left, right, q))))
+def _product_set(left: np.ndarray, right: np.ndarray, q: int) -> np.ndarray:
+    """The keys of all products x y for x in left, y in right, as a sorted
+    array of distinct codes."""
+    # each chunk is deduplicated as it comes, so only distinct codes pile up
+    return _sorted_unique(np.concatenate([_sorted_unique(keys) for keys in _product_keys(left, right, q)]))
 
 
-def _products_within(left: np.ndarray, right: np.ndarray, q: int, target: set[bytes]) -> bool:
-    """Whether every product x y (x in left, y in right) has its key in
-    ``target``.  Every chunk is tested, so the kernel calls do not depend on
-    the answer."""
-    return all([target.issuperset(keys) for keys in _product_keys(left, right, q)])
+def _products_within(left: np.ndarray, right: np.ndarray, q: int, target: np.ndarray) -> bool:
+    """Whether every product x y (x in left, y in right) has its key in the
+    sorted array ``target``.  Every chunk is tested, so the kernel calls do
+    not depend on the answer."""
+
+    def within(keys: np.ndarray) -> bool:
+        keys = np.sort(keys)  # ascending probes walk the target in order
+        found = target[np.searchsorted(target, keys).clip(max=len(target) - 1)]
+        return bool((found == keys).all())
+
+    return all([within(keys) for keys in _product_keys(left, right, q)])
 
 
-def _translate_keys(g: np.ndarray, stack: np.ndarray, q: int) -> set[bytes]:
+def _translate_keys(g: np.ndarray, stack: np.ndarray, q: int) -> np.ndarray:
+    """The keys of g x for x in ``stack``, as a sorted array of distinct codes."""
     moved = kernels.matmul_mod(np.broadcast_to(g, stack.shape).copy(), stack, q)
-    return set(kernels.mat_keys(moved))
+    return _sorted_unique(kernels.mat_keys(moved, q))
 
 
 def cover_lemma_check(kind: GroupKind, q: int) -> dict:
@@ -475,28 +495,28 @@ def cover_lemma_check(kind: GroupKind, q: int) -> dict:
     * the translates w (Pbar_I P_I) cover all of G(F_q).
     """
     G = _group_matrices(kind, q)  # refuses a group over GROUP_ORDER_GUARD
-    g_keys = set(kernels.mat_keys(G))
+    g_keys = np.sort(kernels.mat_keys(G, q))  # distinct: G is a closure
     P = _parabolic_matrices(kind, q)
     Pbar = P.transpose(0, 2, 1) % q
     B = _borel_matrices(kind, q)
     Bbar = B.transpose(0, 2, 1) % q
     shape = P.shape[1:]
-    pbar_p = kernels.mats_from_keys(_product_set(Pbar, P, q), shape)
+    pbar_p = kernels.mats_from_keys(_product_set(Pbar, P, q), shape, q)
     w0_mat = weyl_matrix(longest_element(kind), q)
-    p_w0_p = kernels.mats_from_keys(_product_set(kernels.matmul_mod(P, w0_mat, q), P, q), shape)
+    p_w0_p = kernels.mats_from_keys(_product_set(kernels.matmul_mod(P, w0_mat, q), P, q), shape, q)
 
-    covered: set[bytes] = set()
+    covered = []
     lower_ok = upper_ok = True
     for w in all_elements(kind):
         wm = weyl_matrix(w, q)
         target_lower = _translate_keys(wm, pbar_p, q)
-        covered |= target_lower
+        covered.append(target_lower)
         if not _products_within(kernels.matmul_mod(Bbar, wm, q), P, q, target_lower):
             lower_ok = False
         target_upper = _translate_keys((wm @ w0_mat) % q, p_w0_p, q)
         if not _products_within(kernels.matmul_mod(B, wm, q), P, q, target_upper):
             upper_ok = False
-    covers = covered == g_keys
+    covers = np.array_equal(_sorted_unique(np.concatenate(covered)), g_keys)
     return {
         "group_order": G.shape[0],
         "lower_inclusions": lower_ok,

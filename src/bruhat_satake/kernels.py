@@ -12,6 +12,10 @@ The array functions return int64 arrays; entries are reduced mod q on
 entry, and q must be a key of ``PRIMITIVE_ROOT``.  ``rref_rows`` itself
 takes any prime.
 
+A matrix is keyed by ``mat_keys``: one exact int64 code, its row-major
+entries read as base-q digits, so equal matrices have equal codes, a set
+of matrices is a sorted array of codes and ``mats_from_keys`` decodes them.
+
 numpy is bound lazily, through the package's ``_lazy_module`` like the
 package's own modules: it is imported on the first attribute access of
 ``np``, so a process that never runs a kernel (the Weyl, root, padic and
@@ -20,6 +24,8 @@ their ``np`` from here.
 """
 
 from __future__ import annotations
+
+import math
 
 from . import _lazy_module
 
@@ -154,14 +160,24 @@ def rank_mod(mats, q: int) -> np.ndarray:
     return rref_mod(mats, q)[1]
 
 
-def mat_keys(mats: np.ndarray) -> list[bytes]:
-    """Canonical hashable keys for a stack of small nonnegative matrices:
-    each key is the matrix's int8 bytes in row-major order."""
-    arr = np.ascontiguousarray(mats, dtype=np.int8)
-    width = arr[0].size if len(arr) else 0
-    return arr.reshape(len(arr), width).view(np.dtype((np.void, width))).ravel().tolist()
+def mat_keys(mats: np.ndarray, q: int) -> np.ndarray:
+    """Canonical keys for a stack of matrices with entries in [0, q): the
+    int64 code of each matrix, its row-major entries read as base-q digits
+    with the first entry least significant.
+
+    Codes are exact and injective on one shape, so equal matrices have equal
+    codes and a set of matrices is a sorted array of codes.  A shape with
+    q**entries >= 2**63 would wrap, and is refused with ``ValueError``.
+    """
+    arr = np.asarray(mats, dtype=np.int64)
+    width = math.prod(arr.shape[1:])
+    if q**width >= 1 << 63:
+        raise ValueError(f"{q}^{width} matrices of shape {arr.shape[1:]} do not fit int64 keys")
+    return arr.reshape(len(arr), width) @ q ** np.arange(width, dtype=np.int64)
 
 
-def mats_from_keys(keys: list[bytes], shape: tuple[int, ...]) -> np.ndarray:
-    """The int64 stack of matrices of the given shape whose ``mat_keys`` are ``keys``."""
-    return np.frombuffer(b"".join(keys), dtype=np.int8).reshape(len(keys), *shape).astype(np.int64)
+def mats_from_keys(keys, shape: tuple[int, ...], q: int) -> np.ndarray:
+    """The int64 stack of matrices of the given shape whose ``mat_keys`` at q
+    are ``keys`` (an int64 array or a list of Python ints)."""
+    digits = np.asarray(keys, dtype=np.int64)[:, None] // q ** np.arange(math.prod(shape), dtype=np.int64) % q
+    return digits.reshape(len(digits), *shape)

@@ -38,13 +38,36 @@ IntMat = tuple[tuple[int, ...], ...]
 CONGRUENCE_BITS_GUARD = 2**10
 
 # A sampled suite (``padic h`` and ``padic factor`` with no matrix) is refused
-# when its work estimate, the sample count times (the bit length of p^m plus
-# SUITE_SAMPLE_BITS), is past this, so 64 samples at a 1024-bit modulus are
-# the edge.  SUITE_SAMPLE_BITS is the part of a sample's cost that does not
-# grow with p^m, in bits of p^m: a C n = 3 ``padic h`` sample measured 1.5 ms
-# at p^m = 2 and 57 ms at 1024 bits, a fixed part worth about 28 bits.
+# when its work estimate ``suite_work`` is past this.  Up to n = SUITE_BASE_N
+# that is the sample count times (the bit length of p^m plus
+# SUITE_SAMPLE_BITS), so 64 samples at a 1024-bit modulus are the edge.
+# SUITE_SAMPLE_BITS is the part of a sample's cost that does not grow with
+# p^m, in bits of p^m: a C n = 3 ``padic h`` sample measured 1.5 ms at
+# p^m = 2 and 57 ms at 1024 bits, a fixed part worth about 28 bits.
 SUITE_SAMPLE_BITS = 32
+SUITE_BASE_N = 3
 SUITE_WORK_GUARD = 64 * (CONGRUENCE_BITS_GUARD + SUITE_SAMPLE_BITS)
+
+
+def suite_work(n: int, bits: int, count: int) -> int:
+    """The work estimate of ``count`` samples at rank n with a ``bits``-bit
+    modulus p^m, against ``SUITE_WORK_GUARD``.
+
+    With k = max(n, SUITE_BASE_N) / SUITE_BASE_N, a sample costs
+    k^3 (k^2 bits + SUITE_SAMPLE_BITS), so n <= 3 keeps count * (bits +
+    SUITE_SAMPLE_BITS).  Measured on p = 2 samples: the fixed part grows like
+    the n^3 steps of the Bareiss solve (C: 1.6 ms at n = 3, 40 ms at 12,
+    0.7 s at 24), the part in p^m about n^2 faster, since the solve's
+    entries grow n-fold (C at 50 bits: 3 ms at n = 3, 0.6 s at 12; at 600
+    bits: 0.05 s at 3, 1.4 s at 6).
+
+    >>> suite_work(2, 1024, 64) == SUITE_WORK_GUARD
+    True
+    >>> suite_work(32, 2, 5) > SUITE_WORK_GUARD
+    True
+    """
+    r = max(n, SUITE_BASE_N)  # k = r / SUITE_BASE_N, kept in integers
+    return count * r**3 * (r**2 * bits + SUITE_BASE_N**2 * SUITE_SAMPLE_BITS) // SUITE_BASE_N**5
 
 
 # ------------------------------------------------------------- valuations

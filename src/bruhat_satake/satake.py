@@ -262,6 +262,16 @@ def substitute_monomials(p: LaurentPoly, variables, images: dict[str, LaurentPol
 # ----------------------------------------------------------- symmetric bases
 
 
+def _sum(variables, polys) -> LaurentPoly:
+    """The sum of polynomials in one ring, accumulated in one dict and
+    constructed once, where repeated ``+`` would rebuild every partial sum."""
+    out: dict[tuple[int, ...], int] = {}
+    for poly in polys:
+        for exps, coeff in poly.terms:
+            out[exps] = out.get(exps, 0) + coeff
+    return LaurentPoly.from_dict(variables, out)
+
+
 def elementary_symmetric(i: int, block, variables) -> LaurentPoly:
     """e_i of the named variables, inside the given ring.
 
@@ -271,19 +281,18 @@ def elementary_symmetric(i: int, block, variables) -> LaurentPoly:
     block = tuple(block)
     if not 0 <= i <= len(block):
         raise ValueError("index out of range")
-    out = zero(variables)
-    for subset in itertools.combinations(block, i):
-        out = out + monomial(variables, 1, {x: 1 for x in subset})
-    return out
+    subsets = itertools.combinations(block, i)
+    return _sum(variables, (monomial(variables, 1, {x: 1 for x in subset}) for subset in subsets))
 
 
 def elementary_symmetric_of_monomials(i: int, monomials: list[LaurentPoly]) -> LaurentPoly:
     """e_i of an explicit multiset of monomials (used for the X_i^{+-1} pool)."""
     variables = monomials[0].variables
-    out = zero(variables)
-    for subset in itertools.combinations(range(len(monomials)), i):
-        out = out + reduce(lambda a, b: a * b, (monomials[j] for j in subset), one(variables))
-    return out
+    products = (
+        reduce(lambda a, b: a * b, (monomials[j] for j in subset), one(variables))
+        for subset in itertools.combinations(range(len(monomials)), i)
+    )
+    return _sum(variables, products)
 
 
 # ------------------------------------------------------------- Hecke symbols

@@ -442,6 +442,29 @@ def test_padic_suite_work_guard_at_its_limit(runner, command):
     assert invoke(runner, ["padic", command, "--kind", "A", "--n", "1", "--p", "2", *matrix]).exit_code == 0
 
 
+@pytest.mark.parametrize("command", ["h", "factor"])
+def test_padic_suite_work_guard_grows_with_n(runner, command, monkeypatch):
+    # n <= 3 keeps the n-free limit; a large n is refused before any sample
+    # is drawn (--n 32 --count 5 once ran for 20 s, --n 64 for over 200 s)
+    def no_sample(*args):
+        raise AssertionError("a sample was drawn")
+
+    for n in (1, 2, 3):
+        assert padic.suite_work(n, 1024, 64) == padic.SUITE_WORK_GUARD < padic.suite_work(n, 1024, 65)
+        assert padic.suite_work(n, 2, 1987) <= padic.SUITE_WORK_GUARD < padic.suite_work(n, 2, 1988)
+    assert padic.suite_work(4, 2, 1987) > padic.SUITE_WORK_GUARD
+    monkeypatch.setattr(cli.padic, "random_congruence_element", no_sample)
+    for n, m in (("32", "1"), ("64", "1"), (str(10**9), "1"), ("6", "1023")):
+        result = invoke(runner, ["padic", command, "--kind", "C", "--n", n, "--p", "2", "--m", m, "--count", "5"])
+        refused(result, "SUITE_WORK_GUARD")
+    # the largest suite admitted at n = 16 and p^m = 2, then one sample more
+    limit = max(c for c in range(1, 100) if padic.suite_work(16, 2, c) <= padic.SUITE_WORK_GUARD)
+    base = ["padic", command, "--kind", "A", "--n", "16", "--p", "2", "--m", "1"]
+    refused(invoke(runner, base + ["--count", str(limit + 1)]), "SUITE_WORK_GUARD")
+    monkeypatch.undo()
+    assert invoke(runner, base + ["--count", str(limit)]).exit_code == 0
+
+
 def test_padic_refuses_a_non_prime_before_building_gamma(runner):
     result = invoke(runner, ["padic", "h", "--kind", "C", "--n", "1", "--p", "0"])
     refused(result, "prime")

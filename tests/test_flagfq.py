@@ -58,6 +58,57 @@ def reference_closure(gens, q):
     return np.stack(order)
 
 
+def int8_keys(mats):
+    """The int8 bytes of each matrix in row-major order, as Python bytes."""
+    arr = np.ascontiguousarray(mats, dtype=np.int8).reshape(len(mats), -1)
+    return arr.view(np.dtype((np.void, arr.shape[1]))).ravel().tolist()
+
+
+def reference_cover_lemma_check(kind, q):
+    """``cover_lemma_check`` on Python sets of int8 byte keys, one left
+    factor at a time: ``dict.fromkeys`` deduplicates the product sets,
+    ``issuperset`` tests the inclusions and a set union collects the cover."""
+    G = flagfq._group_matrices(kind, q)
+    P = flagfq._parabolic_matrices(kind, q)
+    B = flagfq._borel_matrices(kind, q)
+    Pbar, Bbar = P.transpose(0, 2, 1) % q, B.transpose(0, 2, 1) % q
+
+    def product_keys(left):  # x outer, y in P inner
+        return (int8_keys((x @ P) % q) for x in left)
+
+    def product_stack(left):
+        keys = dict.fromkeys(itertools.chain.from_iterable(product_keys(left)))
+        return np.frombuffer(b"".join(keys), dtype=np.int8).reshape(len(keys), *P.shape[1:]).astype(np.int64)
+
+    def within(left, target):
+        return all(target.issuperset(keys) for keys in product_keys(left))
+
+    pbar_p = product_stack(Pbar)
+    w0 = flagfq.weyl_matrix(weyl.longest_element(kind), q)
+    p_w0_p = product_stack((P @ w0) % q)
+    covered = set()
+    lower = upper = True
+    for w in weyl.all_elements(kind):
+        wm = flagfq.weyl_matrix(w, q)
+        target_lower = set(int8_keys((wm @ pbar_p) % q))
+        covered |= target_lower
+        lower = within((Bbar @ wm) % q, target_lower) and lower
+        upper = within((B @ wm) % q, set(int8_keys((wm @ w0 @ p_w0_p) % q))) and upper
+    covers = covered == set(int8_keys(G))
+    return {
+        "group_order": G.shape[0],
+        "lower_inclusions": lower,
+        "upper_inclusions": upper,
+        "translates_cover_group": covers,
+        "ok": lower and upper and covers,
+    }
+
+
+def codes(mats, q):
+    """Each matrix's entries, row-major, as the base-q digits of a Python int."""
+    return [sum(int(x) * q**k for k, x in enumerate(mat.flat)) for mat in mats]
+
+
 def brute_subspaces(kind, q):
     """All n-dimensional subspaces of F_q^{2n} by scanning every row span,
     isotropic ones only in type C.  Exponential; keep the inputs tiny."""
@@ -148,9 +199,10 @@ def test_product_set_is_every_pair_product(chunk, monkeypatch):
     monkeypatch.setattr(flagfq, "_PRODUCT_CHUNK", chunk)
     kind, q = weyl.type_a(1), 3
     left, right = flagfq._borel_matrices(kind, q), flagfq._parabolic_matrices(kind, q)
-    # keys of the pair products, x outer and y inner, deduplicated in order of first occurrence
-    brute = list(dict.fromkeys(((x @ y) % q).astype(np.int8).tobytes() for x in left for y in right))
-    assert flagfq._product_set(left, right, q) == brute
+    # the codes of the pair products, deduplicated and sorted
+    brute = sorted(set(codes([(x @ y) % q for x in left for y in right], q)))
+    got = flagfq._product_set(left, right, q)
+    assert got.dtype == np.int64 and got.tolist() == brute
 
 
 @pytest.mark.parametrize(
@@ -159,18 +211,22 @@ def test_product_set_is_every_pair_product(chunk, monkeypatch):
 )
 def test_chunked_inclusion_matches_the_product_set(kind, q):
     # the lower inclusions of cover_lemma_check, against the product set; a
-    # target short of one product key runs the False branch too
+    # target short of one product key runs the False branch too, and a target
+    # cut below the largest product runs it past the target's last key
     P = flagfq._parabolic_matrices(kind, q)
     Pbar, Bbar = P.transpose(0, 2, 1) % q, flagfq._borel_matrices(kind, q).transpose(0, 2, 1) % q
-    pbar_p = kernels.mats_from_keys(flagfq._product_set(Pbar, P, q), P.shape[1:])
+    pbar_p = kernels.mats_from_keys(flagfq._product_set(Pbar, P, q), P.shape[1:], q)
     for w in weyl.all_elements(kind):
         wm = flagfq.weyl_matrix(w, q)
         left = kernels.matmul_mod(Bbar, wm, q)
         products = flagfq._product_set(left, P, q)
         target = flagfq._translate_keys(wm, pbar_p, q)
-        short = target - {products[len(products) // 2]}
-        for t, expected in ((target, True), (short, False)):
-            assert (set(products) <= t) is expected
+        assert target.tolist() == sorted(set(codes((wm @ pbar_p) % q, q)))
+        short = target[target != products[len(products) // 2]]
+        assert len(short) == len(target) - 1
+        cut = target[target < products[-1]]
+        for t, expected in ((target, True), (short, False), (cut, False)):
+            assert set(products.tolist()).issubset(t.tolist()) is expected
             assert flagfq._products_within(left, P, q, t) is expected
 
 
@@ -265,6 +321,14 @@ def test_closure_order_check(kind, q):
 def test_cover_lemma_small(kind, q):
     res = flagfq.cover_lemma_check(kind, q)
     assert res["ok"], res
+
+
+@pytest.mark.parametrize(
+    "kind,q",
+    [(weyl.type_a(1), 2), (weyl.type_a(1), 3), (weyl.type_a(1), 5), (weyl.type_c(1), 2), (weyl.type_c(1), 3), (weyl.type_a(2), 2), (weyl.type_c(2), 2)],
+)
+def test_cover_lemma_matches_the_byte_key_oracle(kind, q):
+    assert flagfq.cover_lemma_check(kind, q) == reference_cover_lemma_check(kind, q)
 
 
 @pytest.mark.parametrize("kind,q", [(weyl.type_a(1), 2), (weyl.type_c(1), 3), (weyl.type_c(2), 2), (weyl.type_a(2), 2)])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -132,19 +134,37 @@ def test_single_matrix_round_trips_without_a_stack_axis():
     assert int(rank) == 1
 
 
-def test_mat_keys_distinguish():
-    mats = np.array([[[1, 0], [0, 1]], [[1, 1], [0, 1]], [[1, 0], [0, 1]]])
-    keys = kernels.mat_keys(mats)
-    assert keys[0] == keys[2] != keys[1]
-
-
-def test_mat_keys_are_the_int8_bytes_of_each_matrix_and_round_trip():
+@Q
+def test_mat_keys_are_the_base_q_codes_of_each_matrix_and_round_trip(q):
     rng = np.random.default_rng(5)
-    for mats in (rng.integers(0, 5, size=(50, 4, 4)), rng.integers(0, 5, size=(50, 3, 6))):
-        want = [row.tobytes() for row in mats.astype(np.int8).reshape(len(mats), -1)]
-        assert kernels.mat_keys(mats) == want
-        back = kernels.mats_from_keys(want, mats.shape[1:])
-        assert back.dtype == np.int64 and (back == mats).all()
+    for mats in (rng.integers(0, q, size=(50, 4, 4)), rng.integers(0, q, size=(50, 3, 6))):
+        # sum of entry * q^k over the row-major entries, in Python ints
+        want = [sum(int(x) * q**k for k, x in enumerate(mat.flat)) for mat in mats]
+        keys = kernels.mat_keys(mats, q)
+        assert keys.dtype == np.int64 and keys.tolist() == want
+        for codes in (keys, want):
+            back = kernels.mats_from_keys(codes, mats.shape[1:], q)
+            assert back.dtype == np.int64 and back.shape == mats.shape and (back == mats).all()
+
+
+def test_mat_keys_distinguish_every_2x2_matrix_over_f3():
+    mats = np.array(list(itertools.product(range(3), repeat=4))).reshape(81, 2, 2)
+    keys = kernels.mat_keys(mats, 3)
+    assert len(set(keys.tolist())) == 81
+    assert sorted(keys.tolist()) == list(range(81))
+
+
+def test_mat_keys_refuse_a_shape_whose_codes_would_wrap():
+    with pytest.raises(ValueError, match="do not fit int64 keys"):
+        kernels.mat_keys(np.full((1, 4, 8), 4), 5)  # 5^32 > 2^63
+    with pytest.raises(ValueError, match="do not fit int64 keys"):
+        kernels.mat_keys(np.ones((1, 7, 9), dtype=np.int64), 2)  # 2^63 itself
+    with pytest.raises(ValueError, match="do not fit int64 keys"):
+        kernels.mat_keys(np.zeros((0, 5, 8), dtype=np.int64), 3)  # 3^40, refused by shape alone
+    # the widest shapes that fit, each at its largest code q^entries - 1
+    for q, shape in ((2, (2, 31)), (3, (3, 13)), (5, (3, 9))):
+        top = np.full((1, *shape), q - 1)
+        assert kernels.mat_keys(top, q).tolist() == [q ** (shape[0] * shape[1]) - 1]
 
 
 def test_backend_name_is_numpy():

@@ -1,4 +1,6 @@
+import itertools
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -81,6 +83,36 @@ def test_laurent_polys_refuse_inexact_coefficients_and_exponents(coeff, exps):
         monomial(("v", "W1"), coeff, exps)
     with pytest.raises(ValueError, match="Python ints"):
         LaurentPoly(("v", "W1"), (((0, exps.get("v", 0)), coeff),))
+
+
+def repeated_sum(polys, variables):
+    """The sum by repeated ``+``, one partial sum after another."""
+    out = S.zero(variables)
+    for poly in polys:
+        out = out + poly
+    return out
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_elementary_symmetric_matches_repeated_addition(k):
+    block = tuple(f"W{j}" for j in range(1, k + 1))
+    ring = ("v",) + block
+    for i in range(k + 1):
+        subsets = itertools.combinations(block, i)
+        want = repeated_sum((monomial(ring, 1, {x: 1 for x in subset}) for subset in subsets), ring)
+        assert elementary_symmetric(i, block, ring) == want
+        assert len(want.terms) == len(list(itertools.combinations(block, i)))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_elementary_symmetric_of_monomials_matches_repeated_addition(k):
+    # a pool with repeats, inverses and signed coefficients, so terms merge and cancel
+    rng = random.Random(k)
+    ring = ("v", "X1", "X2", "X3")
+    pool = [monomial(ring, rng.choice((-2, -1, 1, 2)), {x: rng.choice((-1, 1)) for x in rng.sample(ring[1:], 2)}) for _ in range(k)]
+    for i in range(k + 1):
+        products = [reduce(lambda a, b: a * b, subset, one(ring)) for subset in itertools.combinations(pool, i)]
+        assert S.elementary_symmetric_of_monomials(i, pool) == repeated_sum(products, ring)
 
 
 def test_symmetry_tag_validation():
