@@ -214,9 +214,18 @@ def rank_mod_p(mat: np.ndarray, p: int) -> int:
 
 def ordinary_part_of_hecke_gamma(d: int, lam: Lambda, a: int = 2) -> tuple[int, ...]:
     """Mod-p ranks of the ordinary projectors of the Hecke operator,
-    degree by degree: (0, ..., 0, 1)."""
+    degree by degree: (0, ..., 0, 1).
+
+    In each degree the operator is a scalar c I, checked here, so its
+    projector is e I for the projector e of the 1 x 1 matrix [c], and the
+    rank is the size of U when e is a unit mod p, else 0.  For any other
+    U, ``ordinary_projector`` takes the whole matrix.
+    """
     ranks = []
     for U in hecke_gamma(d, a, lam):
-        e = ordinary_projector(U, lam)
-        ranks.append(rank_mod_p(e, lam.p))
+        c = U[0, 0]
+        if not np.array_equal(U, c * np.eye(len(U), dtype=np.int64)):
+            raise AssertionError("the Hecke operator at gamma is not scalar")
+        e = ordinary_projector(np.array([[c]]), lam)
+        ranks.append(len(U) if e[0, 0] % lam.p else 0)
     return tuple(ranks)

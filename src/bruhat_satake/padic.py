@@ -2,14 +2,17 @@
 
 A ``BlockMatrix`` is one integer matrix ``num`` over one positive common
 denominator ``den``, kept canonical (the gcd of ``den`` and every entry is
-1) by its dataclass constructor, the only way to build one, which also
-checks that the matrix lies in its group.  The parabolic factor of a coset
-factorization picks up denominators that are not powers of p; the common
-denominator carries them.  Every elimination is fraction-free (Bareiss
-1968): ``_bareiss_solve(d, c)`` returns ``D = +-det d`` and the integer
-matrix ``D d^{-1} c``.  ``Fraction`` stays at the boundary: ``exact`` reads
-one entry (an int, a Fraction or an ``"a/b"`` string, never a float),
-``block_matrix`` reads rows of them, and ``rows`` gives them back.
+1).  Its dataclass constructor also checks that the matrix lies in its
+group; ``block_matrix``, the samplers, ``inverse`` and ``transpose`` build
+through it.  A product of two elements is made canonical but not checked
+again: both factors were checked when they were built.  The parabolic
+factor of a coset factorization picks up denominators that are not powers
+of p; the common denominator carries them.  Every elimination is
+fraction-free (Bareiss 1968): ``_bareiss_solve(d, c)`` returns
+``D = +-det d`` and the integer matrix ``D d^{-1} c``.  ``Fraction`` stays
+at the boundary: ``exact`` reads one entry (an int, a Fraction or an
+``"a/b"`` string, never a float), ``block_matrix`` reads rows of them, and
+``rows`` gives them back.
 
 The central quantity is ``h_invariant(g) = min_{i,j} v_p((D^{-1}C)_{ij})``
 for the lower-left block C and lower-right block D of g.  It is invariant
@@ -27,6 +30,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 from .weyl import Family, GroupKind, all_subsets_j
 
@@ -105,11 +109,17 @@ def valuation(x, p: int):
 
 def is_prime(p: int) -> bool:
     """Trial division, so at most 46,341 steps: p >= 2^31 is refused with
-    ValueError before any division, and so is a p that is not an int."""
+    ValueError before any division, and so is a p that is not an int.
+    The answer is cached per p, as every ``BlockMatrix`` asks again."""
     if not isinstance(p, int) or isinstance(p, bool):
         raise ValueError(f"p must be an integer, got {type(p).__name__} {p!r}")
     if p >= 2**31:
         raise ValueError(f"{p} is too large: primality is checked only below 2^31")
+    return _trial_division(p)
+
+
+@lru_cache(maxsize=1024, typed=True)
+def _trial_division(p: int) -> bool:
     if p < 2:
         return False
     d = 2
@@ -173,6 +183,7 @@ def _transpose(a: Mat) -> Mat:
     return tuple(zip(*a))
 
 
+@lru_cache(maxsize=None)
 def _symplectic_form_q(n: int) -> IntMat:
     """J = [[0, I], [-I, 0]]; its integer entries compare equal to Fractions."""
     return tuple(tuple(int(j == n + i) - int(i == n + j) for j in range(2 * n)) for i in range(2 * n))
@@ -222,6 +233,16 @@ def _nonsingular(d: IntMat) -> bool:
 # ------------------------------------------------------------- block matrix
 
 
+def _canonical(num: IntMat, den: int) -> tuple[IntMat, int]:
+    """(num, den) divided by the gcd of den and every entry, signed so that den > 0."""
+    common = math.gcd(den, *(x for row in num for x in row))
+    if den < 0:
+        common = -common
+    if common == 1:
+        return num, den
+    return tuple(tuple(x // common for x in row) for row in num), den // common
+
+
 @dataclass(frozen=True)
 class BlockMatrix:
     """An invertible 2n x 2n rational matrix tied to a group and a prime:
@@ -247,16 +268,13 @@ class BlockMatrix:
             raise ValueError("num and den must be Python ints; use block_matrix for rational entries")
         if den == 0:
             raise ValueError("the denominator is zero")
-        common = math.gcd(den, *(x for row in num for x in row))
-        if den < 0:
-            common = -common
-        num = tuple(tuple(x // common for x in row) for row in num) if common != 1 else tuple(map(tuple, num))
+        num, den = _canonical(tuple(map(tuple, num)), den)
         object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den // common)
+        object.__setattr__(self, "den", den)
         if kind.family is Family.TYPE_C:
             n = kind.n
             j_num = num[n:] + _scaled(num[:n], -1)  # J num: the halves of num swapped, one negated
-            if _mat_mul(_transpose(num), j_num) != _scaled(_symplectic_form_q(n), self.den**2):
+            if _mat_mul(_transpose(num), j_num) != _scaled(_symplectic_form_q(n), den**2):
                 raise ValueError("matrix does not preserve the symplectic form")
         elif not _nonsingular(num):
             raise ValueError("matrix is singular")
@@ -274,9 +292,14 @@ class BlockMatrix:
         return tuple(row[j0 : j0 + n] for row in self.num[i0 : i0 + n])
 
     def __mul__(self, other: "BlockMatrix") -> "BlockMatrix":
+        # Both factors were proved to lie in the group when they were built,
+        # so their product does too: it is made canonical but not re-proved.
         if (self.kind, self.p) != (other.kind, other.p):
             raise ValueError("mixed groups or primes")
-        return BlockMatrix(self.kind, self.p, _mat_mul(self.num, other.num), self.den * other.den)
+        product = object.__new__(BlockMatrix)
+        num, den = _canonical(_mat_mul(self.num, other.num), self.den * other.den)
+        vars(product).update(kind=self.kind, p=self.p, num=num, den=den)
+        return product
 
     def transpose(self) -> "BlockMatrix":
         return BlockMatrix(self.kind, self.p, _transpose(self.num), self.den)

@@ -103,13 +103,18 @@ def cell_dim_formula(kind: GroupKind, t: int) -> int:
 def _pair_tables(kind: GroupKind):
     """The recurring root sets, coded for tight counting loops.
 
-    ``*_pairs`` list the canonical pairs (a, b) of a set as 0-based
-    indices (a - 1, b - 1) into a one-line permutation; ``*_hits`` are
-    (2n+1) x (2n+1) 0/1 matrices with hits[a][b] = 1 for every ordered
-    pair (a, b) in a set, so that an image (w(a), w(b)) is looked up
-    without canonicalizing it.  Row and column 0 are padding.
+    An image (w(a), w(b)) of an ordered pair is coded x * (2n+1) + y, so it
+    is looked up without canonicalizing it.  ``*_pairs`` hold the canonical
+    pairs (a, b) of a set as the 0-based indices (a - 1, b - 1) into a
+    one-line permutation, the a's and the b's apart; ``*_hits`` mark the
+    codes of every ordered pair in a set.  While every code fits a byte
+    (2n+1 <= 16, so n <= 7; ``byte_width`` is then 2n+1) both are byte
+    strings, the hits a 256-byte ``bytes.translate`` table.  Past that
+    (``byte_width`` None) they are index tuples and a (2n+1) x (2n+1) 0/1
+    matrix, row and column 0 padding.
     """
-    span = range(kind.ambient + 1)
+    width = kind.ambient + 1
+    narrow = width * width <= 256
 
     def upper(r):  # Phi+ cup Phi_I, the roots of P_I
         return is_positive(kind, r) or in_phi_i(kind, r)
@@ -118,25 +123,43 @@ def _pair_tables(kind: GroupKind):
         return not is_positive(kind, r) or in_phi_i(kind, r)
 
     def pairs(pred):
-        return tuple((a - 1, b - 1) for a, b in sorted(filter(pred, all_roots(kind))))
+        chosen = sorted(filter(pred, all_roots(kind)))
+        xs, ys = tuple(a - 1 for a, _ in chosen), tuple(b - 1 for _, b in chosen)
+        return (bytes(xs), bytes(ys)) if narrow else (xs, ys)
 
     def hits(pred):
-        return tuple(tuple(int(a != b and 0 not in (a, b) and pred((a, b))) for b in span) for a in span)
+        table = [[int(a != b and 0 not in (a, b) and pred((a, b))) for b in range(width)] for a in range(width)]
+        return bytes(sum(table, [])).ljust(256, b"\0") if narrow else tuple(map(tuple, table))
 
+    upper_pairs = pairs(upper)
     return {
+        "byte_width": width if narrow else None,
+        "upper_size": len(upper_pairs[0]),
         "lower_pairs": pairs(lower),
-        "upper_pairs": pairs(upper),
+        "upper_pairs": upper_pairs,
         "upper_hits": hits(upper),
         "n_hits": hits(partial(in_n_i, kind)),
         "nbar_hits": hits(partial(in_nbar_i, kind)),
     }
 
 
-def _moved_into(w: WeylElement, pairs: str, hits: str) -> int:
-    """How many roots of the table ``pairs`` w moves into the table ``hits``."""
-    tables = _pair_tables(w.kind)
-    p, target = w.perm, tables[hits]
-    return sum([target[p[a]][p[b]] for a, b in tables[pairs]])
+def _moved_into(tables: dict, perm: tuple[int, ...], pairs: str, hits: str) -> int:
+    """How many roots of the table ``pairs`` the one-line permutation
+    ``perm`` moves into the table ``hits``, for ``tables = _pair_tables(kind)``.
+
+    Byte-coded kinds count in C-level byte operations: the x's and the y's
+    of the images are the pair tables translated through ``perm``; read as
+    two integers, x * (2n+1) + y is one product and one sum with no carry
+    between bytes, as every code is below 256; then a translate through the
+    hit table makes each code 0 or 1.  Wider kinds count pair by pair.
+    """
+    xs, ys = tables[pairs]
+    hit, width = tables[hits], tables["byte_width"]
+    if width is None:
+        return sum([hit[perm[a]][perm[b]] for a, b in zip(xs, ys)])
+    image = bytes(perm).ljust(256, b"\0")
+    codes = int.from_bytes(xs.translate(image), "big") * width + int.from_bytes(ys.translate(image), "big")
+    return codes.to_bytes(len(xs), "big").translate(hit).count(1)
 
 
 def cell_dim_by_roots(w: WeylElement) -> int:
@@ -146,7 +169,8 @@ def cell_dim_by_roots(w: WeylElement) -> int:
     translation is deliberate so that the count at w = w_J matches the rank
     of the corresponding frame pairing (see ``n0j_rank``).
     """
-    return len(_pair_tables(w.kind)["upper_pairs"]) - _moved_into(w, "lower_pairs", "upper_hits")
+    tables = _pair_tables(w.kind)
+    return tables["upper_size"] - _moved_into(tables, w.perm, "lower_pairs", "upper_hits")
 
 
 def schubert_cell_dim(w: WeylElement) -> int:
@@ -159,7 +183,7 @@ def unipotent_intersection_dim(w: WeylElement) -> int:
 
     Pointwise equal to ``cell_dim_by_roots``: the stratum dimension count.
     """
-    return _moved_into(w, "lower_pairs", "nbar_hits")
+    return _moved_into(_pair_tables(w.kind), w.perm, "lower_pairs", "nbar_hits")
 
 
 def standard_unipotent_intersection_dim(w: WeylElement) -> int:
@@ -168,7 +192,7 @@ def standard_unipotent_intersection_dim(w: WeylElement) -> int:
     The mirror of ``unipotent_intersection_dim`` under negating all roots;
     equals the dimension of the cell of w * w_0 as well.
     """
-    return _moved_into(w, "upper_pairs", "n_hits")
+    return _moved_into(_pair_tables(w.kind), w.perm, "upper_pairs", "n_hits")
 
 
 def n0j_rank(J: SubsetJ) -> int:

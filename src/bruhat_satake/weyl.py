@@ -24,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import itemgetter
 from types import MappingProxyType
 
@@ -40,12 +40,26 @@ class Family(Enum):
 
 @dataclass(frozen=True, order=True)
 class GroupKind:
+    """A family and a rank n.  It keys every per-kind ``lru_cache``, so its
+    hash is computed once, here, from ints alone (the same under every
+    ``PYTHONHASHSEED``); its one-line identity is kept, once asked for,
+    for ``WeylElement``'s bijection check."""
+
     family: Family
     n: int
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be a positive integer")
+        object.__setattr__(self, "_hash", hash((self.family is Family.TYPE_C, self.n)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _one_line(self) -> list[int]:
+        """[1, ..., 2n], the sorted one-line form of every element."""
+        return list(range(1, self.ambient + 1))
 
     @property
     def ambient(self) -> int:
@@ -94,9 +108,8 @@ class WeylElement:
     perm: tuple[int, ...]
 
     def __post_init__(self):
-        m = self.kind.ambient
-        if len(self.perm) != m or sorted(self.perm) != list(range(1, m + 1)):
-            raise ValueError(f"perm must be a bijection of {{1,...,{m}}}")
+        if sorted(self.perm) != self.kind._one_line:
+            raise ValueError(f"perm must be a bijection of {{1,...,{self.kind.ambient}}}")
         if self.kind.family is Family.TYPE_C:
             # w(iota(i)) = iota(w(i)) for i <= n gives it for i > n too, as iota is an involution
             n, perm = self.kind.n, self.perm
@@ -108,7 +121,7 @@ class WeylElement:
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         # (u * v)(i) = u(v(i)), so v acts first.
-        if self.kind != other.kind:
+        if self.kind is not other.kind and self.kind != other.kind:
             raise ValueError("cannot compose elements of different kinds")
         return WeylElement(self.kind, compose(self.perm, other.perm))
 

@@ -639,3 +639,32 @@ def test_each_command_runs_only_the_modules_it_uses(command):
     assert report["registered"] == [f"bruhat_satake.{name}" for name in ["cli", *library]]
     assert report["ran"] == [f"bruhat_satake.{name}" for name in sorted(["cli", *modules])]
     assert report["numpy"] is numpy
+
+
+def run_under_hash_seeds(argv, seeds, cwd):
+    """The stdout of ``python argv`` under each PYTHONHASHSEED, the processes side by side."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    procs = [
+        subprocess.Popen(
+            [sys.executable, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=cwd,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed), PYTHONDONTWRITEBYTECODE="1"),
+        )
+        for seed in seeds
+    ]
+    outputs = [proc.communicate(timeout=120) for proc in procs]
+    for proc, (_, stderr) in zip(procs, outputs):
+        assert proc.returncode == 0, stderr.decode()
+    return [stdout for stdout, _ in outputs]
+
+
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    # str hashes, and so set and dict orders of strings, change with
+    # PYTHONHASHSEED; no report may read them.  Each README command and the
+    # benchmark's library sweep run as fresh processes under two seeds.
+    seeds = (1, 2718)
+    for command, digest in README_REPORTS.items():
+        first, second = run_under_hash_seeds(["-m", "bruhat_satake.cli", *shlex.split(command)], seeds, tmp_path)
+        assert hashlib.sha256(first).hexdigest() == hashlib.sha256(second).hexdigest() == digest, command
+    sweep = [str(ROOT / "perfbench" / "child.py"), "sweep", "--seed", "0", "--max-n", "4", "--count", "500"]
+    first, second = run_under_hash_seeds(sweep, seeds, tmp_path)
+    assert first == second and json.loads(first)["dims_agree"] == 41508

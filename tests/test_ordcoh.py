@@ -325,3 +325,42 @@ def test_ordinary_part_at_level_one():
     # a = 1 still works: p is nilpotent mod p^r in every lower degree
     for lam in (Z4, Z9):
         assert ordinary_part_of_hecke_gamma(3, lam, a=1) == (0, 0, 0, 1)
+
+
+def dense_ordinary_ranks(d, lam, a):
+    """The ranks the long way: the projector of each whole C(d, i) x C(d, i)
+    matrix by ``ordinary_projector``, then its rank mod p."""
+    return tuple(rank_mod_p(ordinary_projector(U, lam), lam.p) for U in hecke_gamma(d, a, lam))
+
+
+@pytest.mark.parametrize("lam", [Lambda(2, 1), Z4, Z8, Lambda(3, 1), Z9, Lambda(5, 3)])
+@pytest.mark.parametrize("a", [1, 2, 3])
+def test_ordinary_part_matches_the_dense_projectors(lam, a):
+    for d in range(7):
+        assert ordinary_part_of_hecke_gamma(d, lam, a=a) == dense_ordinary_ranks(d, lam, a)
+
+
+@pytest.mark.parametrize("lam", [Z4, Z9, Lambda(5, 2)])
+def test_ordinary_part_of_any_scalar_operator_matches_the_dense_projectors(lam, monkeypatch):
+    # scalars that are units in lower degrees too, so every rank C(d, i) is read
+    from bruhat_satake import ordcoh
+
+    rng = random.Random(lam.modulus)
+    for d in range(7):
+        pool = [0, 1, lam.p, lam.p + 1, lam.modulus - 1, rng.randrange(lam.modulus)]
+        scalars = [rng.choice(pool) for _ in range(d + 1)]
+        ops = [c * np.eye(math.comb(d, i), dtype=np.int64) for i, c in enumerate(scalars)]
+        monkeypatch.setattr(ordcoh, "hecke_gamma", lambda d, a, lam: ops)
+        dense = tuple(rank_mod_p(ordinary_projector(U, lam), lam.p) for U in ops)
+        assert ordinary_part_of_hecke_gamma(d, lam) == dense
+        assert dense == tuple(math.comb(d, i) * (c % lam.p != 0) for i, c in enumerate(scalars))
+
+
+def test_ordinary_part_refuses_a_hecke_operator_that_is_not_scalar(monkeypatch):
+    # the scalar shortcut holds only for c I; anything else must not be read off its corner
+    from bruhat_satake import ordcoh
+
+    not_scalar = [np.eye(1, dtype=np.int64), np.array([[1, 0], [0, 2]], dtype=np.int64)]
+    monkeypatch.setattr(ordcoh, "hecke_gamma", lambda d, a, lam: not_scalar)
+    with pytest.raises(AssertionError, match="not scalar"):
+        ordinary_part_of_hecke_gamma(1, Z4)

@@ -2,13 +2,16 @@ import hashlib
 import math
 import random
 import time
+import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bruhat_satake import padic
+from bruhat_satake import cli, padic
 from bruhat_satake.padic import (
     BlockMatrix,
     Level,
@@ -377,6 +380,105 @@ def test_samplers_reproduce_their_seeded_draws():
                         text.append(repr([[str(x) for x in row] for row in g.rows]))
     digest = hashlib.sha256("\n".join(text).encode()).hexdigest()
     assert digest == "d572d6f61a90c2afb3ba8b70af66bd7add200050610c4cdc7ae3f108371cee47"
+
+
+# ------------------------------------------- products skip the group proof
+# A product of two checked elements is only made canonical; these re-prove
+# every product the benchmarked schedules form with the constructor's full
+# check, and keep the refusals of outside data.
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SUITES = [
+    "padic h --kind C --n 2 --p 3 --m 2 --seed 7 --count 20",
+    "padic h --kind C --n 2 --p 3 --m 2 --seed 50494 --count 100",
+    "padic h --kind A --n 3 --p 5 --m 3 --seed 55125 --count 100",
+    "padic factor --kind C --n 3 --p 3 --m 2 --seed 5306 --count 50",
+    "padic factor --kind A --n 1 --p 2 --matrix [[1,0],[4,1]] --m 2",
+]
+
+
+def record_products(monkeypatch) -> list:
+    products = []
+    mul = BlockMatrix.__mul__
+
+    def recording(self, other):
+        products.append(mul(self, other))
+        return products[-1]
+
+    monkeypatch.setattr(BlockMatrix, "__mul__", recording)
+    return products
+
+
+def assert_proved_again(products):
+    for g in products:
+        again = BlockMatrix(g.kind, g.p, g.num, g.den)  # the full group check
+        assert (again.num, again.den) == (g.num, g.den) and again == g
+
+
+def test_products_of_the_seeded_sweep_lie_in_the_group(monkeypatch):
+    # the library sweep's p-adic schedule: seed 0, 500 samples (its Weyl part
+    # is cut to n = 1; the p-adic schedule does not depend on it)
+    path = ROOT / "perfbench" / "child.py"
+    child = types.ModuleType("perfbench_child")
+    exec(compile(path.read_text(), str(path), "exec"), child.__dict__)
+    products = record_products(monkeypatch)
+    result = child.sweep(0, 1, 500)
+    assert result["reassembled"] == result["factorizations"] == 500
+    assert len(products) > 1000
+    assert_proved_again(products)
+
+
+@pytest.mark.parametrize("command", SUITES)
+def test_products_of_the_cli_suites_lie_in_the_group(monkeypatch, command):
+    products = record_products(monkeypatch)
+    result = CliRunner().invoke(cli.main, command.split(), catch_exceptions=False)
+    assert result.exit_code == 0
+    assert products
+    assert_proved_again(products)
+
+
+def test_outside_data_is_still_refused():
+    not_symplectic = ((1, 1), (0, 2))  # det 2
+    singular = ((1, 2), (2, 4))
+    with pytest.raises(ValueError, match="symplectic"):
+        BlockMatrix(C1, 3, not_symplectic, 1)
+    with pytest.raises(ValueError, match="symplectic"):
+        block_matrix(C1, 3, not_symplectic)
+    with pytest.raises(ValueError, match="symplectic"):
+        padic._from_int_blocks(C1, 3, ((1,),), ((1,),), ((0,),), ((2,),))
+    with pytest.raises(ValueError, match="singular"):
+        BlockMatrix(A1, 3, singular, 1)
+    with pytest.raises(ValueError, match="singular"):
+        block_matrix(A1, 3, [["1/2", 1], [1, 2]])
+    with pytest.raises(ValueError, match="singular"):
+        padic._from_int_blocks(A1, 3, ((1,),), ((2,),), ((2,),), ((4,),))
+    # a product of checked elements keeps the canonical form the constructor gives
+    g = block_matrix(C1, 3, [["1/2", 0], [0, 2]])
+    h = block_matrix(C1, 3, [[1, "1/3"], [0, 1]])
+    assert (g * h) == BlockMatrix(C1, 3, ((3, 1), (0, 12)), 6) == block_matrix(C1, 3, [["1/2", "1/6"], [0, 2]])
+    assert (g * g.inverse()).den == 1
+
+
+def test_a_seeded_suite_at_a_large_prime_divides_it_out_once():
+    # every BlockMatrix asks whether p is prime; at p = 2^31 - 19 each trial
+    # division takes milliseconds, so it is done once per p
+    padic._trial_division.cache_clear()
+    command = "padic h --kind C --n 2 --p 2147483629 --m 1 --seed 3 --count 100".split()
+    result = CliRunner().invoke(cli.main, command, catch_exceptions=False)
+    assert result.exit_code == 0
+    info = padic._trial_division.cache_info()
+    assert info.misses == 1 and info.hits >= 100
+
+
+def test_the_prime_cache_keeps_non_ints_out():
+    # True == 1 and Fraction(5) == 5 hash alike; the type check comes first
+    assert not padic.is_prime(1) and padic.is_prime(5)
+    for p in (True, Fraction(5), 5.0):
+        with pytest.raises(ValueError, match="integer"):
+            padic.is_prime(p)
+    with pytest.raises(ValueError, match="integer"):
+        padic.is_prime([5])  # unhashable: refused, not a TypeError from the cache
 
 
 # ----------------------------------------------------------- exact entries

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -198,16 +199,100 @@ def test_pair_counts_match_counts_over_canonical_pairs(kind):
     pos, neg, phi_i, n_i, nbar_i = split(kind)
     upper, lower = pos | phi_i, neg | phi_i
     tables = roots._pair_tables(kind)
-    assert sorted((a + 1, b + 1) for a, b in tables["upper_pairs"]) == sorted(upper)
-    assert sorted((a + 1, b + 1) for a, b in tables["lower_pairs"]) == sorted(lower)
+    for name, roots_of in (("upper_pairs", upper), ("lower_pairs", lower)):
+        xs, ys = tables[name]
+        assert sorted(zip(xs, ys)) == list(zip(xs, ys))
+        assert sorted((a + 1, b + 1) for a, b in zip(xs, ys)) == sorted(roots_of)
+    assert tables["upper_size"] == len(upper)
     if kind.n == 1:  # one pair: e_2 - e_1 in A1, -2e_1 in C1
-        assert tables["lower_pairs"] == ((1, 0),)
+        assert tables["lower_pairs"] == (b"\x01", b"\x00")
     counted = {("lower_pairs", "upper_hits"): (lower, upper), ("lower_pairs", "nbar_hits"): (lower, nbar_i),
                ("upper_pairs", "n_hits"): (upper, n_i)}
     elements = weyl.all_elements(kind)
     for w in elements[:: 1 if kind.n <= 2 else 37]:
         for (source, target), (src, dst) in counted.items():
-            assert roots._moved_into(w, source, target) == sum(weyl_action(w, r) in dst for r in src)
+            assert roots._moved_into(tables, w.perm, source, target) == sum(weyl_action(w, r) in dst for r in src)
+
+
+# ------------------------------------------ the per-pair oracle of the counts
+
+
+def per_pair_tables(kind):
+    """The count tables as the plain comprehension reads them: source sets
+    as 0-based index pairs, target sets as (2n+1) x (2n+1) 0/1 matrices
+    (row and column 0 padding), from the predicates alone."""
+    span = range(kind.ambient + 1)
+
+    def upper(r):
+        return is_positive(kind, r) or in_phi_i(kind, r)
+
+    def lower(r):
+        return not is_positive(kind, r) or in_phi_i(kind, r)
+
+    def pairs(pred):
+        return tuple((a - 1, b - 1) for a, b in sorted(filter(pred, all_roots(kind))))
+
+    def hits(pred):
+        return tuple(tuple(int(a != b and 0 not in (a, b) and pred((a, b))) for b in span) for a in span)
+
+    return {
+        "lower_pairs": pairs(lower),
+        "upper_pairs": pairs(upper),
+        "upper_hits": hits(upper),
+        "n_hits": hits(lambda r: in_n_i(kind, r)),
+        "nbar_hits": hits(lambda r: in_nbar_i(kind, r)),
+    }
+
+
+def per_pair_count(tables, w, pairs, hits):
+    """How many roots of ``pairs`` w moves into ``hits``, one pair at a time."""
+    p, target = w.perm, tables[hits]
+    return sum([target[p[a]][p[b]] for a, b in tables[pairs]])
+
+
+def assert_counts_match_the_oracle(kind, elements, subsets, w0=None):
+    """The counted dimensions against the per-pair comprehension: every
+    (pairs, hits) use, at each element and at each J's w_J, and
+    ``schubert_cell_dim`` (which finds w_0 by enumerating W) when w0 is given."""
+    oracle = per_pair_tables(kind)
+    size = len(oracle["upper_pairs"])
+    for w in elements:
+        assert cell_dim_by_roots(w) == size - per_pair_count(oracle, w, "lower_pairs", "upper_hits")
+        assert roots.unipotent_intersection_dim(w) == per_pair_count(oracle, w, "lower_pairs", "nbar_hits")
+        assert roots.standard_unipotent_intersection_dim(w) == per_pair_count(oracle, w, "upper_pairs", "n_hits")
+        if w0 is not None:
+            assert roots.schubert_cell_dim(w) == size - per_pair_count(oracle, w * w0, "lower_pairs", "upper_hits")
+    for J in subsets:
+        assert roots.n0j_rank(J) == per_pair_count(oracle, weyl.w_j(J), "upper_pairs", "n_hits")
+
+
+BYTE_KINDS = [weyl.type_a(n) for n in range(1, 5)] + [weyl.type_c(n) for n in range(1, 7)]
+
+
+@pytest.mark.parametrize("kind", BYTE_KINDS, ids=lambda k: f"{k.family.value}{k.n}")
+def test_byte_counts_match_the_per_pair_comprehension_on_all_of_w(kind):
+    assert roots._pair_tables(kind)["byte_width"] is not None  # 2n+1 <= 16: the byte kernel
+    assert_counts_match_the_oracle(kind, weyl.all_elements(kind), weyl.all_subsets_j(kind), weyl.longest_element(kind))
+
+
+def random_element(kind, rng):
+    """A uniform element of W built from its one-line form, without enumerating W."""
+    n = kind.n
+    if kind.family is weyl.Family.TYPE_A:
+        return weyl.WeylElement(kind, tuple(rng.sample(range(1, 2 * n + 1), 2 * n)))
+    top = [x + n * rng.randrange(2) for x in rng.sample(range(1, n + 1), n)]
+    return weyl.WeylElement(kind, tuple(top) + tuple(weyl.iota(x, n) for x in top))
+
+
+@pytest.mark.parametrize("kind", [weyl.type_a(7), weyl.type_a(8), weyl.type_c(7), weyl.type_c(8), weyl.type_c(9)],
+                         ids=lambda k: f"{k.family.value}{k.n}")
+def test_counts_past_the_enumerated_range_match_the_oracle(kind):
+    # the path follows the kind alone: codes x * (2n+1) + y fit a byte up to n = 7
+    assert (roots._pair_tables(kind)["byte_width"] is None) == (2 * kind.n + 1 > 16)
+    rng = random.Random(kind.n)
+    elements = [random_element(kind, rng) for _ in range(300)]
+    subsets = weyl.all_subsets_j(kind)
+    assert_counts_match_the_oracle(kind, elements, subsets[:: max(1, len(subsets) // 100)])
 
 
 @pytest.mark.parametrize("kind", KINDS)

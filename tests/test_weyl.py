@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruhat_satake import weyl
+from bruhat_satake import roots, weyl
 
 KINDS = [weyl.type_a(1), weyl.type_a(2), weyl.type_a(3), weyl.type_c(1), weyl.type_c(2), weyl.type_c(3)]
 
@@ -314,3 +315,33 @@ def test_type_c_accepts_exactly_the_perms_centralizing_iota(n):
             with pytest.raises(ValueError, match="centralize iota"):
                 weyl.WeylElement(kind, perm)
     assert len(signed) == weyl.order(kind)
+
+
+def test_equal_kinds_built_apart_share_one_hash_and_one_cache_entry():
+    a, b = weyl.GroupKind(weyl.Family.TYPE_C, 3), weyl.GroupKind(weyl.Family.TYPE_C, 3)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    probe = functools.lru_cache(maxsize=None)(lambda kind: object())
+    assert probe(a) is probe(b)
+    assert probe.cache_info().currsize == 1
+    assert roots._pair_tables(a) is roots._pair_tables(b)
+    # the other family and the other rank are other keys
+    assert len({a, weyl.type_a(3), weyl.type_c(2), weyl.type_c(3)}) == 3
+
+
+def test_products_of_mismatched_kinds_still_raise():
+    with pytest.raises(ValueError, match="different kinds"):
+        weyl.identity(weyl.type_a(2)) * weyl.identity(weyl.type_c(2))
+    with pytest.raises(ValueError, match="different kinds"):
+        weyl.identity(weyl.type_c(2)) * weyl.identity(weyl.type_c(3))
+    # an equal kind built apart is the same kind
+    u = weyl.WeylElement(weyl.GroupKind(weyl.Family.TYPE_A, 1), (2, 1))
+    v = weyl.WeylElement(weyl.GroupKind(weyl.Family.TYPE_A, 1), (2, 1))
+    assert (u * v).is_identity()
+
+
+def test_bijection_check_reads_the_kind_it_is_given():
+    for perm in ((1, 2, 3), (1,), (2, 2), (0, 1), (1, 3)):
+        with pytest.raises(ValueError, match="bijection"):
+            weyl.WeylElement(weyl.type_a(1), perm)
+    assert weyl.WeylElement(weyl.type_c(2), (3, 2, 1, 4)).perm == (3, 2, 1, 4)
