@@ -10,8 +10,8 @@ The two transforms are monomial substitutions
     unitary:  Y_i -> v^{-n} W_i,   Y_{n+j} -> v^{n} Z_j^{-1}
     real:     X_i -> v^{-(n+1)} W_i
 
-which are ring homomorphisms; they are only applied to inputs carrying
-their declared symmetry, and asymmetric input is rejected.
+which are ring homomorphisms; ``check_symmetric`` refuses input that
+lacks the symmetry each one needs, and checks the symmetry of its output.
 
 Hecke characteristic polynomials are monic with the interior convention
 that the coefficient of (degree - i) is (-1)^i q^{i(i-1)/2} T_i, for the
@@ -25,7 +25,7 @@ monomial on failure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 
@@ -35,71 +35,24 @@ class SatakeCase(Enum):
     REAL = "real"  # one real-quadratic place
 
 
-# ------------------------------------------------------------------ symmetry
-
-
-@dataclass(frozen=True)
-class SymmetryTag:
-    """Declared invariance of a polynomial.
-
-    name "S": each block permuted freely.  "BC": one block permuted with
-    exponent sign flips allowed (the hyperoctahedral action).  Blocks are
-    tuples of variable names; no tag at all means no constraint.
-    """
-
-    name: str
-    blocks: tuple[tuple[str, ...], ...] = ()
-
-    def __post_init__(self):
-        if self.name not in ("S", "BC"):
-            raise ValueError(f"unknown symmetry {self.name!r}")
-        if self.name == "BC" and len(self.blocks) != 1:
-            raise ValueError("BC symmetry takes exactly one block")
-
-
-def _tag_generators(tag: SymmetryTag, variables: tuple[str, ...]):
-    """Index maps generating the declared group action on exponent tuples."""
-    gens = []
-    for block in tag.blocks:
-        pos = [variables.index(x) for x in block]
-        for a, b in zip(pos, pos[1:]):
-            gens.append(("swap", a, b))
-    if tag.name == "BC":
-        pos = variables.index(tag.blocks[0][0])
-        gens.append(("flip", pos, pos))
-    return gens
-
-
-def _apply_gen(gen, exps: tuple[int, ...]) -> tuple[int, ...]:
-    kind, a, b = gen
-    out = list(exps)
-    if kind == "swap":
-        out[a], out[b] = out[b], out[a]
-    else:
-        out[a] = -out[a]
-    return tuple(out)
-
-
 # ---------------------------------------------------------------- the ring
 
 
 @dataclass(frozen=True)
 class LaurentPoly:
-    """Sparse Laurent polynomial over Z in an ordered variable tuple.
+    """Sparse Laurent polynomial over Z: its variables and its terms.
 
-    Terms are kept sorted with no zero coefficients, so equal polynomials
-    are equal dataclasses.  ``symmetry``, when present, is validated on
-    construction and is otherwise inert; arithmetic returns untagged
-    results.
+    Terms are (exponent tuple, coefficient) pairs kept strictly sorted with
+    no zero coefficients, so equal polynomials are equal dataclasses.  A
+    polynomial declares no symmetry of its own; ``check_symmetric`` checks
+    one where the transforms need it.
     """
 
     variables: tuple[str, ...]
     terms: tuple[tuple[tuple[int, ...], int], ...]
-    symmetry: SymmetryTag | None = field(default=None, compare=False)
 
     def __post_init__(self):
         width = len(self.variables)
-        seen = set()
         last = None
         for exps, coeff in self.terms:
             if len(exps) != width:
@@ -108,50 +61,32 @@ class LaurentPoly:
                 raise ValueError("coefficients and exponents must be Python ints")
             if coeff == 0:
                 raise ValueError("zero coefficients must be dropped")
-            if exps in seen:
-                raise ValueError("duplicate monomial")
             if last is not None and exps <= last:
                 raise ValueError("terms must be strictly sorted")
-            seen.add(exps)
             last = exps
-        if self.symmetry is not None:
-            table = dict(self.terms)
-            for gen in _tag_generators(self.symmetry, self.variables):
-                for exps, coeff in self.terms:
-                    if table.get(_apply_gen(gen, exps)) != coeff:
-                        raise ValueError("polynomial lacks its declared symmetry")
 
     # -- constructors
 
     @staticmethod
-    def from_dict(variables, mapping, symmetry=None) -> "LaurentPoly":
+    def from_dict(variables, mapping) -> "LaurentPoly":
         cleaned = tuple(sorted((tuple(e), c) for e, c in mapping.items() if c != 0))
-        return LaurentPoly(tuple(variables), cleaned, symmetry)
+        return LaurentPoly(tuple(variables), cleaned)
 
     # -- queries
-
-    def as_dict(self) -> dict[tuple[int, ...], int]:
-        return dict(self.terms)
 
     @property
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def tagged(self, symmetry: SymmetryTag) -> "LaurentPoly":
-        return LaurentPoly(self.variables, self.terms, symmetry)
-
     # -- arithmetic
 
     def _need_same_ring(self, other):
         if self.variables != other.variables:
-            raise ValueError("polynomials live in different rings; align them first")
+            raise ValueError("polynomials live in different rings; map them into one first")
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._need_same_ring(other)
-        out = dict(self.terms)
-        for exps, coeff in other.terms:
-            out[exps] = out.get(exps, 0) + coeff
-        return LaurentPoly.from_dict(self.variables, out)
+        return _sum(self.variables, (self, other))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -176,10 +111,15 @@ class LaurentPoly:
             out = out * self
         return out
 
-    def scaled(self, c: int) -> "LaurentPoly":
-        if c == 0:
-            return zero(self.variables)
-        return LaurentPoly(self.variables, tuple((e, c * k) for e, k in self.terms))
+
+def _sum(variables, polys) -> LaurentPoly:
+    """The sum of polynomials in one ring, accumulated in one dict and
+    constructed once, where repeated ``+`` would rebuild every partial sum."""
+    out: dict[tuple[int, ...], int] = {}
+    for poly in polys:
+        for exps, coeff in poly.terms:
+            out[exps] = out.get(exps, 0) + coeff
+    return LaurentPoly.from_dict(variables, out)
 
 
 def zero(variables) -> LaurentPoly:
@@ -203,23 +143,6 @@ def variable(name: str, variables) -> LaurentPoly:
     return monomial(variables, 1, {name: 1})
 
 
-def align(p: LaurentPoly, variables) -> LaurentPoly:
-    """Inject p into a larger ring containing all of its variables."""
-    variables = tuple(variables)
-    positions = []
-    for x in p.variables:
-        if x not in variables:
-            raise ValueError(f"target ring is missing {x!r}")
-        positions.append(variables.index(x))
-    out: dict[tuple[int, ...], int] = {}
-    for exps, coeff in p.terms:
-        key = [0] * len(variables)
-        for pos, e in zip(positions, exps):
-            key[pos] = e
-        out[tuple(key)] = coeff
-    return LaurentPoly.from_dict(variables, out)
-
-
 def invert_monomial(p: LaurentPoly) -> LaurentPoly:
     if not p.is_monomial or p.terms[0][1] not in (1, -1):
         raise ValueError("only +-1 monomials are invertible here")
@@ -231,7 +154,8 @@ def substitute_monomials(p: LaurentPoly, variables, images: dict[str, LaurentPol
     """Ring map sending each variable to a +-1 monomial of the target ring.
 
     Variables without an explicit image must exist in the target and map
-    to themselves.
+    to themselves, so with no images at all this injects p into a larger
+    ring containing all of its variables.
     """
     variables = tuple(variables)
     table = []
@@ -240,7 +164,7 @@ def substitute_monomials(p: LaurentPoly, variables, images: dict[str, LaurentPol
         if img is None:
             img = variable(x, variables)
         if img.variables != variables:
-            img = align(img, variables)
+            img = substitute_monomials(img, variables, {})
         if not img.is_monomial or img.terms[0][1] not in (1, -1):
             raise ValueError(f"image of {x!r} must be a +-1 monomial")
         table.append(img.terms[0])
@@ -259,17 +183,32 @@ def substitute_monomials(p: LaurentPoly, variables, images: dict[str, LaurentPol
     return LaurentPoly.from_dict(variables, out)
 
 
+def check_symmetric(p: LaurentPoly, blocks, flip: str | None = None) -> LaurentPoly:
+    """p itself, once the ring maps that swap two adjacent variables of a
+    block, and the one that inverts ``flip`` when it names a variable, all
+    fix it.
+
+    One block with ``flip`` its first variable is the hyperoctahedral action.
+
+    >>> ring = ("v", "X1", "X2")
+    >>> e1 = elementary_symmetric(1, ("X1", "X2"), ring)
+    >>> check_symmetric(e1, [("X1", "X2")]) is e1
+    True
+    >>> check_symmetric(e1, [("X1", "X2")], flip="X1")
+    Traceback (most recent call last):
+    ...
+    ValueError: polynomial lacks its declared symmetry
+    """
+    ring = p.variables
+    maps = [{a: variable(b, ring), b: variable(a, ring)} for block in blocks for a, b in zip(block, block[1:])]
+    if flip is not None:
+        maps.append({flip: invert_monomial(variable(flip, ring))})
+    if any(substitute_monomials(p, ring, images) != p for images in maps):
+        raise ValueError("polynomial lacks its declared symmetry")
+    return p
+
+
 # ----------------------------------------------------------- symmetric bases
-
-
-def _sum(variables, polys) -> LaurentPoly:
-    """The sum of polynomials in one ring, accumulated in one dict and
-    constructed once, where repeated ``+`` would rebuild every partial sum."""
-    out: dict[tuple[int, ...], int] = {}
-    for poly in polys:
-        for exps, coeff in poly.terms:
-            out[exps] = out.get(exps, 0) + coeff
-    return LaurentPoly.from_dict(variables, out)
 
 
 def elementary_symmetric(i: int, block, variables) -> LaurentPoly:
@@ -339,7 +278,7 @@ def t_m(i: int, n: int, block, variables) -> LaurentPoly:
     (((1, 0, 1), 1), ((1, 1, 0), 1))
     """
     e = elementary_symmetric(i, block, variables)
-    return (monomial(variables, 1, {"v": i * (n - i)}) * e).tagged(SymmetryTag("S", (tuple(block),)))
+    return check_symmetric(monomial(variables, 1, {"v": i * (n - i)}) * e, (tuple(block),))
 
 
 def t_g_unitary(i: int, n: int, variables=None) -> LaurentPoly:
@@ -358,7 +297,7 @@ def t_g_real(i: int, n: int, variables=None) -> LaurentPoly:
     pool += [monomial(variables, 1, {x: -1}) for x in x_vars(n)]
     pool.append(one(variables))
     e = elementary_symmetric_of_monomials(i, pool)
-    return (monomial(variables, 1, {"v": i * (2 * n + 1 - i)}) * e).tagged(SymmetryTag("BC", (x_vars(n),)))
+    return check_symmetric(monomial(variables, 1, {"v": i * (2 * n + 1 - i)}) * e, (x_vars(n),), flip="X1")
 
 
 # -------------------------------------------------------------- char. polys
@@ -405,7 +344,7 @@ class CharPoly:
 
 def linear_factor(variables, root: LaurentPoly) -> CharPoly:
     """X - root."""
-    return CharPoly((-align(root, variables), one(variables)))
+    return CharPoly((-substitute_monomials(root, variables, {}), one(variables)))
 
 
 def _hecke_char_poly(deg: int, variables, T, twist: str | None = None) -> CharPoly:
@@ -467,14 +406,13 @@ def satake_unitary(p: LaurentPoly, n: int) -> LaurentPoly:
     """
     if p.variables != unitary_g_ring(n):
         raise ValueError("expected a polynomial in v, Y_1..Y_{2n}")
-    p.tagged(SymmetryTag("S", (y_vars(n),)))  # raises on asymmetric input
+    check_symmetric(p, (y_vars(n),))  # raises on asymmetric input
     target = unitary_m_ring(n)
     images = {}
     for i in range(1, n + 1):
         images[f"Y{i}"] = monomial(target, 1, {"v": -n, f"W{i}": 1})
         images[f"Y{n+i}"] = monomial(target, 1, {"v": n, f"Z{i}": -1})
-    out = substitute_monomials(p, target, images)
-    return out.tagged(SymmetryTag("S", (w_vars(n), z_vars(n))))
+    return check_symmetric(substitute_monomials(p, target, images), (w_vars(n), z_vars(n)))
 
 
 def satake_real(p: LaurentPoly, n: int) -> LaurentPoly:
@@ -484,11 +422,10 @@ def satake_real(p: LaurentPoly, n: int) -> LaurentPoly:
     """
     if p.variables != real_g_ring(n):
         raise ValueError("expected a polynomial in v, X_1..X_n")
-    p.tagged(SymmetryTag("BC", (x_vars(n),)))  # raises on asymmetric input
+    check_symmetric(p, (x_vars(n),), flip="X1")  # raises on asymmetric input
     target = real_m_ring(n)
     images = {f"X{i}": monomial(target, 1, {"v": -(n + 1), f"W{i}": 1}) for i in range(1, n + 1)}
-    out = substitute_monomials(p, target, images)
-    return out.tagged(SymmetryTag("S", (w_vars(n),)))
+    return check_symmetric(substitute_monomials(p, target, images), (w_vars(n),))
 
 
 # -------------------------------------------------- the factorization checker
@@ -531,7 +468,7 @@ def verify_determinant_factorization(case: SatakeCase, n: int, twist: bool = Tru
         satake(D) = P_w(X) * q^{n(d-1)} P'^dual(q^{1-d} X)  [* (X - q^n) if real]
 
     where P' is P_{w^c} (unitary) or P_w (real).  With ``twist`` the W
-    and Z variables are scaled by formal central units on the left,
+    and Z variables are multiplied by formal central units on the left,
     matched by the twisted Levi polynomials on the right.  Returns a
     report with the verdict, both sides, and the first differing
     monomial if any.
@@ -543,7 +480,7 @@ def verify_determinant_factorization(case: SatakeCase, n: int, twist: bool = Tru
     ring = m_ring(n, twist=twist)
     D = char_poly_g(case, n)
     d = D.degree
-    images = {}  # the twist; without it the substitution only aligns to the ring
+    images = {}  # the twist; without it the substitution only injects into the ring
     prefactor_exps, x_scale_exps = {"v": 2 * n * (d - 1)}, {"v": 2 * (1 - d)}
     if twist:
         for block, unit in ((w_vars(n), "cw"), (dual_block(n), dual_unit)):

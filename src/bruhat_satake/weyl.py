@@ -38,7 +38,7 @@ class Family(Enum):
     TYPE_C = "C"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class GroupKind:
     """A family and a rank n.  It keys every per-kind ``lru_cache``, so its
     hash is computed once, here, from ints alone (the same under every

@@ -5,10 +5,13 @@ stdout sha256 and every traced count (kernel calls, matrices, points,
 ...).  A change that moves one of them fails the benchmark; these tests
 catch it without a benchmark run, on the items that run ``roots``, four
 flag items, one Weyl item, one ordinary-projector item, the three
-seeded ``padic`` items and the seed-0 library sweep.  The padic pins fix
+seeded ``padic`` items, the two ``satake verify`` items and the seed-0
+library sweep.  The padic pins fix
 the stdout and the ``BlockMatrix.mul``, ``h_invariant`` and
 ``factor_P_Gamma1`` counts, so a change to the samplers' draw order fails
-here.  The sweep pin fixes ``WeylElement.built`` and
+here.  The satake pins fix the stdout and the ``LaurentPoly.__mul__``
+count (61 for A n = 3, 131 for C n = 2, both twisted), so a change that
+adds or drops a polynomial product fails here.  The sweep pin fixes ``WeylElement.built`` and
 ``cell_dim_by_roots.calls`` over every Weyl element of A and C up to
 n = 4.  An item's key names its ``child.py`` mode: ``sweep ...`` runs the
 library sweep, anything else is a CLI report.
@@ -38,6 +41,8 @@ ITEMS = [
     "padic factor --kind C --n 3 --p 3 --m 2 --seed 5306 --count 50",
     "padic h --kind A --n 3 --p 5 --m 3 --seed 55125 --count 100",
     "padic h --kind C --n 2 --p 3 --m 2 --seed 50494 --count 100",
+    "satake verify --kind A --n 3 --twist",
+    "satake verify --kind C --n 2 --twist",
     "sweep --seed 0 --max-n 4 --count 500",
     "weyl cosets --kind A --n 4",
 ]

@@ -197,6 +197,18 @@ def test_failed_check_exits_1(runner, monkeypatch):
     assert body(result)["ok"] is False
 
 
+@pytest.mark.parametrize("args", ["--kind A --n 2", "--kind C --n 1 --no-twist"])
+def test_satake_verify_fails_when_a_library_step_is_wrong(runner, monkeypatch, args):
+    # the right-hand side loses its dual: the expansion itself must disagree
+    monkeypatch.setattr(cli.satake, "dual_char_poly", lambda P: P)
+    result = invoke(runner, ["satake", "verify", *args.split()])
+    assert result.exit_code == 1
+    report = body(result)
+    assert report["ok"] is False
+    assert report["first_difference"] is not None
+    assert not all(row["equal"] for row in report["rows"])
+
+
 def test_padic_h_explicit_matrix(runner):
     result = invoke(
         runner,

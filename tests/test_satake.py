@@ -11,10 +11,9 @@ from bruhat_satake.satake import (
     CharPoly,
     LaurentPoly,
     SatakeCase,
-    SymmetryTag,
-    align,
     char_poly_g,
     char_poly_m,
+    check_symmetric,
     dual_char_poly,
     elementary_symmetric,
     invert_monomial,
@@ -70,6 +69,8 @@ def test_canonical_storage_rejects_garbage():
         LaurentPoly(RING, (((0, 0), 1),))  # wrong width
     with pytest.raises(ValueError):
         LaurentPoly(RING, (((1, 0, 0), 1), ((0, 0, 0), 1)))  # unsorted
+    with pytest.raises(ValueError, match="strictly sorted"):
+        LaurentPoly(RING, (((0, 0, 0), 1), ((0, 0, 0), 2)))  # repeated monomial
 
 
 @pytest.mark.parametrize(
@@ -115,22 +116,39 @@ def test_elementary_symmetric_of_monomials_matches_repeated_addition(k):
         assert S.elementary_symmetric_of_monomials(i, pool) == repeated_sum(products, ring)
 
 
-def test_symmetry_tag_validation():
+def test_symmetry_check():
     sym = elementary_symmetric(1, ("W1", "W2"), RING)
-    sym.tagged(SymmetryTag("S", (("W1", "W2"),)))  # fine
-    with pytest.raises(ValueError):
-        variable("W1", RING).tagged(SymmetryTag("S", (("W1", "W2"),)))
-    # BC wants inversion symmetry too
+    assert check_symmetric(sym, (("W1", "W2"),)) is sym
+    with pytest.raises(ValueError, match="lacks its declared symmetry"):
+        check_symmetric(variable("W1", RING), (("W1", "W2"),))
+    # the flip wants inversion symmetry too
     ringx = ("v", "X1")
     pal = monomial(ringx, 1, {"X1": 1}) + monomial(ringx, 1, {"X1": -1})
-    pal.tagged(SymmetryTag("BC", (("X1",),)))
-    with pytest.raises(ValueError):
-        variable("X1", ringx).tagged(SymmetryTag("BC", (("X1",),)))
-    with pytest.raises(ValueError):
-        SymmetryTag("D", ())
-    # no constraint is symmetry=None, not a named tag
-    with pytest.raises(ValueError):
-        SymmetryTag("trivial")
+    check_symmetric(pal, (("X1",),), flip="X1")
+    with pytest.raises(ValueError, match="lacks its declared symmetry"):
+        check_symmetric(variable("X1", ringx), (("X1",),), flip="X1")
+
+
+def test_symmetry_check_reaches_every_adjacent_swap_of_a_block():
+    ring = ("v", "W1", "W2", "W3")
+    # fixed by W1 <-> W2, moved by W2 <-> W3
+    p = monomial(ring, 1, {"W1": 1}) + monomial(ring, 1, {"W2": 1})
+    check_symmetric(p, (("W1", "W2"),))
+    with pytest.raises(ValueError, match="lacks its declared symmetry"):
+        check_symmetric(p, (("W1", "W2", "W3"),))
+    check_symmetric(p + variable("W3", ring), (("W1", "W2", "W3"),))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_flip_refuses_what_the_swaps_allow(n):
+    # e_1 of the X block is S_n-symmetric but not fixed by X1 -> X1^{-1}
+    ring = ("v",) + x_vars(n)
+    e1 = elementary_symmetric(1, x_vars(n), ring)
+    assert check_symmetric(e1, (x_vars(n),)) is e1
+    with pytest.raises(ValueError, match="lacks its declared symmetry"):
+        check_symmetric(e1, (x_vars(n),), flip="X1")
+    with pytest.raises(ValueError, match="lacks its declared symmetry"):
+        satake_real(e1, n)
 
 
 def test_monomial_inversion_and_power():
@@ -141,7 +159,7 @@ def test_monomial_inversion_and_power():
     with pytest.raises(ValueError):
         invert_monomial(one(RING) + variable("v", RING))
     with pytest.raises(ValueError):
-        invert_monomial(one(RING).scaled(2))
+        invert_monomial(one(RING) * monomial(RING, 2, {}))
 
 
 def test_substitution_is_a_ring_map():
@@ -158,13 +176,13 @@ def test_substitution_is_a_ring_map():
         substitute_monomials(rand_poly(rng), target, {"W1": one(target) + variable("v", target)})
 
 
-def test_align_embeds():
+def test_substitution_without_images_embeds():
     p = rand_poly(random.Random(3))
     big = ("u",) + RING + ("T",)
-    q = align(p, big)
-    assert {e[1:4]: c for e, c in q.terms} == p.as_dict()
+    q = substitute_monomials(p, big, {})
+    assert {e[1:4]: c for e, c in q.terms} == dict(p.terms)
     with pytest.raises(ValueError):
-        align(p, ("v", "W1"))
+        substitute_monomials(p, ("v", "W1"), {})
 
 
 def test_t_m_literals():
@@ -254,7 +272,7 @@ def test_char_poly_g_degrees_and_ends():
 
 def test_satake_unitary_on_e1():
     ring = ("v",) + y_vars(1)
-    e1 = elementary_symmetric(1, y_vars(1), ring).tagged(SymmetryTag("S", (y_vars(1),)))
+    e1 = check_symmetric(elementary_symmetric(1, y_vars(1), ring), (y_vars(1),))
     img = satake_unitary(e1, 1)
     t = img.variables
     assert img == monomial(t, 1, {"v": -1, "W1": 1}) + monomial(t, 1, {"v": 1, "Z1": -1})
@@ -274,41 +292,39 @@ def rand_symmetric_unitary(rng, n):
     out = zero(ring)
     for _ in range(4):
         i = rng.randint(0, 2 * n)
-        out = out + elementary_symmetric(i, y_vars(n), ring).scaled(rng.randint(-3, 3)) * monomial(
-            ring, 1, {"v": rng.randint(-2, 2)}
+        out = out + elementary_symmetric(i, y_vars(n), ring) * monomial(
+            ring, rng.randint(-3, 3), {"v": rng.randint(-2, 2)}
         )
-    return out.tagged(SymmetryTag("S", (y_vars(n),)))
+    return check_symmetric(out, (y_vars(n),))
 
 
 def rand_symmetric_real(rng, n):
-    out = zero(("v",) + x_vars(n))
+    ring = ("v",) + x_vars(n)
+    out = zero(ring)
     for _ in range(4):
-        out = out + t_g_real(rng.randint(0, 2 * n + 1), n).scaled(rng.randint(-3, 3))
-    return out.tagged(SymmetryTag("BC", (x_vars(n),)))
+        out = out + t_g_real(rng.randint(0, 2 * n + 1), n) * monomial(ring, rng.randint(-3, 3), {})
+    return check_symmetric(out, (x_vars(n),), flip="X1")
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_satake_maps_are_ring_homomorphisms(n):
     rng = random.Random(n)
-    tag_u = SymmetryTag("S", (y_vars(n),))
-    tag_r = SymmetryTag("BC", (x_vars(n),))
     for _ in range(60):
         a, b = rand_symmetric_unitary(rng, n), rand_symmetric_unitary(rng, n)
         sa, sb = satake_unitary(a, n), satake_unitary(b, n)
-        assert satake_unitary((a * b).tagged(tag_u), n) == sa * sb
-        assert satake_unitary((a + b).tagged(tag_u), n) == sa + sb
+        assert satake_unitary(check_symmetric(a * b, (y_vars(n),)), n) == sa * sb
+        assert satake_unitary(check_symmetric(a + b, (y_vars(n),)), n) == sa + sb
         c, d = rand_symmetric_real(rng, n), rand_symmetric_real(rng, n)
         sc, sd = satake_real(c, n), satake_real(d, n)
-        assert satake_real((c * d).tagged(tag_r), n) == sc * sd
-        assert satake_real((c + d).tagged(tag_r), n) == sc + sd
+        assert satake_real(check_symmetric(c * d, (x_vars(n),), flip="X1"), n) == sc * sd
+        assert satake_real(check_symmetric(c + d, (x_vars(n),), flip="X1"), n) == sc + sd
 
 
 def test_satake_output_carries_its_symmetry():
-    # surviving the tagged() constructor check is the symmetry assertion
     p = satake_unitary(rand_symmetric_unitary(random.Random(5), 2), 2)
-    assert p.symmetry.name == "S" and p.symmetry.blocks == (w_vars(2), z_vars(2))
+    assert check_symmetric(p, (w_vars(2), z_vars(2))) is p
     r = satake_real(rand_symmetric_real(random.Random(6), 2), 2)
-    assert r.symmetry.name == "S" and r.symmetry.blocks == (w_vars(2),)
+    assert check_symmetric(r, (w_vars(2),)) is r
 
 
 @pytest.mark.parametrize(

@@ -329,6 +329,14 @@ def test_equal_kinds_built_apart_share_one_hash_and_one_cache_entry():
     assert len({a, weyl.type_a(3), weyl.type_c(2), weyl.type_c(3)}) == 3
 
 
+def test_kinds_have_no_order():
+    # an order on kinds compared Family enums, which have none, across families
+    with pytest.raises(TypeError):
+        weyl.type_a(1) < weyl.type_a(2)
+    with pytest.raises(TypeError):
+        sorted([weyl.type_c(1), weyl.type_a(2)])
+
+
 def test_products_of_mismatched_kinds_still_raise():
     with pytest.raises(ValueError, match="different kinds"):
         weyl.identity(weyl.type_a(2)) * weyl.identity(weyl.type_c(2))
