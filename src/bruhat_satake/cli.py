@@ -356,12 +356,11 @@ def padic_factor(g, gk, p, m, count, rng):
             "gamma1_part": [[str(x) for x in row] for row in g1_part.rows],
             "ok": ok,
         }
-    level = padic.Level(padic.LevelFlavor.GAMMA1, m)
     rows = []
     for idx in range(count):
         g = padic.random_congruence_element(gk, p, m, rng)
         p_part, g1_part = padic.factor_P_Gamma1(g, m)
-        passed = p_part * g1_part == g and padic.in_level(g1_part, level)
+        passed = p_part * g1_part == g and padic.in_level(g1_part, m)
         rows.append({"sample": idx, "passed": passed})
     return {"rows": rows, "ok": all(row["passed"] for row in rows)}
 

@@ -28,7 +28,6 @@ import operator
 import random
 import re
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
@@ -341,46 +340,29 @@ def gamma(kind: GroupKind, p: int) -> BlockMatrix:
 # --------------------------------------------------------------- congruence
 
 
-class LevelFlavor(Enum):
-    GAMMA0 = "Gamma0"
-    GAMMA1 = "Gamma1"
-    GAMMA_FULL = "GammaFull"
-
-
-@dataclass(frozen=True)
-class Level:
-    flavor: LevelFlavor
-    m: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("level exponent must be >= 1")
-
-
 def _congruent(num: IntMat, i0: int, j0: int, n: int, s: int, q: int) -> bool:
     """Whether the n x n block of num at (i0, j0) is s * I modulo q."""
     return all((num[i0 + i][j0 + j] - (s if i == j else 0)) % q == 0 for i in range(n) for j in range(n))
 
 
-def in_level(g: BlockMatrix, level: Level) -> bool:
-    """Membership of an integral matrix in Gamma_0 / Gamma_1 / Gamma of p^m.
+def in_level(g: BlockMatrix, m: int) -> bool:
+    """Membership of an integral matrix in Gamma_1(p^m): C = 0 and
+    A = D = I modulo p^m for the blocks [[A, B], [C, D]] of g.
 
     Non-integral input is a usage error, not a False: congruence subgroups
     live inside G(Z_p).  There den is a p-adic unit, so an entry x / den is
     0 or 1 mod p^m exactly when x is 0 or den mod p^m.
     """
+    if m < 1:
+        raise ValueError("level exponent must be >= 1")
     if not g.is_integral():
         raise ValueError("matrix is not p-integral; congruence levels need G(Z_p)")
-    num, n, den, q = g.num, g.n, g.den, g.p**level.m
-    if not _congruent(num, n, 0, n, 0, q):
-        return False
-    if level.flavor is LevelFlavor.GAMMA0:
-        return True
-    if not (_congruent(num, 0, 0, n, den, q) and _congruent(num, n, n, n, den, q)):
-        return False
-    if level.flavor is LevelFlavor.GAMMA1:
-        return True
-    return _congruent(num, 0, n, n, 0, q)
+    num, n, den, q = g.num, g.n, g.den, g.p**m
+    return (
+        _congruent(num, n, 0, n, 0, q)  # C = 0
+        and _congruent(num, 0, 0, n, den, q)  # A = I
+        and _congruent(num, n, n, n, den, q)  # D = I
+    )
 
 
 # ----------------------------------------------------- the coset invariant
@@ -438,7 +420,7 @@ def factor_P_Gamma1(g: BlockMatrix, m: int) -> tuple[BlockMatrix, BlockMatrix]:
     gamma1_part = _from_int_blocks(kind, p, I, O, X, I, det)
     if p_part * gamma1_part != g:
         raise AssertionError("factorization failed to reassemble")
-    if not in_level(gamma1_part, Level(LevelFlavor.GAMMA1, m)):
+    if not in_level(gamma1_part, m):
         raise AssertionError("congruence factor missed its level")
     return p_part, gamma1_part
 
@@ -498,22 +480,21 @@ def _levi(kind: GroupKind, p: int, A: IntMat, den: int) -> BlockMatrix:
     return _from_int_blocks(kind, p, _scaled(A, det), O, O, _scaled(_transpose(X), den * den), den * det)
 
 
-def random_congruence_element(
-    kind: GroupKind, p: int, m: int, rng: random.Random, flavor: LevelFlavor = LevelFlavor.GAMMA1
-) -> BlockMatrix:
-    """A seeded random element of Gamma_1(p^m) (or Gamma(p^m)).
+def random_congruence_element(kind: GroupKind, p: int, m: int, rng: random.Random) -> BlockMatrix:
+    """A seeded random element of Gamma_1(p^m).
 
-    Type A: [[I + p^m A', B], [p^m C', I + p^m D']] with B integral
-    (p^m B' for the full level).  Type C builds
+    Type A: [[I + p^m A', B], [p^m C', I + p^m D']] with B integral, drawn
+    in the order A', D', C', B.  Type C builds
     [[I, 0], [p^m C_1, I]] * [[A, 0], [0, A^{-T}]] * [[I, B_1], [0, I]]
     with C_1, B_1 symmetric and A = I + p^m A'', which is exactly
-    symplectic and lands exactly in the level.  A modulus p^m longer than
-    ``CONGRUENCE_BITS_GUARD`` bits is refused before the first draw.
+    symplectic and lands exactly in the level.  A level exponent below 1,
+    and a modulus p^m longer than ``CONGRUENCE_BITS_GUARD`` bits, are
+    refused before the first draw.
     """
-    if flavor is LevelFlavor.GAMMA0:
-        raise ValueError("sampler covers Gamma_1 and the full level")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    if m < 1:
+        raise ValueError("level exponent must be >= 1")
     # p >= 2, so m >= the guard already makes p^m too long; p^m is computed only below it
     if m >= CONGRUENCE_BITS_GUARD or (p**m).bit_length() > CONGRUENCE_BITS_GUARD:
         raise ValueError(f"p^m = {p}^{m} is longer than CONGRUENCE_BITS_GUARD = {CONGRUENCE_BITS_GUARD} bits")
@@ -524,14 +505,10 @@ def random_congruence_element(
         D = _mat_add(I, _scaled(_rand_int_mat(n, rng), q))
         C = _scaled(_rand_int_mat(n, rng), q)
         B = _rand_int_mat(n, rng)
-        if flavor is LevelFlavor.GAMMA_FULL:
-            B = _scaled(B, q)
         return _from_int_blocks(kind, p, A, B, C, D)
     A = _mat_add(I, _scaled(_rand_int_mat(n, rng), q))
     C1 = _scaled(_rand_symmetric(n, rng), q)
     B1 = _rand_symmetric(n, rng)
-    if flavor is LevelFlavor.GAMMA_FULL:
-        B1 = _scaled(B1, q)
     lower = _from_int_blocks(kind, p, I, O, C1, I)
     levi = _levi(kind, p, A, 1)
     upper = _from_int_blocks(kind, p, I, B1, O, I)

@@ -3,7 +3,7 @@
 ``perfbench/expected.json`` pins, per benchmark item, the exit status, the
 stdout sha256 and every traced count (kernel calls, matrices, points,
 ...).  A change that moves one of them fails the benchmark; these tests
-catch it without a benchmark run, on the items that run ``roots``, four
+catch it without a benchmark run, on the items that run ``roots``, five
 flag items, one Weyl item, one ordinary-projector item, the three
 seeded ``padic`` items, the two ``satake verify`` items and the seed-0
 library sweep.  The padic pins fix
@@ -36,6 +36,7 @@ ITEMS = [
     "flag check-cover --kind A --n 2 --q 2",
     "flag check-cover --kind C --n 2 --q 3",
     "flag check-finding-j --kind A --n 3 --q 2",
+    "flag census --kind A --n 3 --q 3",
     "flag census --kind C --n 3 --q 3",
     "ordcoh ordinary --d 10 --p 3 --r 2",
     "padic factor --kind C --n 3 --p 3 --m 2 --seed 5306 --count 50",

@@ -285,6 +285,28 @@ def test_padic_factor_suite(runner):
     assert all(row["passed"] for row in body(result)["rows"])
 
 
+def test_padic_h_suite_fails_when_gamma_is_wrong(runner, monkeypatch):
+    # gamma * gamma^-1 is the identity, which leaves h unshifted
+    genuine = cli.padic.gamma
+    monkeypatch.setattr(cli.padic, "gamma", lambda kind, p: genuine(kind, p) * genuine(kind, p).inverse())
+    result = invoke(runner, "padic h --kind C --n 2 --p 3 --m 2 --seed 7 --count 5".split())
+    assert result.exit_code == 1
+    report = body(result)
+    assert report["ok"] is False
+    assert not any(row["passed"] for row in report["rows"])
+
+
+def test_padic_factor_suite_fails_when_the_factorization_is_wrong(runner, monkeypatch):
+    # the congruence factor is g itself, so the factors no longer reassemble g
+    genuine = cli.padic.factor_P_Gamma1
+    monkeypatch.setattr(cli.padic, "factor_P_Gamma1", lambda g, m: (genuine(g, m)[0], g))
+    result = invoke(runner, "padic factor --kind A --n 2 --p 2 --seed 3 --count 5".split())
+    assert result.exit_code == 1
+    report = body(result)
+    assert report["ok"] is False
+    assert not all(row["passed"] for row in report["rows"])
+
+
 def test_matrix_and_file_conflict(runner, tmp_path):
     path = tmp_path / "m.json"
     path.write_text("[[1,0],[0,1]]")

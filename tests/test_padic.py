@@ -14,8 +14,6 @@ from hypothesis import strategies as st
 from bruhat_satake import cli, padic
 from bruhat_satake.padic import (
     BlockMatrix,
-    Level,
-    LevelFlavor,
     anticanonical_radius,
     block_matrix,
     exact,
@@ -251,7 +249,7 @@ def test_factorization_reassembles(kind, p):
             n = kind.n
             assert (p_part * c_part).rows == g.rows
             assert all(x == 0 for row in p_part.num[n:] for x in row[:n])
-            assert in_level(c_part, Level(LevelFlavor.GAMMA1, m))
+            assert in_level(c_part, m)
             # type C factors pass the symplectic constructor check by existing
 
 
@@ -270,7 +268,7 @@ def test_no_fraction_arithmetic_past_the_boundary(monkeypatch):
             gk = random_parabolic_element(kind, p, rng) * g * gamma(kind, p)
             assert h_invariant(gk) >= 2
             p_part, g1_part = factor_P_Gamma1(gk, 2)
-            assert in_level(g1_part, Level(LevelFlavor.GAMMA1, 2))
+            assert in_level(g1_part, 2)
             assert g.inverse().transpose() * g.transpose() == gamma(kind, p) * gamma(kind, p).inverse()
 
 
@@ -295,36 +293,41 @@ def test_sharpness_at_the_level_boundary():
 # ------------------------------------------------------------------- levels
 
 
-def test_level_tower():
-    rng = random.Random(21)
-    for kind in (A1, C1, A2, C2):
-        for m in (1, 2):
-            g = random_congruence_element(kind, 2, m, rng, flavor=LevelFlavor.GAMMA_FULL)
-            for flavor in LevelFlavor:
-                assert in_level(g, Level(flavor, m))
-            g1 = random_congruence_element(kind, 2, m, rng, flavor=LevelFlavor.GAMMA1)
-            assert in_level(g1, Level(LevelFlavor.GAMMA0, m))
-            assert in_level(g1, Level(LevelFlavor.GAMMA1, m))
+def _scalar_rows(n, s):
+    return [[s * int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _from_blocks(kind, p, A, B, C, D):
+    return block_matrix(kind, p, [a + b for a, b in zip(A, B)] + [c + d for c, d in zip(C, D)])
 
 
 def test_level_separation_by_the_b_block():
-    # unipotent with a unit in the B block: Gamma_1 but not Gamma
+    # unipotent with a unit in the B block: Gamma_1 puts no condition on B
     for kind, p, m in ((A1, 2, 1), (A2, 3, 2), (C1, 5, 1), (C2, 2, 3)):
-        n = kind.n
-        eye = [[int(i == j) for j in range(n)] for i in range(n)]
-        zero = [[0] * n for _ in range(n)]
-        g = block_matrix(kind, p, [a + b for a, b in zip(eye, eye)] + [c + d for c, d in zip(zero, eye)])
-        assert in_level(g, Level(LevelFlavor.GAMMA1, m))
-        assert not in_level(g, Level(LevelFlavor.GAMMA_FULL, m))
+        eye, zero = _scalar_rows(kind.n, 1), _scalar_rows(kind.n, 0)
+        assert in_level(_from_blocks(kind, p, eye, eye, zero, eye), m)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("m", (1, 2))
+def test_in_level_refuses_each_broken_block(kind, m):
+    # each element breaks exactly one of C = 0, A = I, D = I mod p^m
+    p = 3
+    eye, zero, two = (_scalar_rows(kind.n, s) for s in (1, 0, 2))
+    assert in_level(_from_blocks(kind, p, eye, zero, zero, eye), m)
+    assert not in_level(_from_blocks(kind, p, eye, zero, eye, eye), m)  # C = I, symplectic too
+    if kind.family is Family.TYPE_A:
+        assert not in_level(_from_blocks(kind, p, two, zero, zero, eye), m)  # A = 2I
+        assert not in_level(_from_blocks(kind, p, eye, zero, zero, two), m)  # D = 2I
 
 
 def test_in_level_rejects_non_integral():
     with pytest.raises(ValueError):
-        in_level(gamma(C1, 2), Level(LevelFlavor.GAMMA0, 1))
+        in_level(gamma(C1, 2), 1)
     with pytest.raises(ValueError):
-        in_level(block_matrix(A1, 2, [["1/2", 0], [0, 2]]), Level(LevelFlavor.GAMMA0, 1))
-    with pytest.raises(ValueError):
-        Level(LevelFlavor.GAMMA0, 0)
+        in_level(block_matrix(A1, 2, [["1/2", 0], [0, 2]]), 1)
+    with pytest.raises(ValueError, match="level exponent must be >= 1"):
+        in_level(block_matrix(A1, 2, [[1, 0], [0, 1]]), 0)
 
 
 def test_congruence_sampler_hits_its_level_exactly():
@@ -334,11 +337,18 @@ def test_congruence_sampler_hits_its_level_exactly():
             for m in (1, 2, 3):
                 g = random_congruence_element(kind, p, m, rng)
                 assert g.is_integral()
-                assert in_level(g, Level(LevelFlavor.GAMMA1, m))
-                gf = random_congruence_element(kind, p, m, rng, flavor=LevelFlavor.GAMMA_FULL)
-                assert in_level(gf, Level(LevelFlavor.GAMMA_FULL, m))
-    with pytest.raises(ValueError):
-        random_congruence_element(A1, 2, 1, rng, flavor=LevelFlavor.GAMMA0)
+                assert in_level(g, m)
+
+
+@pytest.mark.parametrize("kind", (A1, C2))
+@pytest.mark.parametrize("m", (0, -1))
+def test_congruence_sampler_refuses_a_level_below_one(kind, m):
+    # m = 0 returned a matrix and m = -1 raised AttributeError from p**m
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="level exponent must be >= 1"):
+        random_congruence_element(kind, 2, m, rng)
+    assert rng.getstate() == state  # refused before the first draw
 
 
 def test_congruence_sampler_guards_the_length_of_p_to_the_m():
@@ -349,7 +359,7 @@ def test_congruence_sampler_guards_the_length_of_p_to_the_m():
         m = guard
         while (p**m).bit_length() > guard:
             m -= 1
-        assert in_level(random_congruence_element(A1, p, m, random.Random(1)), Level(LevelFlavor.GAMMA1, m))
+        assert in_level(random_congruence_element(A1, p, m, random.Random(1)), m)
         refused.append((p, m + 1))
     for p, m in refused:
         rng = random.Random(1)
@@ -374,12 +384,11 @@ def test_samplers_reproduce_their_seeded_draws():
                 for m in (1, 2):
                     for g in (
                         random_congruence_element(kind, p, m, rng),
-                        random_congruence_element(kind, p, m, rng, LevelFlavor.GAMMA_FULL),
                         random_parabolic_element(kind, p, rng),
                     ):
                         text.append(repr([[str(x) for x in row] for row in g.rows]))
     digest = hashlib.sha256("\n".join(text).encode()).hexdigest()
-    assert digest == "d572d6f61a90c2afb3ba8b70af66bd7add200050610c4cdc7ae3f108371cee47"
+    assert digest == "61d2db823977456e80ae345c37cabee7de99525bf6cd82b2d7366faab23a0bd7"
 
 
 # ------------------------------------------- products skip the group proof
