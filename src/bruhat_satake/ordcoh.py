@@ -25,7 +25,7 @@ import numbers
 from dataclasses import dataclass
 
 from .kernels import np, rref_rows
-from .padic import is_prime
+from .padic import check_level, is_prime
 
 KOSZUL_DEGREE_GUARD = 12
 
@@ -48,10 +48,6 @@ class Lambda:
         return self.p**self.r
 
 
-def _subsets(d: int, i: int) -> list[tuple[int, ...]]:
-    return list(itertools.combinations(range(1, d + 1), i))
-
-
 def _check_int64(size: int, lam: Lambda) -> None:
     """Refuse size x size int64 work over Z/p^r that could overflow: a
     product entry is a sum of size terms, each below (p^r - 1)^2."""
@@ -63,8 +59,6 @@ def _check_int64(size: int, lam: Lambda) -> None:
 class GradedCohomology:
     """Ranks and subset bases of H^*(Z_p^d, Lambda)."""
 
-    d: int
-    lam: Lambda
     ranks: tuple[int, ...]
     bases: tuple[tuple[tuple[int, ...], ...], ...]
 
@@ -78,8 +72,8 @@ def koszul_cohomology(d: int, lam: Lambda) -> GradedCohomology:
     if not 0 <= d <= KOSZUL_DEGREE_GUARD:
         raise ValueError(f"degree {d} outside the guarded range")
     ranks = tuple(math.comb(d, i) for i in range(d + 1))
-    bases = tuple(tuple(_subsets(d, i)) for i in range(d + 1))
-    return GradedCohomology(d, lam, ranks, bases)
+    bases = tuple(tuple(itertools.combinations(range(1, d + 1), i)) for i in range(d + 1))
+    return GradedCohomology(ranks, bases)
 
 
 def koszul_differentials(d: int, lam: Lambda, unit_weights) -> list[np.ndarray]:
@@ -87,10 +81,10 @@ def koszul_differentials(d: int, lam: Lambda, unit_weights) -> list[np.ndarray]:
 
     d(e_S) = sum over j not in S of (-1)^{#{s in S : s < j}} (u_j - 1) e_{S + j}.
     Trivial weights give identically zero maps; the maps square to zero
-    for any weights.
+    for any weights.  The subset bases, and the guard on d, are those of
+    ``koszul_cohomology``.
     """
-    if not 0 <= d <= KOSZUL_DEGREE_GUARD:
-        raise ValueError(f"degree {d} outside the guarded range")
+    bases = koszul_cohomology(d, lam).bases
     units = list(unit_weights)
     if any(isinstance(u, bool) or not isinstance(u, numbers.Integral) for u in units):
         raise ValueError("unit weights must be integers")
@@ -101,7 +95,7 @@ def koszul_differentials(d: int, lam: Lambda, unit_weights) -> list[np.ndarray]:
         raise ValueError("weights must be units")
     out = []
     for i in range(d):
-        src, dst = _subsets(d, i), _subsets(d, i + 1)
+        src, dst = bases[i], bases[i + 1]
         index = {T: row for row, T in enumerate(dst)}
         mat = np.zeros((len(dst), len(src)), dtype=np.int64)
         for col, S in enumerate(src):
@@ -129,8 +123,7 @@ def cores_kunneth(d: int, a: int, lam: Lambda) -> list[np.ndarray]:
     entry p^{a(d-i)} on every subset basis vector.
     """
     coh = koszul_cohomology(d, lam)
-    if a < 1:
-        raise ValueError("level exponent must be >= 1")
+    check_level(a)
     _check_int64(max(coh.ranks), lam)
     mod = lam.modulus
     return [pow(lam.p, a * (d - i), mod) * np.eye(rank, dtype=np.int64) for i, rank in enumerate(coh.ranks)]

@@ -345,6 +345,15 @@ def _congruent(num: IntMat, i0: int, j0: int, n: int, s: int, q: int) -> bool:
     return all((num[i0 + i][j0 + j] - (s if i == j else 0)) % q == 0 for i in range(n) for j in range(n))
 
 
+def check_level(m: int) -> None:
+    """Refuse a level exponent that is not an int >= 1 (a bool or a float
+    included), before any work is done with it."""
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise ValueError(f"level exponent must be an integer, got {type(m).__name__} {m!r}")
+    if m < 1:
+        raise ValueError("level exponent must be >= 1")
+
+
 def in_level(g: BlockMatrix, m: int) -> bool:
     """Membership of an integral matrix in Gamma_1(p^m): C = 0 and
     A = D = I modulo p^m for the blocks [[A, B], [C, D]] of g.
@@ -353,8 +362,7 @@ def in_level(g: BlockMatrix, m: int) -> bool:
     live inside G(Z_p).  There den is a p-adic unit, so an entry x / den is
     0 or 1 mod p^m exactly when x is 0 or den mod p^m.
     """
-    if m < 1:
-        raise ValueError("level exponent must be >= 1")
+    check_level(m)
     if not g.is_integral():
         raise ValueError("matrix is not p-integral; congruence levels need G(Z_p)")
     num, n, den, q = g.num, g.n, g.den, g.p**m
@@ -394,8 +402,7 @@ def h_invariant(g: BlockMatrix):
 
 def in_P_Gamma1(g: BlockMatrix, m: int) -> bool:
     """Whether g lies in P(Q_p) * Gamma_1(p^m)."""
-    if m < 1:
-        raise ValueError("level exponent must be >= 1")
+    check_level(m)
     return h_invariant(g) >= m
 
 
@@ -408,6 +415,7 @@ def factor_P_Gamma1(g: BlockMatrix, m: int) -> tuple[BlockMatrix, BlockMatrix]:
     gamma1Part = [[det I, 0], [X, det I]] / det and pPart =
     [[det A - B X, det B], [0, det D]] / (den det) in g's integer blocks.
     """
+    check_level(m)
     h = h_invariant(g)
     if h < m:
         raise ValueError(f"h invariant {h} < {m}; g is not in P(Q_p) Gamma_1(p^{m})")
@@ -487,14 +495,13 @@ def random_congruence_element(kind: GroupKind, p: int, m: int, rng: random.Rando
     in the order A', D', C', B.  Type C builds
     [[I, 0], [p^m C_1, I]] * [[A, 0], [0, A^{-T}]] * [[I, B_1], [0, I]]
     with C_1, B_1 symmetric and A = I + p^m A'', which is exactly
-    symplectic and lands exactly in the level.  A level exponent below 1,
-    and a modulus p^m longer than ``CONGRUENCE_BITS_GUARD`` bits, are
-    refused before the first draw.
+    symplectic and lands exactly in the level.  A level exponent that is
+    not an int >= 1, and a modulus p^m longer than
+    ``CONGRUENCE_BITS_GUARD`` bits, are refused before the first draw.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if m < 1:
-        raise ValueError("level exponent must be >= 1")
+    check_level(m)
     # p >= 2, so m >= the guard already makes p^m too long; p^m is computed only below it
     if m >= CONGRUENCE_BITS_GUARD or (p**m).bit_length() > CONGRUENCE_BITS_GUARD:
         raise ValueError(f"p^m = {p}^{m} is longer than CONGRUENCE_BITS_GUARD = {CONGRUENCE_BITS_GUARD} bits")

@@ -151,7 +151,8 @@ def invert_monomial(p: LaurentPoly) -> LaurentPoly:
 
 
 def substitute_monomials(p: LaurentPoly, variables, images: dict[str, LaurentPoly]) -> LaurentPoly:
-    """Ring map sending each variable to a +-1 monomial of the target ring.
+    """Ring map sending each variable to a coefficient-1 monomial of the
+    target ring ``variables``; any other image is refused.
 
     Variables without an explicit image must exist in the target and map
     to themselves, so with no images at all this injects p into a larger
@@ -163,23 +164,18 @@ def substitute_monomials(p: LaurentPoly, variables, images: dict[str, LaurentPol
         img = images.get(x)
         if img is None:
             img = variable(x, variables)
-        if img.variables != variables:
-            img = substitute_monomials(img, variables, {})
-        if not img.is_monomial or img.terms[0][1] not in (1, -1):
-            raise ValueError(f"image of {x!r} must be a +-1 monomial")
-        table.append(img.terms[0])
+        if img.variables != variables or not img.is_monomial or img.terms[0][1] != 1:
+            raise ValueError(f"image of {x!r} must be a coefficient-1 monomial of the target ring")
+        table.append(img.terms[0][0])
     out: dict[tuple[int, ...], int] = {}
     for exps, coeff in p.terms:
         key = [0] * len(variables)
-        sign = 1
-        for e, (img_exps, img_coeff) in zip(exps, table):
+        for e, img_exps in zip(exps, table):
             if e:
-                if img_coeff == -1 and e % 2:
-                    sign = -sign
                 for pos, ie in enumerate(img_exps):
                     key[pos] += e * ie
         key_t = tuple(key)
-        out[key_t] = out.get(key_t, 0) + sign * coeff
+        out[key_t] = out.get(key_t, 0) + coeff
     return LaurentPoly.from_dict(variables, out)
 
 
@@ -281,18 +277,20 @@ def t_m(i: int, n: int, block, variables) -> LaurentPoly:
     return check_symmetric(monomial(variables, 1, {"v": i * (n - i)}) * e, (tuple(block),))
 
 
-def t_g_unitary(i: int, n: int, variables=None) -> LaurentPoly:
-    """T_{G,i} = v^{i(2n-i)} e_i(Y_1, ..., Y_{2n}): the Levi symbol of GL_{2n}."""
-    return t_m(i, 2 * n, y_vars(n), unitary_g_ring(n) if variables is None else variables)
+def t_g_unitary(i: int, n: int) -> LaurentPoly:
+    """T_{G,i} = v^{i(2n-i)} e_i(Y_1, ..., Y_{2n}) in the unitary G ring:
+    the Levi symbol of GL_{2n}."""
+    return t_m(i, 2 * n, y_vars(n), unitary_g_ring(n))
 
 
-def t_g_real(i: int, n: int, variables=None) -> LaurentPoly:
-    """T_{G,i} = v^{i(2n+1-i)} e_i of the multiset {X_j^{+-1}} cup {1}.
+def t_g_real(i: int, n: int) -> LaurentPoly:
+    """T_{G,i} = v^{i(2n+1-i)} e_i of the multiset {X_j^{+-1}} cup {1},
+    in the real G ring.
 
     The i and 2n+1-i symbols agree (the multiset is closed under
     inversion), and T_{G,2n+1} = 1.
     """
-    variables = real_g_ring(n) if variables is None else tuple(variables)
+    variables = real_g_ring(n)
     pool = [monomial(variables, 1, {x: 1}) for x in x_vars(n)]
     pool += [monomial(variables, 1, {x: -1}) for x in x_vars(n)]
     pool.append(one(variables))
@@ -385,15 +383,13 @@ def dual_char_poly(P: CharPoly) -> CharPoly:
 
 
 def char_poly_g(case: SatakeCase, n: int) -> CharPoly:
-    """The ambient characteristic polynomial, of degree 2n or 2n + 1.
-
-    Coefficient of X^{deg - i} is (-1)^i q^{i(i-1)/2} T_{G,i}.  The
-    unitary one is the Levi polynomial of GL_{2n} in Y_1..Y_{2n}.
+    """The ambient characteristic polynomial in the G ring, of degree 2n
+    (unitary) or 2n + 1 (real): the coefficient of X^{deg - i} is
+    (-1)^i q^{i(i-1)/2} T_{G,i}, from ``t_g_unitary`` or ``t_g_real``.
     """
     if case is SatakeCase.UNITARY:
-        return char_poly_m(2 * n, y_vars(n), unitary_g_ring(n))
-    variables = real_g_ring(n)
-    return _hecke_char_poly(2 * n + 1, variables, lambda i: t_g_real(i, n, variables))
+        return _hecke_char_poly(2 * n, unitary_g_ring(n), lambda i: t_g_unitary(i, n))
+    return _hecke_char_poly(2 * n + 1, real_g_ring(n), lambda i: t_g_real(i, n))
 
 
 # ------------------------------------------------------------ the transforms
@@ -496,8 +492,6 @@ def verify_determinant_factorization(case: SatakeCase, n: int, twist: bool = Tru
     verdict = lhs.coeffs == rhs.coeffs
     return {
         "case": case.value,
-        "n": n,
-        "twist": twist,
         "degree": lhs.degree,
         "verdict": verdict,
         "lhs": [poly_to_json(c) for c in lhs.coeffs],

@@ -1,13 +1,17 @@
 import hashlib
 import json
+import math
 import os
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bruhat_satake import cli, padic
 
@@ -207,6 +211,68 @@ def test_satake_verify_fails_when_a_library_step_is_wrong(runner, monkeypatch, a
     assert report["ok"] is False
     assert report["first_difference"] is not None
     assert not all(row["equal"] for row in report["rows"])
+
+
+def _identity_weyl_matrix(genuine):
+    import numpy as np
+
+    return lambda w, q: np.eye(w.kind.ambient, dtype=np.int64)
+
+
+def _identity_hecke_gamma(genuine):
+    import numpy as np
+
+    return lambda d, a, lam: [np.eye(math.comb(d, i), dtype=np.int64) for i in range(d + 1)]
+
+
+def _tau_one_too_high(genuine):
+    return lambda U: min(genuine(U) + 1, U.dim)
+
+
+# Each report with one library step broken: (command, module, name, the
+# broken step built from the genuine one).  The report must notice and exit 1.
+BROKEN_STEPS = [
+    ("flag census --kind A --n 2 --q 2", "flagfq", "tau_of_point", _tau_one_too_high),
+    ("flag check-cover --kind A --n 1 --q 2", "flagfq", "weyl_matrix", _identity_weyl_matrix),
+    ("flag check-cover --kind C --n 1 --q 3", "flagfq", "weyl_matrix", _identity_weyl_matrix),
+    # two orbits read with the same tau: the P_I-orbits no longer match the tau fibers
+    ("flag check-cover --kind A --n 1 --q 2", "flagfq", "tau_of_point", _tau_one_too_high),
+    # the whole group in place of the Borel: both inclusions fail
+    ("flag check-cover --kind A --n 1 --q 2", "flagfq", "_borel_matrices",
+     lambda genuine: lambda kind, q: cli.flagfq._group_matrices(kind, q)),
+    ("flag check-finding-j --kind A --n 2 --q 2", "flagfq", "frame_subspace",
+     lambda genuine: lambda J, q: cli.flagfq.base_point(J.kind, q)),
+    # an orbit of tau n - 1 read as the open cell: it meets the full frame
+    ("flag check-finding-j --kind A --n 2 --q 2", "flagfq", "tau_of_point", _tau_one_too_high),
+    ("cells dims --kind A --n 2", "roots", "cell_dim_formula", lambda genuine: lambda kind, t: t),
+    ("ordcoh ordinary --d 3", "ordcoh", "hecke_gamma", _identity_hecke_gamma),
+]
+
+
+@pytest.mark.parametrize("command,module_name,name,broken", BROKEN_STEPS, ids=[f"{c} {n}" for c, _, n, _ in BROKEN_STEPS])
+def test_report_fails_when_a_library_step_is_wrong(runner, monkeypatch, command, module_name, name, broken):
+    result = invoke(runner, command.split())
+    assert result.exit_code == 0
+    assert body(result)["ok"] is True
+    module = getattr(cli, module_name)
+    monkeypatch.setattr(module, name, broken(getattr(module, name)))
+    result = invoke(runner, command.split())
+    assert result.exit_code == 1
+    assert body(result)["ok"] is False
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        ("weyl cosets --kind A --n 0", "n must be a positive integer"),
+        ("cells dims --kind C --n -1", "n must be a positive integer"),
+        ("flag census --kind C --n 0 --q 2", "n must be a positive integer"),
+        ("ordcoh ordinary --d 3 --a 0", "level exponent must be >= 1"),
+        ("ordcoh ordinary --d 2 --a -2", "level exponent must be >= 1"),
+    ],
+)
+def test_rank_and_level_below_one_are_refused(runner, args, message):
+    refused(invoke(runner, args.split()), message)
 
 
 def test_padic_h_explicit_matrix(runner):
@@ -702,3 +768,45 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
     sweep = [str(ROOT / "perfbench" / "child.py"), "sweep", "--seed", "0", "--max-n", "4", "--count", "500"]
     first, second = run_under_hash_seeds(sweep, seeds, tmp_path)
     assert first == second and json.loads(first)["dims_agree"] == 41508
+
+
+# Every command with well-typed options over small ranges: a report (exit 0
+# or 1) or one error line (exit 2), never a traceback.  Flag commands
+# enumerate points or group elements, so their rank stays small.
+FUZZ_RANGES = {"n": (0, 3), "q": (1, 5), "p": (1, 7), "m": (0, 3), "seed": (0, 3), "count": (0, 4),
+               "d": (-1, 6), "r": (0, 3), "a": (0, 3)}
+FUZZ_MAX_N = {"flag census": 2, "flag check-finding-j": 2, "flag check-cover": 1}
+FUZZ_COMMANDS = sorted(f"{group} {name}" for group, cmds in cli.main.commands.items() for name in cmds.commands)
+
+
+@st.composite
+def cli_options(draw, command):
+    group, name = command.split()
+    args = [group, name]
+    for option in cli.main.commands[group].commands[name].params:
+        if option.is_flag:
+            args.append(option.opts[0] if draw(st.booleans()) else option.secondary_opts[0])
+        elif isinstance(option.type, click.Choice):
+            args += [option.opts[0], draw(st.sampled_from(option.type.choices))]
+        elif option.type is click.INT:
+            low, high = FUZZ_RANGES[option.name]
+            if option.name == "n":
+                high = FUZZ_MAX_N.get(command, high)
+            args += [option.opts[0], str(draw(st.integers(low, high)))]
+    return args
+
+
+@pytest.mark.parametrize("command", FUZZ_COMMANDS)
+def test_every_command_exits_cleanly_on_well_typed_options(command):
+    @settings(derandomize=True, database=None, deadline=None, max_examples=25)
+    @given(cli_options(command))
+    def run(args):
+        result = CliRunner().invoke(cli.main, args)
+        assert result.exit_code in (0, 1, 2), args
+        assert result.exception is None or isinstance(result.exception, SystemExit), (args, result.exception)
+        if result.exit_code == 2:
+            refused(result)
+        elif "csv" not in args:
+            assert body(result)["ok"] is (result.exit_code == 0)
+
+    run()

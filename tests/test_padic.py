@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bruhat_satake import cli, padic
+from bruhat_satake import cli, ordcoh, padic
 from bruhat_satake.padic import (
     BlockMatrix,
     anticanonical_radius,
@@ -349,6 +349,44 @@ def test_congruence_sampler_refuses_a_level_below_one(kind, m):
     with pytest.raises(ValueError, match="level exponent must be >= 1"):
         random_congruence_element(kind, 2, m, rng)
     assert rng.getstate() == state  # refused before the first draw
+
+
+@pytest.mark.parametrize(
+    "m,message",
+    [(1.5, "must be an integer"), (True, "must be an integer"), (0, "level exponent must be >= 1")],
+)
+def test_every_level_exponent_is_an_int_at_least_one(m, message, monkeypatch):
+    # 1.5 reduced modulo the float 2**1.5, True passed as 1, factor_P_Gamma1(g, 0)
+    # ran the whole factorization, the sampler raised AttributeError at 1.5 and
+    # cores_kunneth a TypeError from pow
+    def no_work(*args):
+        raise AssertionError("work was done before the level check")
+
+    g = block_matrix(A1, 2, [[1, 0], [4, 1]])
+    rng = random.Random(7)
+    state = rng.getstate()
+    monkeypatch.setattr(padic, "h_invariant", no_work)
+    monkeypatch.setattr(padic, "_solve_dc", no_work)
+    calls = [
+        lambda: in_level(g, m),
+        lambda: in_P_Gamma1(g, m),
+        lambda: factor_P_Gamma1(g, m),
+        lambda: random_congruence_element(C2, 3, m, rng),
+        lambda: ordcoh.cores_kunneth(2, m, ordcoh.Lambda(2, 2)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert rng.getstate() == state  # refused before the first draw
+
+
+def test_congruence_sampler_refuses_a_non_prime():
+    rng = random.Random(3)
+    state = rng.getstate()
+    for p in (4, 1, -2):
+        with pytest.raises(ValueError, match="not prime"):
+            random_congruence_element(A1, p, 1, rng)
+    assert rng.getstate() == state
 
 
 def test_congruence_sampler_guards_the_length_of_p_to_the_m():

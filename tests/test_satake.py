@@ -176,6 +176,46 @@ def test_substitution_is_a_ring_map():
         substitute_monomials(rand_poly(rng), target, {"W1": one(target) + variable("v", target)})
 
 
+def test_substitution_takes_only_coefficient_one_monomials_of_its_target():
+    # a -1 image was once carried as a sign, and an image from another ring re-injected
+    p = monomial(RING, 3, {"v": 1, "W1": 1, "W2": 2})
+    for images in (
+        {"W1": monomial(RING, -1, {"W2": 1})},
+        {"W1": monomial(RING, 2, {"W2": 1})},
+        {"W1": variable("W1", ("v", "W1"))},
+        {"W2": variable("W2", RING + ("Z1",))},
+    ):
+        with pytest.raises(ValueError, match="coefficient-1 monomial of the target ring"):
+            substitute_monomials(p, RING, images)
+
+
+def test_arithmetic_refuses_mixed_rings():
+    a, b = variable("v", RING), variable("v", ("v", "W1"))
+    for op in (lambda x, y: x + y, lambda x, y: x * y, lambda x, y: x - y):
+        with pytest.raises(ValueError, match="different rings"):
+            op(a, b)
+
+
+def test_elementary_symmetric_refuses_an_index_out_of_range():
+    for i in (-1, 3):
+        with pytest.raises(ValueError, match="index out of range"):
+            elementary_symmetric(i, ("W1", "W2"), RING)
+
+
+def test_char_poly_refuses_empty_and_non_monic_coefficients():
+    with pytest.raises(ValueError, match="empty polynomial"):
+        CharPoly(())
+    for lead in (monomial(RING, 2, {}), variable("v", RING), zero(RING)):
+        with pytest.raises(ValueError, match="monic"):
+            CharPoly((one(RING), lead))
+
+
+def test_real_transform_refuses_a_foreign_ring():
+    for p in (t_g_unitary(1, 1), t_g_real(1, 2), one(("v", "X1", "X2"))):
+        with pytest.raises(ValueError, match="expected a polynomial in v, X_1..X_n"):
+            satake_real(p, 1)
+
+
 def test_substitution_without_images_embeds():
     p = rand_poly(random.Random(3))
     big = ("u",) + RING + ("T",)
