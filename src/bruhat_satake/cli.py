@@ -348,10 +348,11 @@ def padic_h(g, gk, p, m, count, rng):
 def padic_factor(g, gk, p, m, count, rng):
     """Split g into its parabolic and congruence factors."""
     if g is not None:
-        p_part, g1_part = padic.factor_P_Gamma1(g, m)
+        h = padic.h_invariant(g)
+        p_part, g1_part = padic.factor_P_Gamma1(g, m, h=h)
         ok = p_part * g1_part == g
         return {
-            "rows": [{"h": _h_str(padic.h_invariant(g)), "reassembled": ok}],
+            "rows": [{"h": _h_str(h), "reassembled": ok}],
             "p_part": [[str(x) for x in row] for row in p_part.rows],
             "gamma1_part": [[str(x) for x in row] for row in g1_part.rows],
             "ok": ok,
@@ -372,7 +373,7 @@ def padic_factor(g, gk, p, m, count, rng):
 def ordcoh_ranks(d, p, r):
     """Betti numbers of H^*(Z_p^d, Z/p^r)."""
     lam = ordcoh.Lambda(p, r)
-    coh = ordcoh.koszul_cohomology(d, lam)
+    coh = ordcoh.koszul_cohomology(d)
     diffs = ordcoh.koszul_differentials(d, lam, [1] * d)
     trivial_vanish = all((mat == 0).all() for mat in diffs)
     return {

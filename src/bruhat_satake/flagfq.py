@@ -17,8 +17,9 @@ existence check for complementary frames J over whole Borel orbits.
 Group elements are enumerated by breadth-first closure over explicit
 generators, with orders certified against the classical formulas.  The
 cover checks hold each set of matrices as a sorted array of distinct
-``kernels.mat_keys`` codes, so membership is a ``searchsorted`` and the
-cover is one array comparison.  Bulk matrix work runs through
+``kernels.mat_keys`` codes.  A chunk of products lies in a target set
+when merging its sorted codes into the target adds no distinct value, and
+the cover is one array comparison.  Bulk matrix work runs through
 :mod:`.kernels`.
 """
 
@@ -436,8 +437,9 @@ def closure_order_check(kind: GroupKind, q: int) -> dict:
 
 def _sorted_unique(codes: np.ndarray) -> np.ndarray:
     """The distinct values of ``codes`` in ascending order: a sort and an
-    adjacent-difference mask, much cheaper than ``np.unique``."""
-    codes = np.sort(codes)
+    adjacent-difference mask, much cheaper than ``np.unique``.  Every caller
+    passes a fresh array, which is sorted in place rather than copied."""
+    codes.sort()
     keep = np.empty(codes.shape, dtype=bool)
     keep[:1] = True
     np.not_equal(codes[1:], codes[:-1], out=keep[1:])
@@ -459,21 +461,37 @@ def _product_keys(left: np.ndarray, right: np.ndarray, q: int):
 def _product_set(left: np.ndarray, right: np.ndarray, q: int) -> np.ndarray:
     """The keys of all products x y for x in left, y in right, as a sorted
     array of distinct codes."""
-    # each chunk is deduplicated as it comes, so only distinct codes pile up
-    return _sorted_unique(np.concatenate([_sorted_unique(keys) for keys in _product_keys(left, right, q)]))
+    # each chunk is deduplicated as it comes and written into one buffer sized
+    # for every product, so only distinct codes pile up and they are held once;
+    # the part of the buffer past them is never written, so never resident
+    codes = np.empty(len(left) * len(right), dtype=np.int64)
+    end = 0
+    for keys in _product_keys(left, right, q):
+        keys = _sorted_unique(keys)
+        codes[end : end + len(keys)] = keys
+        end += len(keys)
+    return _sorted_unique(codes[:end])
+
+
+def _keys_within(keys: np.ndarray, target: np.ndarray) -> bool:
+    """Whether every code of the nonempty array ``keys`` is in ``target``, a
+    sorted array of distinct codes.
+
+    The keys lie in the target exactly when merging them into it adds no
+    distinct value.  The merge is a stable sort of the target joined with
+    the sorted keys: two ascending runs, which the stable sort merges in one
+    linear pass.
+    """
+    merged = np.concatenate([target, np.sort(keys)])
+    merged.sort(kind="stable")
+    return bool(np.count_nonzero(merged[1:] != merged[:-1]) + 1 == len(target))
 
 
 def _products_within(left: np.ndarray, right: np.ndarray, q: int, target: np.ndarray) -> bool:
     """Whether every product x y (x in left, y in right) has its key in the
-    sorted array ``target``.  Every chunk is tested, so the kernel calls do
-    not depend on the answer."""
-
-    def within(keys: np.ndarray) -> bool:
-        keys = np.sort(keys)  # ascending probes walk the target in order
-        found = target[np.searchsorted(target, keys).clip(max=len(target) - 1)]
-        return bool((found == keys).all())
-
-    return all([within(keys) for keys in _product_keys(left, right, q)])
+    sorted array of distinct codes ``target``.  Every chunk is tested, so the
+    kernel calls do not depend on the answer."""
+    return all([_keys_within(keys, target) for keys in _product_keys(left, right, q)])
 
 
 def _translate_keys(g: np.ndarray, stack: np.ndarray, q: int) -> np.ndarray:
@@ -534,9 +552,9 @@ def frame_subspace(J: SubsetJ, q: int) -> Subspace:
 
 
 def meets_trivially(U: Subspace, J: SubsetJ) -> bool:
-    """U cap U_J = 0, tested through the rank of the stacked matrix."""
-    stacked = np.array(U.rows + frame_subspace(J, U.q).rows, dtype=np.int64)
-    return int(kernels.rank_mod(stacked, U.q)) == U.ambient
+    """U cap U_J = 0: the stacked rows of U and U_J have full rank, found by
+    one ``kernels.rank_mod`` call on Python rows."""
+    return int(kernels.rank_mod(U.rows + frame_subspace(J, U.q).rows, U.q)) == U.ambient
 
 
 def finding_j_check(kind: GroupKind, q: int) -> dict:

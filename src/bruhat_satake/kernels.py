@@ -12,6 +12,14 @@ The array functions return int64 arrays; entries are reduced mod q on
 entry, and q must be a key of ``PRIMITIVE_ROOT``.  ``rref_rows`` itself
 takes any prime.
 
+A stack product is lane packed (Kronecker substitution on the rows of the
+right operand): each row of ``b`` is written as four 16-bit lanes per
+64-bit word, one batched unsigned integer matmul forms four products per
+multiply-add, and the lanes are read back and reduced mod q by one residue
+lookup.  A lane sum is at most s (q-1)^2 for inner dimension s, so an
+inner dimension with s (q-1)^2 >= 2^16, where a lane could carry into the
+next, is refused with ``ValueError`` before anything is allocated.
+
 A matrix is keyed by ``mat_keys``: one exact int64 code, its row-major
 entries read as base-q digits, so equal matrices have equal codes, a set
 of matrices is a sorted array of codes and ``mats_from_keys`` decodes them.
@@ -32,6 +40,7 @@ from . import _lazy_module
 np = _lazy_module("numpy")
 
 PRIMITIVE_ROOT = {2: 1, 3: 2, 5: 2}  # the supported fields F_q, each with a generator of F_q^x
+LANES = 4  # 16-bit lanes per 64-bit word in matmul_mod
 
 
 def check_q(q: int) -> None:
@@ -126,12 +135,29 @@ def backend_name() -> str:
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """Stack matmul mod q.  a: (N, r, s), b: (N, s, t) or (s, t)."""
+    """Stack matmul mod q.  a: (N, r, s), b: (N, s, t) or (s, t).
+
+    Exact in unsigned integers: the rows of ``b`` are packed ``LANES`` to a
+    64-bit word, so one product word holds ``LANES`` entries of a @ b, each
+    a lane sum below 2^16 that never carries into the next lane.  Returns
+    the int64 stack reduced mod q; a shape whose lane sum could reach 2^16
+    is refused with ``ValueError`` before anything is allocated.
+    """
     check_q(q)
+    s, t = np.shape(b)[-2:]
+    top = s * (q - 1) ** 2  # the largest lane sum
+    if top >= 1 << 16:
+        raise ValueError(f"inner dimension {s} over F_{q} overflows a 16-bit lane: {s} * {q - 1}^2 >= 2^16")
     a, b = _reduced(a, q), _reduced(b, q)
-    # entries of a @ b lie in [0, s (q-1)^2]; a lookup reduces them faster than %
-    residues = np.arange(a.shape[-1] * (q - 1) ** 2 + 1) % q
-    return residues.take(a @ b)
+    packed = np.zeros((*b.shape[:-1], -(-t // LANES) * LANES), dtype=np.uint16)
+    packed[..., :t] = b
+    # a is reduced, so its uint64 view holds the same values and no copy is made
+    lanes = (a.view(np.uint64) @ packed.view(np.uint64)).view(np.uint16)[..., :t]
+    out = lanes.astype(np.int64)
+    # take reads each index before it writes that slot, so the lookup overwrites
+    # its own indices; "clip" never acts (no lane exceeds top) and, unlike
+    # "raise", does not buffer the output
+    return (np.arange(top + 1) % q).take(out, out=out, mode="clip")
 
 
 def rref_mod(mats, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -167,12 +193,14 @@ def mat_keys(mats: np.ndarray, q: int) -> np.ndarray:
 
     Codes are exact and injective on one shape, so equal matrices have equal
     codes and a set of matrices is a sorted array of codes.  A shape with
-    q**entries >= 2**63 would wrap, and is refused with ``ValueError``.
+    q**entries >= 2**63 would wrap, and is refused with ``ValueError`` before
+    anything is allocated.
     """
-    arr = np.asarray(mats, dtype=np.int64)
-    width = math.prod(arr.shape[1:])
+    shape = np.shape(mats)
+    width = math.prod(shape[1:])
     if q**width >= 1 << 63:
-        raise ValueError(f"{q}^{width} matrices of shape {arr.shape[1:]} do not fit int64 keys")
+        raise ValueError(f"{q}^{width} matrices of shape {shape[1:]} do not fit int64 keys")
+    arr = np.asarray(mats, dtype=np.int64)
     return arr.reshape(len(arr), width) @ q ** np.arange(width, dtype=np.int64)
 
 

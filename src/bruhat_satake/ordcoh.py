@@ -63,10 +63,11 @@ class GradedCohomology:
     bases: tuple[tuple[tuple[int, ...], ...], ...]
 
 
-def koszul_cohomology(d: int, lam: Lambda) -> GradedCohomology:
-    """H^i free of rank C(d, i) with basis the i-subsets of {1..d}.
+def koszul_cohomology(d: int) -> GradedCohomology:
+    """H^i free of rank C(d, i) with basis the i-subsets of {1..d}, over any
+    coefficient ring Z/p^r.
 
-    >>> koszul_cohomology(3, Lambda(2, 2)).ranks
+    >>> koszul_cohomology(3).ranks
     (1, 3, 3, 1)
     """
     if not 0 <= d <= KOSZUL_DEGREE_GUARD:
@@ -84,7 +85,7 @@ def koszul_differentials(d: int, lam: Lambda, unit_weights) -> list[np.ndarray]:
     for any weights.  The subset bases, and the guard on d, are those of
     ``koszul_cohomology``.
     """
-    bases = koszul_cohomology(d, lam).bases
+    bases = koszul_cohomology(d).bases
     units = list(unit_weights)
     if any(isinstance(u, bool) or not isinstance(u, numbers.Integral) for u in units):
         raise ValueError("unit weights must be integers")
@@ -122,7 +123,7 @@ def cores_kunneth(d: int, a: int, lam: Lambda) -> list[np.ndarray]:
     on H^0 and 1 on H^1, so by Kunneth the map on H^i is diagonal with
     entry p^{a(d-i)} on every subset basis vector.
     """
-    coh = koszul_cohomology(d, lam)
+    coh = koszul_cohomology(d)
     check_level(a)
     _check_int64(max(coh.ranks), lam)
     mod = lam.modulus

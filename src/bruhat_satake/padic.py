@@ -304,9 +304,10 @@ class BlockMatrix:
         return BlockMatrix(self.kind, self.p, _transpose(self.num), self.den)
 
     def inverse(self) -> "BlockMatrix":
+        # the constructor proved self nonsingular, so the solve cannot fail
         det, solved = _bareiss_solve(self.num, _scalar(len(self.num), 1))
         if solved is None:
-            raise ValueError("matrix is singular")
+            raise AssertionError("a group element has no inverse")
         return BlockMatrix(self.kind, self.p, _scaled(solved, self.den), det)
 
     def is_integral(self) -> bool:
@@ -406,9 +407,11 @@ def in_P_Gamma1(g: BlockMatrix, m: int) -> bool:
     return h_invariant(g) >= m
 
 
-def factor_P_Gamma1(g: BlockMatrix, m: int) -> tuple[BlockMatrix, BlockMatrix]:
+def factor_P_Gamma1(g: BlockMatrix, m: int, *, h=None) -> tuple[BlockMatrix, BlockMatrix]:
     """Split g = pPart * gamma1Part with pPart block upper triangular and
     gamma1Part = [[I, 0], [L, I]] in Gamma_1(p^m), where L = D^{-1} C.
+    ``h`` is ``h_invariant(g)`` when the caller has it already, so it is
+    not computed twice.
 
     Exact over Q; in type C both factors are symplectic (the constructor
     would refuse otherwise).  With L = X / det from one Bareiss solve,
@@ -416,7 +419,8 @@ def factor_P_Gamma1(g: BlockMatrix, m: int) -> tuple[BlockMatrix, BlockMatrix]:
     [[det A - B X, det B], [0, det D]] / (den det) in g's integer blocks.
     """
     check_level(m)
-    h = h_invariant(g)
+    if h is None:
+        h = h_invariant(g)
     if h < m:
         raise ValueError(f"h invariant {h} < {m}; g is not in P(Q_p) Gamma_1(p^{m})")
     n, kind, p = g.n, g.kind, g.p

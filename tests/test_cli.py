@@ -351,6 +351,17 @@ def test_padic_factor_suite(runner):
     assert all(row["passed"] for row in body(result)["rows"])
 
 
+def test_padic_factor_of_a_given_matrix_computes_h_once(runner, monkeypatch):
+    seen = []
+    genuine = cli.padic.h_invariant
+    monkeypatch.setattr(cli.padic, "h_invariant", lambda g: seen.append(g) or genuine(g))
+    command = "padic factor --kind A --n 1 --p 2 --matrix '[[1,0],[4,1]]' --m 2"
+    result = invoke(runner, shlex.split(command))
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == README_REPORTS[command]
+    assert len(seen) == 1  # once for the row, and factor_P_Gamma1 takes it
+
+
 def test_padic_h_suite_fails_when_gamma_is_wrong(runner, monkeypatch):
     # gamma * gamma^-1 is the identity, which leaves h unshifted
     genuine = cli.padic.gamma

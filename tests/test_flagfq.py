@@ -228,6 +228,34 @@ def test_chunked_inclusion_matches_the_product_set(kind, q):
         for t, expected in ((target, True), (short, False), (cut, False)):
             assert set(products.tolist()).issubset(t.tolist()) is expected
             assert flagfq._products_within(left, P, q, t) is expected
+            for keys in flagfq._product_keys(left, P, q):
+                assert flagfq._keys_within(keys, t) is searchsorted_within(keys, t)
+
+
+def searchsorted_within(keys, target):
+    """Reference membership test: every key, sorted, probes the sorted
+    target by binary search."""
+    keys = np.sort(keys)
+    found = target[np.searchsorted(target, keys).clip(max=len(target) - 1)]
+    return bool((found == keys).all())
+
+
+def test_keys_within_matches_binary_search_at_the_edges():
+    target = np.array([3, 5, 8, 13, 21], dtype=np.int64)
+    cases = [
+        [5],  # one key
+        [21, 3, 13, 8, 5],  # the whole target, unsorted
+        [8, 8, 3, 8],  # repeated keys
+        [0],  # below the target
+        [22],  # above the target
+        [4],  # between two codes
+        [3, 21, 22],  # one miss among hits
+        [2, 5, 2],  # a repeated miss
+    ]
+    for keys in cases:
+        keys = np.array(keys, dtype=np.int64)
+        assert flagfq._keys_within(keys, target) is searchsorted_within(keys, target)
+    assert flagfq._keys_within(np.array([7], dtype=np.int64), np.array([], dtype=np.int64)) is False
 
 
 @pytest.mark.parametrize("kind,q", SMALL)

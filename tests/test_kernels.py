@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,17 +79,45 @@ def test_rref_is_idempotent_and_rank_correct(q):
     assert (kernels.rank_mod(mats, q) == ranks).all()
 
 
+def naive_matmul(a, b, q):
+    """Reference stack product: sum_k a_ik b_kj mod q in Python ints, matrix
+    by matrix; a 2-D ``b`` multiplies every matrix of ``a``."""
+    b = np.asarray(b)
+    rights = b.tolist() if b.ndim == 3 else [b.tolist()] * len(a)
+    t = b.shape[-1]
+    return [
+        [[sum(x * right[k][j] for k, x in enumerate(row)) % q for j in range(t)] for row in mat]
+        for mat, right in zip(np.asarray(a).tolist(), rights)
+    ]
+
+
+def refusal_peak_bytes(call, message):
+    """The peak memory traced while ``call`` raises ``ValueError`` matching
+    ``message``; numpy reports its array buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def assert_matmul_matches_the_oracle(a, b, q):
+    got = kernels.matmul_mod(a, b, q)
+    assert got.dtype == np.int64 and got.shape == (len(a), a.shape[1], b.shape[-1])
+    assert got.tolist() == naive_matmul(a, b, q)
+
+
 @Q
 def test_matmul_mod(q):
     rng = np.random.default_rng(2)
-    a = rng.integers(0, q, size=(20, 3, 4))
-    b = rng.integers(0, q, size=(20, 4, 5))
-    got = kernels.matmul_mod(a, b, q)
-    assert (got == (a.astype(np.int64) @ b.astype(np.int64)) % q).all()
-    # 2D right operand broadcasts across the stack
-    c = rng.integers(0, q, size=(4, 4))
-    got = kernels.matmul_mod(a, c, q)
-    assert (got == (a.astype(np.int64) @ c.astype(np.int64)) % q).all()
+    for t in range(1, 10):  # widths that are and are not multiples of kernels.LANES
+        for count in (0, 1, 20):
+            a = rng.integers(0, q, size=(count, 3, 4))
+            assert_matmul_matches_the_oracle(a, rng.integers(0, q, size=(count, 4, t)), q)
+            # a 2-D right operand multiplies every matrix of the stack
+            assert_matmul_matches_the_oracle(a, rng.integers(0, q, size=(4, t)), q)
 
 
 @Q
@@ -98,9 +127,30 @@ def test_matmul_mod_reduces_unreduced_operands(q):
     b = rng.integers(-11, 12, size=(20, 4, 5))
     c = rng.integers(q, 3 * q, size=(4, 2))  # every entry >= q
     for x, y in ((a, b), (a, c), (a % q, b), (a, b % q)):
-        got = kernels.matmul_mod(x, y, q)
-        assert got.dtype == np.int64
-        assert (got == ((x % q) @ (y % q)) % q).all()
+        assert_matmul_matches_the_oracle(x, y, q)
+
+
+@Q
+def test_matmul_mod_at_the_widest_inner_dimension(q):
+    # every lane sum is s (q-1)^2, the most a lane can hold: 65535, 65532, 65520
+    s = ((1 << 16) - 1) // (q - 1) ** 2
+    assert s * (q - 1) ** 2 < 1 << 16 <= (s + 1) * (q - 1) ** 2
+    for a, b in (
+        (np.full((2, 2, s), q - 1), np.full((2, s, 5), q - 1)),
+        (np.full((1, 1, s), -1), np.full((s, 3), 2 * q - 1)),  # q - 1 once reduced
+    ):
+        assert_matmul_matches_the_oracle(a, b, q)
+
+
+@Q
+def test_matmul_mod_refuses_a_lane_overflow_before_allocating(q):
+    s = ((1 << 16) - 1) // (q - 1) ** 2 + 1  # one step past the widest
+    message = f"^inner dimension {s} over F_{q} overflows a 16-bit lane"
+    # int32 operands, so reducing them first would allocate int64 copies of both
+    a, b = np.full((4, 2, s), q - 1, dtype=np.int32), np.full((s, 1), q - 1, dtype=np.int32)
+    assert refusal_peak_bytes(lambda: kernels.matmul_mod(a, b, q), message) < a.size * 8 // 4
+    with pytest.raises(ValueError, match=message):
+        kernels.matmul_mod(np.zeros((0, 1, s), dtype=np.int64), np.zeros((0, s, 4), dtype=np.int64), q)
 
 
 @Q
@@ -161,6 +211,8 @@ def test_mat_keys_refuse_a_shape_whose_codes_would_wrap():
         kernels.mat_keys(np.ones((1, 7, 9), dtype=np.int64), 2)  # 2^63 itself
     with pytest.raises(ValueError, match="do not fit int64 keys"):
         kernels.mat_keys(np.zeros((0, 5, 8), dtype=np.int64), 3)  # 3^40, refused by shape alone
+    wide = np.ones((512, 7, 9), dtype=np.int8)  # an int64 copy would take 258 KB
+    assert refusal_peak_bytes(lambda: kernels.mat_keys(wide, 2), "do not fit int64 keys") < wide.size
     # the widest shapes that fit, each at its largest code q^entries - 1
     for q, shape in ((2, (2, 31)), (3, (3, 13)), (5, (3, 9))):
         top = np.full((1, *shape), q - 1)

@@ -753,14 +753,16 @@ def test_invariant_and_factors_match_the_fraction_oracle(element):
     h = ref_h(rows, n, p)
     assert h_invariant(g) == h
     if h < 1:
-        with pytest.raises(ValueError):
-            factor_P_Gamma1(g, 1)
+        for given in ({}, {"h": h}):
+            with pytest.raises(ValueError, match=f"^h invariant {h} < 1;"):
+                factor_P_Gamma1(g, 1, **given)
         return
     m = 1 if h == math.inf else min(h, 4)
     p_part, g1_part = factor_P_Gamma1(g, m)
     expected_p, expected_g1 = ref_factor(rows, n)
     assert p_part.rows == expected_p
     assert g1_part.rows == expected_g1
+    assert factor_P_Gamma1(g, m, h=h) == (p_part, g1_part)  # the caller's h, not recomputed
     assert p_part * g1_part == g
     assert ref_mul(p_part.rows, g1_part.rows) == rows
 

@@ -153,6 +153,16 @@ def test_subset_j_type_c_validation():
     weyl.subset_j(weyl.type_c(2), {1, 4})  # picking one of each pair is fine
 
 
+@pytest.mark.parametrize("kind", [weyl.type_a(2), weyl.type_c(2)])
+def test_subset_j_refuses_outside_members_and_wrong_counts(kind):
+    for members in ({0, 1}, {1, 5}, {-1, 2}):  # a member outside {1..4}
+        with pytest.raises(ValueError, match=r"^members must lie in \{1,...,2n\}$"):
+            weyl.SubsetJ(kind, frozenset(members))
+    for members in (set(), {1}, {1, 2, 3}):  # n = 2 members are needed
+        with pytest.raises(ValueError, match="^J must have exactly n members$"):
+            weyl.SubsetJ(kind, frozenset(members))
+
+
 def test_tau_literal_values():
     # the n = 2 type A permutation swapping 1 <-> 3, 2 <-> 4 moves both of {1, 2} out
     kind = weyl.type_a(2)
