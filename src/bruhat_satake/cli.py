@@ -183,13 +183,14 @@ def flag_census(kind, n, q):
     total = sum(census.values())
     expected = flagfq.flag_size(gk, q)
     open_points = q ** roots.cell_dim_formula(gk, n)
+    strata = all(census.get(k, 0) == flagfq.stratum_size(gk, k, q) for k in range(n + 1))
     return {
         "rows": [{"tau": t, "points": census[t]} for t in sorted(census)],
         "total": total,
         "expected_total": expected,
         "open_cell_points": census[n],
         "open_cell_expected": open_points,
-        "ok": total == expected and census[n] == open_points,
+        "ok": total == expected and census[n] == open_points and strata,
     }
 
 
@@ -344,24 +345,29 @@ def padic_h(g, gk, p, m, count, rng):
     return {"rows": rows, "ok": all(row["passed"] for row in rows)}
 
 
+def _block_upper_triangular(g) -> bool:
+    """The lower-left n x n block of g is zero."""
+    return not any(any(row[: g.n]) for row in g.num[g.n :])
+
+
 @_padic("factor", count=20)
 def padic_factor(g, gk, p, m, count, rng):
     """Split g into its parabolic and congruence factors."""
     if g is not None:
         h = padic.h_invariant(g)
         p_part, g1_part = padic.factor_P_Gamma1(g, m, h=h)
-        ok = p_part * g1_part == g
+        reassembled = p_part * g1_part == g
         return {
-            "rows": [{"h": _h_str(h), "reassembled": ok}],
+            "rows": [{"h": _h_str(h), "reassembled": reassembled}],
             "p_part": [[str(x) for x in row] for row in p_part.rows],
             "gamma1_part": [[str(x) for x in row] for row in g1_part.rows],
-            "ok": ok,
+            "ok": reassembled and _block_upper_triangular(p_part),
         }
     rows = []
     for idx in range(count):
         g = padic.random_congruence_element(gk, p, m, rng)
         p_part, g1_part = padic.factor_P_Gamma1(g, m)
-        passed = p_part * g1_part == g and padic.in_level(g1_part, m)
+        passed = p_part * g1_part == g and _block_upper_triangular(p_part) and padic.in_level(g1_part, m)
         rows.append({"sample": idx, "passed": passed})
     return {"rows": rows, "ok": all(row["passed"] for row in rows)}
 

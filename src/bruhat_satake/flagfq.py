@@ -91,6 +91,15 @@ def gaussian_binomial(m: int, k: int, q: int) -> int:
     return num // den
 
 
+def stratum_size(kind: GroupKind, k: int, q: int) -> int:
+    """Number of points with tau = k, in closed form: q^(k^2) C(n, k)_q^2 in
+    type A, q^(k(k+1)/2) C(n, k)_q in type C."""
+    n = kind.n
+    if kind.family is Family.TYPE_A:
+        return q ** (k * k) * gaussian_binomial(n, k, q) ** 2
+    return q ** (k * (k + 1) // 2) * gaussian_binomial(n, k, q)
+
+
 def flag_size(kind: GroupKind, q: int) -> int:
     """Number of points: the Gaussian binomial C(2n, n)_q, or prod (q^i + 1)."""
     n = kind.n
@@ -286,16 +295,24 @@ class Subspace:
 
 
 def subspace_from_rows(rows, q: int) -> Subspace:
-    arr = np.asarray(rows, dtype=np.int64)
-    red, rank = kernels.rref_mod(arr, q)
-    if int(rank) != arr.shape[0]:
+    """The span of independent rows, given as Python rows or as a 2-D array;
+    either way the kernel reduces Python rows."""
+    if not isinstance(rows, (list, tuple)):
+        rows = rows.tolist()
+    red, rank = kernels.rref_mod(rows, q)
+    if rank != len(rows):
         raise ValueError("rows are linearly dependent")
-    return Subspace(q, tuple(map(tuple, red.tolist())))
+    return Subspace(q, tuple(map(tuple, red)))
+
+
+def _coordinate_rows(columns, width: int) -> list[list[int]]:
+    """The unit rows e_c (0-based c) of length ``width``, one per column."""
+    return [[int(j == c) for j in range(width)] for c in columns]
 
 
 def base_point(kind: GroupKind, q: int) -> Subspace:
     n = kind.n
-    return subspace_from_rows(np.eye(n, 2 * n, dtype=np.int64), q)
+    return subspace_from_rows(_coordinate_rows(range(n), 2 * n), q)
 
 
 def act(g: np.ndarray, U: Subspace) -> Subspace:
@@ -381,10 +398,10 @@ def tau_of_point(U: Subspace) -> int:
 
     With U's rows written [A | B] in n-column blocks, rank [[A, B], [I, 0]]
     = n + rank(B), so tau is the rank of the n x n block B: one
-    ``kernels.rank_mod`` call on Python rows.
+    ``kernels.rank_mod`` call on Python rows, which returns an int.
     """
     n = U.dim
-    return int(kernels.rank_mod([row[n:] for row in U.rows], U.q))
+    return kernels.rank_mod([row[n:] for row in U.rows], U.q)
 
 
 def cell_census(kind: GroupKind, q: int) -> dict[int, int]:
@@ -544,17 +561,13 @@ def cover_lemma_check(kind: GroupKind, q: int) -> dict:
 
 def frame_subspace(J: SubsetJ, q: int) -> Subspace:
     """U_J = <e_j : j in J>."""
-    n = J.kind.n
-    rows = np.zeros((n, 2 * n), dtype=np.int64)
-    for i, j in enumerate(sorted(J.members)):
-        rows[i, j - 1] = 1
-    return subspace_from_rows(rows, q)
+    return subspace_from_rows(_coordinate_rows([j - 1 for j in sorted(J.members)], 2 * J.kind.n), q)
 
 
 def meets_trivially(U: Subspace, J: SubsetJ) -> bool:
     """U cap U_J = 0: the stacked rows of U and U_J have full rank, found by
     one ``kernels.rank_mod`` call on Python rows."""
-    return int(kernels.rank_mod(U.rows + frame_subspace(J, U.q).rows, U.q)) == U.ambient
+    return kernels.rank_mod(U.rows + frame_subspace(J, U.q).rows, U.q) == U.ambient
 
 
 def finding_j_check(kind: GroupKind, q: int) -> dict:

@@ -2,15 +2,18 @@
 
 The finite flag sweeps reduce to three bulk operations on stacks of small
 integer matrices mod q: stack matmul, stack reduced row echelon form, and
-stack rank.  A stack goes through one numpy routine whose Python loops run
-only over the shape of a single matrix, never over the stack.  A single
-matrix is row reduced in scalar Python, where numpy's per-operation cost
-would dominate the few arithmetic steps: ``rref_mod`` and ``rank_mod`` take
-it as Python rows, handed to the scalar routine ``rref_rows`` with no array
-built on the way in, or as a 2-D array, which is turned into rows first.
-The array functions return int64 arrays; entries are reduced mod q on
-entry, and q must be a key of ``PRIMITIVE_ROOT``.  ``rref_rows`` itself
-takes any prime.
+stack rank.  ``rref_mod`` and ``rank_mod`` return the representation they
+are given: Python rows (a list or tuple of rows) give Python rows and an
+int, with no array built; a 2-D array gives an int64 array and an
+``np.int64``; a 3-D stack gives an int64 stack and an int64 rank vector.
+A single matrix is row reduced in scalar Python (``rref_rows``), where
+numpy's per-operation cost would dominate the few arithmetic steps, and so
+is a stack of at most ``SCALAR_STACK_ROWS`` = 64 rows in all, matrix by
+matrix: the whole-stack routine ``_rref_stack``, whose Python loops run
+only over the shape of one matrix, pays about 20 numpy calls per column and
+overtakes the scalar path only past roughly that many rows.  Entries are
+reduced mod q on entry, and q must be a key of ``PRIMITIVE_ROOT``;
+``rref_rows`` itself takes any prime.
 
 A stack product is lane packed (Kronecker substitution on the rows of the
 right operand): each row of ``b`` is written as four 16-bit lanes per
@@ -26,8 +29,9 @@ of matrices is a sorted array of codes and ``mats_from_keys`` decodes them.
 
 numpy is bound lazily, through the package's ``_lazy_module`` like the
 package's own modules: it is imported on the first attribute access of
-``np``, so a process that never runs a kernel (the Weyl, root, padic and
-Satake reports) never pays for importing it.  ``flagfq`` and ``ordcoh`` take
+``np``, so a process that never runs an array kernel (the Weyl, root, padic
+and Satake reports, and the flag census, whose ranks are on Python rows)
+never pays for importing it.  ``flagfq`` and ``ordcoh`` take
 their ``np`` from here.
 """
 
@@ -41,6 +45,12 @@ np = _lazy_module("numpy")
 
 PRIMITIVE_ROOT = {2: 1, 3: 2, 5: 2}  # the supported fields F_q, each with a generator of F_q^x
 LANES = 4  # 16-bit lanes per 64-bit word in matmul_mod
+# A stack with at most this many rows in all is row reduced matrix by matrix
+# by rref_rows: below it the ~20 whole-stack numpy calls per column of
+# _rref_stack cost more than the arithmetic they vectorize.  The two paths
+# cross near 50 rows for (3,3) over F_3 and (4,8) over F_5, 64 for (2,4) over
+# F_3 and 140 for (3,6) over F_2.
+SCALAR_STACK_ROWS = 64
 
 
 def check_q(q: int) -> None:
@@ -160,29 +170,35 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     return (np.arange(top + 1) % q).take(out, out=out, mode="clip")
 
 
-def rref_mod(mats, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stack RREF mod q: returns (rref stack, rank vector).
+def rref_mod(mats, q: int):
+    """RREF mod q of one matrix or of a stack, in the representation it was given.
 
     The RREF is the canonical representative of the row space, so two
-    matrices have equal row spans iff their RREFs are equal arrays.  A
-    single matrix, given as Python rows (a list or tuple of rows) or as a
-    2-D array, returns its RREF as an int64 array and an ``np.int64`` rank.
-    Python rows go straight to ``rref_rows``, with no array built on the
-    way in.
+    matrices have equal row spans iff their RREFs are equal.  Python rows (a
+    list or tuple of rows) go straight to ``rref_rows`` and come back as its
+    ``(list rows, int rank)``, with no array built.  A 2-D array returns an
+    int64 array and an ``np.int64`` rank.  A 3-D stack returns the int64
+    RREF stack and the int64 rank vector: a stack of at most
+    ``SCALAR_STACK_ROWS`` rows in all is reduced matrix by matrix through
+    ``rref_rows``, a larger one by ``_rref_stack``.
     """
     check_q(q)
     if isinstance(mats, (list, tuple)):
-        rows, shape = mats, (len(mats), len(mats[0]) if mats else 0)
-    else:
-        mats = np.asarray(mats, dtype=np.int64)
-        if mats.ndim != 2:
-            return _rref_stack(mats % q, q)  # a fresh array
-        rows, shape = mats.tolist(), mats.shape
-    red, rank = rref_rows(rows, q)
-    return np.array(red, dtype=np.int64).reshape(shape), np.int64(rank)
+        return rref_rows(mats, q)
+    mats = np.asarray(mats, dtype=np.int64)
+    if mats.ndim == 2:
+        red, rank = rref_rows(mats.tolist(), q)
+        return np.array(red, dtype=np.int64).reshape(mats.shape), np.int64(rank)
+    if mats.shape[0] * mats.shape[1] > SCALAR_STACK_ROWS:
+        return _rref_stack(mats % q, q)  # a fresh array
+    reduced = [rref_rows(mat, q) for mat in mats.tolist()]
+    red = np.array([rows for rows, _ in reduced], dtype=np.int64).reshape(mats.shape)
+    return red, np.array([rank for _, rank in reduced], dtype=np.int64)
 
 
-def rank_mod(mats, q: int) -> np.ndarray:
+def rank_mod(mats, q: int):
+    """The rank part of ``rref_mod``: an int for Python rows, an ``np.int64``
+    for a 2-D array, an int64 vector for a stack."""
     return rref_mod(mats, q)[1]
 
 

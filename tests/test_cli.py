@@ -229,10 +229,16 @@ def _tau_one_too_high(genuine):
     return lambda U: min(genuine(U) + 1, U.dim)
 
 
+def _tau_zero_and_one_swapped(genuine):
+    return lambda U: {0: 1, 1: 0}.get(genuine(U), genuine(U))
+
+
 # Each report with one library step broken: (command, module, name, the
 # broken step built from the genuine one).  The report must notice and exit 1.
 BROKEN_STEPS = [
     ("flag census --kind A --n 2 --q 2", "flagfq", "tau_of_point", _tau_one_too_high),
+    # the total and the open cell still agree: only the lower strata are wrong
+    ("flag census --kind C --n 2 --q 2", "flagfq", "tau_of_point", _tau_zero_and_one_swapped),
     ("flag check-cover --kind A --n 1 --q 2", "flagfq", "weyl_matrix", _identity_weyl_matrix),
     ("flag check-cover --kind C --n 1 --q 3", "flagfq", "weyl_matrix", _identity_weyl_matrix),
     # two orbits read with the same tau: the P_I-orbits no longer match the tau fibers
@@ -382,6 +388,34 @@ def test_padic_factor_suite_fails_when_the_factorization_is_wrong(runner, monkey
     report = body(result)
     assert report["ok"] is False
     assert not all(row["passed"] for row in report["rows"])
+
+
+def _factor_unsplit(genuine):
+    """factor_P_Gamma1 returning the trivial split (g, I): it reassembles g and
+    I is in every Gamma_1(p^m), but g is no parabolic factor."""
+    return lambda g, m, h=None: (g, g * g.inverse())
+
+
+def test_padic_factor_of_a_given_matrix_fails_on_the_trivial_split(runner, monkeypatch):
+    command = "padic factor --kind A --n 1 --p 2 --matrix '[[1,0],[4,1]]' --m 2"
+    monkeypatch.setattr(cli.padic, "factor_P_Gamma1", _factor_unsplit(cli.padic.factor_P_Gamma1))
+    result = invoke(runner, shlex.split(command))
+    assert result.exit_code == 1
+    report = body(result)
+    assert report["ok"] is False
+    assert report["rows"][0]["reassembled"] is True  # the product still reassembles g
+    assert report["p_part"] == [["1", "0"], ["4", "1"]]
+
+
+def test_padic_factor_suite_fails_on_the_trivial_split(runner, monkeypatch):
+    command = "padic factor --kind C --n 2 --p 3 --m 2 --seed 3 --count 5"
+    assert invoke(runner, command.split()).exit_code == 0
+    monkeypatch.setattr(cli.padic, "factor_P_Gamma1", _factor_unsplit(cli.padic.factor_P_Gamma1))
+    result = invoke(runner, command.split())
+    assert result.exit_code == 1
+    report = body(result)
+    assert report["ok"] is False
+    assert not any(row["passed"] for row in report["rows"])
 
 
 def test_matrix_and_file_conflict(runner, tmp_path):
@@ -638,8 +672,9 @@ def test_ordcoh_ordinary_refuses_int64_overflow(runner, args):
 
 
 # ------------------------------------------------------------------ start-up
-# numpy is bound lazily in kernels: the exact reports never import it, and
-# the flag and ordcoh reports load it on first use with unchanged bytes.
+# numpy is bound lazily in kernels: the exact reports and flag census (its
+# ranks are scalar, on Python rows) never import it, and the other flag
+# reports and the ordcoh reports load it on first use with unchanged bytes.
 # The package's own modules are lazy too: each command runs only the ones
 # it uses.
 
@@ -648,8 +683,9 @@ NUMPY_FREE = [
     "cells dims --kind C --n 2",
     "satake verify --kind A --n 2 --twist",
     "padic h --kind C --n 2 --p 3 --m 2 --seed 7 --count 20",
+    "flag census --kind C --n 2 --q 2",
 ]
-NUMPY_USERS = ["flag census --kind A --n 1 --q 2", "ordcoh ranks --d 2"]
+NUMPY_USERS = ["flag check-cover --kind A --n 1 --q 2", "ordcoh ranks --d 2"]
 
 STARTUP_SCRIPT = """
 import io, json, sys
@@ -712,7 +748,8 @@ MODULES_RUN = {
     "padic factor --kind A --n 1 --p 2 --matrix '[[1,0],[2,1]]'": (["padic", "weyl"], False),
     "ordcoh ranks --d 2": (["kernels", "ordcoh", "padic", "weyl"], True),
     "ordcoh ordinary --d 2": (["kernels", "ordcoh", "padic", "weyl"], True),
-    "flag census --kind A --n 1 --q 2": (["flagfq", "kernels", "roots", "weyl"], True),
+    "flag census --kind A --n 1 --q 2": (["flagfq", "kernels", "roots", "weyl"], False),
+    "flag census --kind A --n 3 --q 3": (["flagfq", "kernels", "roots", "weyl"], False),
     "flag check-cover --kind A --n 1 --q 2": (["flagfq", "kernels", "weyl"], True),
 }
 

@@ -639,3 +639,10 @@ def test_census_matches_the_bruhat_q_count(kind, q):
 def test_type_a_bruhat_q_count_closed_form(n, q):
     census = bruhat_census(weyl.type_a(n), q)
     assert census == {k: q ** (k * k) * q_binomial(n, k, q) ** 2 for k in range(n + 1)}
+
+
+@pytest.mark.parametrize("kind", [weyl.GroupKind(f, n) for f in weyl.Family for n in (1, 2, 3)], ids=case_id)
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_stratum_sizes_are_the_bruhat_q_count(kind, q):
+    # the closed forms flag census compares with its enumeration
+    assert {k: flagfq.stratum_size(kind, k, q) for k in range(kind.n + 1)} == bruhat_census(kind, q)

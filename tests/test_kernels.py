@@ -168,13 +168,59 @@ def test_rref_on_python_rows_matches_the_equal_array(q):
     ]
     for mat in mats:
         want_red, want_rank = kernels.rref_mod(mat, q)
+        assert want_red.dtype == np.int64 and want_red.shape == mat.shape
+        assert isinstance(want_rank, np.int64)
         for rows in (mat.tolist(), tuple(map(tuple, mat.tolist()))):
+            before = list(map(list, rows))
             red, rank = kernels.rref_mod(rows, q)
-            assert red.dtype == want_red.dtype == np.int64 and red.shape == want_red.shape
-            assert (red == want_red).all()
-            assert isinstance(rank, np.int64) and rank == want_rank
-            assert kernels.rank_mod(rows, q) == want_rank
+            # rows in, rows out: lists of Python ints and a plain int rank
+            assert type(red) is list and all(type(row) is list for row in red)
+            assert all(type(x) is int for row in red for x in row)
+            assert red == want_red.tolist()
+            assert type(rank) is int and rank == want_rank
+            rank_only = kernels.rank_mod(rows, q)
+            assert type(rank_only) is int and rank_only == want_rank
+            assert list(map(list, rows)) == before  # the input rows are left alone
         assert (want_red == naive_rref(mat, q)[0]).all()
+
+
+SHAPES = pytest.mark.parametrize("shape", [(3, 6), (2, 4), (4, 8)], ids=lambda s: f"{s[0]}x{s[1]}")
+
+
+@Q
+@SHAPES
+def test_stacks_on_either_side_of_the_scalar_bound_match_the_oracle(q, shape, monkeypatch):
+    # a stack of at most SCALAR_STACK_ROWS rows in all is reduced matrix by
+    # matrix; one matrix more goes through _rref_stack, with equal results
+    stack_calls = []
+    genuine = kernels._rref_stack
+    monkeypatch.setattr(kernels, "_rref_stack", lambda m, q: stack_calls.append(m.shape) or genuine(m, q))
+    r, c = shape
+    widest = kernels.SCALAR_STACK_ROWS // r  # the most matrices at or below the bound
+    rng = np.random.default_rng(5)
+    for count, stacked in ((1, False), (widest, False), (widest + 1, True)):
+        mats = rng.integers(-7, 9, size=(count, r, c))  # entries outside [0, q)
+        mats[0, 0] = 0  # a zero row
+        mats[-1, -1] = 2 * mats[-1, 0] - q * mats[-1, 1]  # twice the first row mod q
+        before = mats.copy()
+        stack_calls.clear()
+        red, ranks = kernels.rref_mod(mats, q)
+        assert stack_calls == ([(count, r, c)] if stacked else [])
+        assert (mats == before).all()  # the input stack is left alone
+        assert red.dtype == ranks.dtype == np.int64
+        assert red.shape == mats.shape and ranks.shape == (count,)
+        for i in range(count):
+            want, want_rank = naive_rref(mats[i], q)
+            assert (red[i] == want).all()
+            assert ranks[i] == want_rank
+        assert (kernels.rank_mod(mats, q) == ranks).all()
+    assert widest * r <= kernels.SCALAR_STACK_ROWS < (widest + 1) * r
+
+
+def test_an_empty_stack_reduces_to_an_empty_stack():
+    red, ranks = kernels.rref_mod(np.zeros((0, 3, 6), dtype=np.int64), 2)
+    assert red.shape == (0, 3, 6) and ranks.shape == (0,)
+    assert red.dtype == ranks.dtype == np.int64
 
 
 def test_single_matrix_round_trips_without_a_stack_axis():
