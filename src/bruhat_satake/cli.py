@@ -61,6 +61,10 @@ def _fail(message) -> None:
 
 
 def _emit(command: str, params: dict, build, fmt: str, output_dir: str | None, name_params=None):
+    """Build the report body, print the report, write its file and exit with
+    its status.  This is the one place where a ``ValueError`` becomes exit 2.
+    ``name_params`` (``params`` when None) name the file and are read only
+    after ``build`` has run."""
     if output_dir:
         try:
             Path(output_dir).mkdir(parents=True, exist_ok=True)
@@ -260,34 +264,25 @@ def _load_matrix(kind, n, p, text):
     return padic.block_matrix(_group_kind(kind, n), p, rows)
 
 
-def _padic_setup(kind, n, p, m, seed, count, matrix, matrix_file):
-    """Check the padic options and read the matrix once: returns the report
-    params, the file-name params (a digest in place of the matrix) and the text."""
-    try:
-        if m < 1:
-            raise ValueError(f"--m must be at least 1, got {m}")
-        if count < 1:
-            raise ValueError(f"--count must be at least 1, got {count}")
-        text = _matrix_text(matrix, matrix_file)
-        # p^m has more than m (bit length of |p|, less 1) bits, so a long p^m
-        # is refused before it is computed
-        if text is None and (
-            padic.suite_work(n, m * (abs(p).bit_length() - 1), count) >= padic.SUITE_WORK_GUARD
-            or padic.suite_work(n, (p**m).bit_length(), count) > padic.SUITE_WORK_GUARD
-        ):
-            raise ValueError(
-                f"the work estimate of {count} samples at n = {n} and modulus p^m exceeds the guard"
-                f" SUITE_WORK_GUARD = {padic.SUITE_WORK_GUARD}"
-            )
-    except ValueError as exc:
-        _fail(exc)
-    params = {"kind": kind, "n": n, "p": p, "m": m, "seed": seed, "count": count}
-    name_params = dict(params)
-    if text is not None:
-        import hashlib  # only a given matrix needs a digest
-
-        name_params["digest"] = hashlib.sha256(text.encode()).hexdigest()[:12]
-    return params, name_params, text
+def _padic_text(n, p, m, count, matrix, matrix_file):
+    """Check the padic options and read the matrix text once, or None for a
+    sampled suite, whose work estimate is checked here."""
+    if m < 1:
+        raise ValueError(f"--m must be at least 1, got {m}")
+    if count < 1:
+        raise ValueError(f"--count must be at least 1, got {count}")
+    text = _matrix_text(matrix, matrix_file)
+    # p^m has more than m (bit length of |p|, less 1) bits, so a long p^m
+    # is refused before it is computed
+    if text is None and (
+        padic.suite_work(n, m * (abs(p).bit_length() - 1), count) >= padic.SUITE_WORK_GUARD
+        or padic.suite_work(n, (p**m).bit_length(), count) > padic.SUITE_WORK_GUARD
+    ):
+        raise ValueError(
+            f"the work estimate of {count} samples at n = {n} and modulus p^m exceeds the guard"
+            f" SUITE_WORK_GUARD = {padic.SUITE_WORK_GUARD}"
+        )
+    return text
 
 
 PADIC = (
@@ -309,9 +304,15 @@ def _padic(name: str, count: int):
 
     def register(body):
         def run(kind, n, p, m, seed, count, matrix_file, matrix, fmt, output_dir):
-            params, name_params, text = _padic_setup(kind, n, p, m, seed, count, matrix, matrix_file)
+            params = {"kind": kind, "n": n, "p": p, "m": m, "seed": seed, "count": count}
+            name_params = dict(params)  # a given matrix adds its digest, read after build
 
             def build():
+                text = _padic_text(n, p, m, count, matrix, matrix_file)
+                if text is not None:
+                    import hashlib  # only a given matrix needs a digest
+
+                    name_params["digest"] = hashlib.sha256(text.encode()).hexdigest()[:12]
                 g = _load_matrix(kind, n, p, text)
                 return body(g, _group_kind(kind, n), p, m, count, random.Random(seed))
 

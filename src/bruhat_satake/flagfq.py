@@ -295,10 +295,7 @@ class Subspace:
 
 
 def subspace_from_rows(rows, q: int) -> Subspace:
-    """The span of independent rows, given as Python rows or as a 2-D array;
-    either way the kernel reduces Python rows."""
-    if not isinstance(rows, (list, tuple)):
-        rows = rows.tolist()
+    """The span of independent Python rows, reduced by the kernel's scalar path."""
     red, rank = kernels.rref_mod(rows, q)
     if rank != len(rows):
         raise ValueError("rows are linearly dependent")
@@ -310,28 +307,10 @@ def _coordinate_rows(columns, width: int) -> list[list[int]]:
     return [[int(j == c) for j in range(width)] for c in columns]
 
 
-def base_point(kind: GroupKind, q: int) -> Subspace:
-    n = kind.n
-    return subspace_from_rows(_coordinate_rows(range(n), 2 * n), q)
-
-
-def act(g: np.ndarray, U: Subspace) -> Subspace:
-    """g . U, i.e. the row span of M g^T, for a group matrix g over F_{U.q}."""
-    return subspace_from_rows((U.mat @ g.T) % U.q, U.q)
-
-
 def _pairing(u, v, n: int) -> int:
     """The symplectic pairing of two rows, sum_k u_k v_{n+k} - u_{n+k} v_k, as
     an integer; it vanishes in F_q iff it is 0 mod q."""
     return sum(u[k] * v[n + k] - u[n + k] * v[k] for k in range(n))
-
-
-def is_isotropic(U: Subspace, n: int) -> bool:
-    """Every pair of rows u, v pairs to zero mod q under ``_pairing``.
-
-    A row always pairs to zero with itself, so only pairs i < j are tested.
-    """
-    return not any(_pairing(u, v, n) % U.q for u, v in itertools.combinations(U.rows, 2))
 
 
 def _isotropic_products(row_choices: list[list[tuple[int, ...]]], n: int, q: int):
@@ -414,8 +393,9 @@ def cell_census(kind: GroupKind, q: int) -> dict[int, int]:
 
 
 def _orbits(points: list[Subspace], gens: list[np.ndarray], q: int) -> list[list[int]]:
-    """The orbits of the group generated by ``gens``, acting as in ``act``:
-    each as ascending point indices, ordered by their first point."""
+    """The orbits of the group generated by ``gens``, g taking U to the row
+    span of U g^T: each as ascending point indices, ordered by their first
+    point."""
     index = {kernels.mat_keys(U.mat[None], q).item(): i for i, U in enumerate(points)}
     stack = np.stack([U.mat for U in points])
 
@@ -560,7 +540,7 @@ def cover_lemma_check(kind: GroupKind, q: int) -> dict:
 
 
 def frame_subspace(J: SubsetJ, q: int) -> Subspace:
-    """U_J = <e_j : j in J>."""
+    """U_J = <e_j : j in J>; the base point U_0 is the frame of J = {1..n}."""
     return subspace_from_rows(_coordinate_rows([j - 1 for j in sorted(J.members)], 2 * J.kind.n), q)
 
 

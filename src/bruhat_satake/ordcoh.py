@@ -23,16 +23,18 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 from .kernels import np, rref_rows
-from .padic import check_level, is_prime
+from .padic import check_level, check_modulus, is_prime
 
 KOSZUL_DEGREE_GUARD = 12
 
 
 @dataclass(frozen=True)
 class Lambda:
-    """The coefficient ring Z/p^r."""
+    """The coefficient ring Z/p^r, with p^r at most ``CONGRUENCE_BITS_GUARD``
+    bits long."""
 
     p: int
     r: int
@@ -42,8 +44,9 @@ class Lambda:
             raise ValueError(f"exponent must be an integer >= 1, got {self.r!r}")
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
+        check_modulus(self.p, self.r)
 
-    @property
+    @cached_property
     def modulus(self) -> int:
         return self.p**self.r
 

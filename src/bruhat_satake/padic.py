@@ -3,9 +3,9 @@
 A ``BlockMatrix`` is one integer matrix ``num`` over one positive common
 denominator ``den``, kept canonical (the gcd of ``den`` and every entry is
 1).  Its dataclass constructor also checks that the matrix lies in its
-group; ``block_matrix``, the samplers, ``inverse`` and ``transpose`` build
-through it.  A product of two elements is made canonical but not checked
-again: both factors were checked when they were built.  The parabolic
+group; ``block_matrix`` and the samplers build through it.  A product of
+two elements is made canonical but not checked again: both factors were
+checked when they were built.  The parabolic
 factor of a coset factorization picks up denominators that are not powers
 of p; the common denominator carries them.  Every elimination is
 fraction-free (Bareiss 1968): ``_bareiss_solve(d, c)`` returns
@@ -36,8 +36,9 @@ from .weyl import Family, GroupKind, all_subsets_j
 Mat = tuple[tuple[Fraction, ...], ...]
 IntMat = tuple[tuple[int, ...], ...]
 
-# The sampler refuses a modulus p^m longer than this many bits: its entries
-# pass through every product and elimination, whose divisions grow quadratically.
+# A modulus p^e longer than this many bits is refused (``check_modulus``): the
+# sampler's entries mod p^m pass through every product and elimination, whose
+# divisions grow quadratically, and ordcoh reduces every entry mod p^r.
 CONGRUENCE_BITS_GUARD = 2**10
 
 # A sampled suite (``padic h`` and ``padic factor`` with no matrix) is refused
@@ -94,16 +95,6 @@ def _int_valuation(x: int, p: int) -> int:
             x //= powers[k]
             v += 1 << k
     return v
-
-
-def valuation(x, p: int):
-    """The p-adic valuation of an ``exact`` rational, with v(0) = +infinity; p must be prime."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    x = exact(x)
-    if x == 0:
-        return math.inf
-    return _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p)
 
 
 def is_prime(p: int) -> bool:
@@ -300,16 +291,6 @@ class BlockMatrix:
         vars(product).update(kind=self.kind, p=self.p, num=num, den=den)
         return product
 
-    def transpose(self) -> "BlockMatrix":
-        return BlockMatrix(self.kind, self.p, _transpose(self.num), self.den)
-
-    def inverse(self) -> "BlockMatrix":
-        # the constructor proved self nonsingular, so the solve cannot fail
-        det, solved = _bareiss_solve(self.num, _scalar(len(self.num), 1))
-        if solved is None:
-            raise AssertionError("a group element has no inverse")
-        return BlockMatrix(self.kind, self.p, _scaled(solved, self.den), det)
-
     def is_integral(self) -> bool:
         # canonical: p | den leaves some entry with a p in its denominator
         return self.den % self.p != 0
@@ -353,6 +334,14 @@ def check_level(m: int) -> None:
         raise ValueError(f"level exponent must be an integer, got {type(m).__name__} {m!r}")
     if m < 1:
         raise ValueError("level exponent must be >= 1")
+
+
+def check_modulus(p: int, e: int) -> None:
+    """Refuse a modulus p^e longer than ``CONGRUENCE_BITS_GUARD`` bits, for a
+    prime p and an int e >= 1.  p^e is computed only below the guard: p >= 2,
+    so e >= the guard already makes p^e too long."""
+    if e >= CONGRUENCE_BITS_GUARD or (p**e).bit_length() > CONGRUENCE_BITS_GUARD:
+        raise ValueError(f"the modulus {p}^{e} is longer than CONGRUENCE_BITS_GUARD = {CONGRUENCE_BITS_GUARD} bits")
 
 
 def in_level(g: BlockMatrix, m: int) -> bool:
@@ -399,12 +388,6 @@ def h_invariant(g: BlockMatrix):
     if content == 0:
         return math.inf
     return _int_valuation(content, g.p) - _int_valuation(det, g.p)
-
-
-def in_P_Gamma1(g: BlockMatrix, m: int) -> bool:
-    """Whether g lies in P(Q_p) * Gamma_1(p^m)."""
-    check_level(m)
-    return h_invariant(g) >= m
 
 
 def factor_P_Gamma1(g: BlockMatrix, m: int, *, h=None) -> tuple[BlockMatrix, BlockMatrix]:
@@ -506,9 +489,7 @@ def random_congruence_element(kind: GroupKind, p: int, m: int, rng: random.Rando
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     check_level(m)
-    # p >= 2, so m >= the guard already makes p^m too long; p^m is computed only below it
-    if m >= CONGRUENCE_BITS_GUARD or (p**m).bit_length() > CONGRUENCE_BITS_GUARD:
-        raise ValueError(f"p^m = {p}^{m} is longer than CONGRUENCE_BITS_GUARD = {CONGRUENCE_BITS_GUARD} bits")
+    check_modulus(p, m)
     n, q = kind.n, p**m
     I, O = _scalar(n, 1), _scalar(n, 0)
     if kind.family is Family.TYPE_A:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache, partial
 
-from .weyl import Family, GroupKind, SubsetJ, WeylElement, iota, longest_element, w_j
+from .weyl import Family, GroupKind, WeylElement, iota, longest_element
 
 Pair = tuple[int, int]
 
@@ -75,26 +75,15 @@ def in_nbar_i(kind: GroupKind, r: Pair) -> bool:
     return b <= kind.n < a
 
 
-def weyl_action(w: WeylElement, r: Pair) -> Pair:
-    """w . (a, b) = (w(a), w(b)), canonicalized; in type C w commutes with iota."""
-    a, b = r
-    return root(w.kind, w(a), w(b))
-
-
 @lru_cache(maxsize=None)
 def all_roots(kind: GroupKind) -> frozenset[Pair]:
     """The canonical pairs: 2n(2n-1) roots in type A, 2n^2 in type C."""
     return frozenset(root(kind, a, b) for a, b in itertools.permutations(range(1, kind.ambient + 1), 2))
 
 
-def place_dimension(kind: GroupKind) -> int:
-    """dim N_I: n^2 in type A, n(n+1)/2 in type C."""
-    n = kind.n
-    return n * n if kind.family is Family.TYPE_A else n * (n + 1) // 2
-
-
 def cell_dim_formula(kind: GroupKind, t: int) -> int:
-    """Closed form for the dimension of the cell with tau = t."""
+    """Closed form for the dimension of the cell with tau = t; at t = n it is
+    dim N_I, n^2 in type A and n(n+1)/2 in type C."""
     n = kind.n
     return t * (2 * n - t) if kind.family is Family.TYPE_A else t * (2 * n - t + 1) // 2
 
@@ -166,8 +155,9 @@ def cell_dim_by_roots(w: WeylElement) -> int:
     """#( (Phi+ cup Phi_I) minus w(Phi- cup Phi_I) ).
 
     This is the dimension of the cell P_I (w w_0) P_I / P_I; the w -> w w_0
-    translation is deliberate so that the count at w = w_J matches the rank
-    of the corresponding frame pairing (see ``n0j_rank``).
+    translation is deliberate so that the count at the involution w_J
+    sending {1..n} onto a frame J is the rank of the J-frame pairing,
+    #( roots(N_I) cap w_J(roots(P_I)) ) = ``standard_unipotent_intersection_dim(w_J)``.
     """
     tables = _pair_tables(w.kind)
     return tables["upper_size"] - _moved_into(tables, w.perm, "lower_pairs", "upper_hits")
@@ -194,17 +184,3 @@ def standard_unipotent_intersection_dim(w: WeylElement) -> int:
     """
     return _moved_into(_pair_tables(w.kind), w.perm, "upper_pairs", "n_hits")
 
-
-def n0j_rank(J: SubsetJ) -> int:
-    """#( roots(N_I) cap w_J(roots(P_I)) ), the rank of the J-frame pairing.
-
-    It equals ``schubert_cell_dim(w_J * w_0)``, and the full rank
-    ``place_dimension`` at J = {1..n}, where w_J = 1.  The roots of P_I
-    are Phi+ cup Phi_I, so this is ``standard_unipotent_intersection_dim(w_J)``.
-    """
-    return standard_unipotent_intersection_dim(w_j(J))
-
-
-def n0j_corank(J: SubsetJ) -> int:
-    """place_dimension - n0j_rank, the defect of the J-frame pairing."""
-    return place_dimension(J.kind) - n0j_rank(J)

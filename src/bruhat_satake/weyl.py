@@ -14,7 +14,7 @@ coset an element lies in.
 >>> w = from_cycles(type_a(2), [(1, 3), (2, 4)])
 >>> tau(w)
 2
->>> canonical_rep(w) == sigma(type_a(2), 2)
+>>> sigma(type_a(2), tau(w)) == w
 True
 """
 
@@ -125,17 +125,8 @@ class WeylElement:
             raise ValueError("cannot compose elements of different kinds")
         return WeylElement(self.kind, compose(self.perm, other.perm))
 
-    def inverse(self) -> "WeylElement":
-        inv = [0] * self.kind.ambient
-        for i, j in enumerate(self.perm, start=1):
-            inv[j - 1] = i
-        return WeylElement(self.kind, tuple(inv))
-
     def is_identity(self) -> bool:
         return all(self(i) == i for i in range(1, self.kind.ambient + 1))
-
-    def apply_to_set(self, members) -> frozenset[int]:
-        return frozenset(self(i) for i in members)
 
 
 def identity(kind: GroupKind) -> WeylElement:
@@ -278,18 +269,6 @@ def all_elements(kind: GroupKind) -> list[WeylElement]:
 
 
 @lru_cache(maxsize=None)
-def _parabolic_perms(kind: GroupKind) -> frozenset[tuple[int, ...]]:
-    check_order(kind)
-    gens = [s.perm for s in parabolic_mark(kind)]
-    return frozenset(walk(identity(kind).perm, right_images(gens)))
-
-
-def parabolic_elements(kind: GroupKind) -> list[WeylElement]:
-    """Every element of W_I, ordered deterministically."""
-    return [WeylElement(kind, perm) for perm in sorted(_parabolic_perms(kind))]
-
-
-@lru_cache(maxsize=None)
 def longest_element(kind: GroupKind) -> WeylElement:
     """The unique element of maximal length.
 
@@ -331,11 +310,6 @@ def sigma(kind: GroupKind, k: int) -> WeylElement:
 def double_cosets(kind: GroupKind) -> list[WeylElement]:
     """Representatives [sigma_0, ..., sigma_n] of W_I \\ W / W_I, in tau order."""
     return [sigma(kind, k) for k in range(kind.n + 1)]
-
-
-def canonical_rep(w: WeylElement) -> WeylElement:
-    """The representative sigma_{tau(w)} of the double coset of w."""
-    return sigma(w.kind, tau(w))
 
 
 def double_coset_partition(kind: GroupKind) -> list[frozenset[tuple[int, ...]]]:
@@ -383,10 +357,6 @@ class SubsetJ:
         return frozenset(j for j in self.members if j <= self.kind.n)
 
 
-def subset_j(kind: GroupKind, members) -> SubsetJ:
-    return SubsetJ(kind, frozenset(members))
-
-
 def all_subsets_j(kind: GroupKind) -> list[SubsetJ]:
     """Every admissible J, ordered by sorted member tuple.
 
@@ -404,20 +374,3 @@ def all_subsets_j(kind: GroupKind) -> list[SubsetJ]:
             pool.append(frozenset(lower) | frozenset(upper))
     return [SubsetJ(kind, members) for members in sorted(pool, key=sorted)]
 
-
-def w_j(J: SubsetJ) -> WeylElement:
-    """The involution sending {1, ..., n} onto J.
-
-    Members of J below n stay put; the rest of {1..n} is swapped, in
-    order, with the members of J above n; everything else is fixed.
-
-    >>> w_j(subset_j(type_a(2), {3, 4})).perm
-    (3, 4, 1, 2)
-    """
-    n = J.kind.n
-    moving = [i for i in range(1, n + 1) if i not in J.lower]
-    targets = sorted(j for j in J.members if j > n)
-    perm = list(range(1, 2 * n + 1))
-    for a, b in zip(moving, targets):
-        perm[a - 1], perm[b - 1] = b, a
-    return WeylElement(J.kind, tuple(perm))

@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import click
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruhat_satake import cli, padic
+from oracles import block_inverse
 
 
 @pytest.fixture()
@@ -247,7 +249,7 @@ BROKEN_STEPS = [
     ("flag check-cover --kind A --n 1 --q 2", "flagfq", "_borel_matrices",
      lambda genuine: lambda kind, q: cli.flagfq._group_matrices(kind, q)),
     ("flag check-finding-j --kind A --n 2 --q 2", "flagfq", "frame_subspace",
-     lambda genuine: lambda J, q: cli.flagfq.base_point(J.kind, q)),
+     lambda genuine: lambda J, q: genuine(cli.weyl.SubsetJ(J.kind, frozenset(range(1, J.kind.n + 1))), q)),
     # an orbit of tau n - 1 read as the open cell: it meets the full frame
     ("flag check-finding-j --kind A --n 2 --q 2", "flagfq", "tau_of_point", _tau_one_too_high),
     ("cells dims --kind A --n 2", "roots", "cell_dim_formula", lambda genuine: lambda kind, t: t),
@@ -371,7 +373,7 @@ def test_padic_factor_of_a_given_matrix_computes_h_once(runner, monkeypatch):
 def test_padic_h_suite_fails_when_gamma_is_wrong(runner, monkeypatch):
     # gamma * gamma^-1 is the identity, which leaves h unshifted
     genuine = cli.padic.gamma
-    monkeypatch.setattr(cli.padic, "gamma", lambda kind, p: genuine(kind, p) * genuine(kind, p).inverse())
+    monkeypatch.setattr(cli.padic, "gamma", lambda kind, p: genuine(kind, p) * block_inverse(genuine(kind, p)))
     result = invoke(runner, "padic h --kind C --n 2 --p 3 --m 2 --seed 7 --count 5".split())
     assert result.exit_code == 1
     report = body(result)
@@ -393,7 +395,7 @@ def test_padic_factor_suite_fails_when_the_factorization_is_wrong(runner, monkey
 def _factor_unsplit(genuine):
     """factor_P_Gamma1 returning the trivial split (g, I): it reassembles g and
     I is in every Gamma_1(p^m), but g is no parabolic factor."""
-    return lambda g, m, h=None: (g, g * g.inverse())
+    return lambda g, m, h=None: (g, g * block_inverse(g))
 
 
 def test_padic_factor_of_a_given_matrix_fails_on_the_trivial_split(runner, monkeypatch):
@@ -503,6 +505,16 @@ def test_matrix_digest_filename(runner, tmp_path):
     assert len(names) == 1
     assert "digest=" in names[0]
     assert "[[" not in names[0]
+
+
+def test_a_refused_run_creates_the_output_dir_first(runner, tmp_path):
+    # the padic checks run in the report build, like every other command's
+    for args in (["padic", "h", "--kind", "A", "--n", "1", "--p", "2", "--m", "0"],
+                 ["padic", "factor", "--kind", "A", "--n", "1", "--p", "2", "--matrix", "[[1,0]]"],
+                 ["cells", "dims", "--kind", "A", "--n", "0"]):
+        out = tmp_path / "-".join(args[:2])
+        refused(invoke(runner, args + ["--output-dir", str(out)]))
+        assert out.is_dir() and not any(out.iterdir())
 
 
 def refused(result, *words):
@@ -669,6 +681,23 @@ def test_ordcoh_ranks_with_a_large_prime_finishes():
 def test_ordcoh_ordinary_refuses_int64_overflow(runner, args):
     result = invoke(runner, ["ordcoh", "ordinary", *args.split()])
     refused(result, "overflow")
+
+
+@pytest.mark.parametrize("command", ["ranks --d 2", "ordinary --d 1"])
+def test_ordcoh_refuses_a_long_modulus_before_computing_it(runner, command):
+    # at --r 16000000 ranks ran for 33 s and exited 0, and ordinary squared
+    # p^r - 1 for 16 s before its int64 refusal
+    started = time.perf_counter()
+    refused(invoke(runner, ["ordcoh", *command.split(), "--p", "3", "--r", "16000000"]), "CONGRUENCE_BITS_GUARD")
+    assert time.perf_counter() - started < 1.0
+    refused(invoke(runner, ["ordcoh", *command.split(), "--p", "2", "--r", "1024"]), "CONGRUENCE_BITS_GUARD")
+
+
+def test_ordcoh_takes_the_longest_modulus_the_guard_allows(runner):
+    # 2^1023 has 1024 bits: ranks reports on it, and ordinary passes the
+    # modulus guard to meet its int64 bound
+    assert invoke(runner, ["ordcoh", "ranks", "--d", "2", "--p", "2", "--r", "1023"]).exit_code == 0
+    refused(invoke(runner, ["ordcoh", "ordinary", "--d", "1", "--p", "2", "--r", "1023"]), "overflow")
 
 
 # ------------------------------------------------------------------ start-up

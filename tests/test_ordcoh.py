@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from bruhat_satake import padic
 from bruhat_satake.ordcoh import (
     KOSZUL_DEGREE_GUARD,
     Lambda,
@@ -31,6 +32,19 @@ def test_lambda_validation():
         Lambda(4, 1)
     with pytest.raises(ValueError):
         Lambda(2, 0)
+
+
+def test_lambda_refuses_a_modulus_past_the_guard():
+    guard = padic.CONGRUENCE_BITS_GUARD
+    for p in (2, 3, 5):
+        # the deepest exponent whose modulus fits the guard is taken, one more is refused
+        r = guard
+        while (p**r).bit_length() > guard:
+            r -= 1
+        assert Lambda(p, r).modulus.bit_length() <= guard
+        for refused in (r + 1, 10**12):
+            with pytest.raises(ValueError, match="CONGRUENCE_BITS_GUARD"):
+                Lambda(p, refused)
 
 
 @pytest.mark.parametrize("p, r", [(3, 2.0), (3, 1.5), (3, True), (5.0, 2), (True, 2)])

@@ -14,19 +14,19 @@ from hypothesis import strategies as st
 from bruhat_satake import cli, ordcoh, padic
 from bruhat_satake.padic import (
     BlockMatrix,
+    _int_valuation,
     anticanonical_radius,
     block_matrix,
     exact,
     factor_P_Gamma1,
     gamma,
     h_invariant,
-    in_P_Gamma1,
     in_level,
     random_congruence_element,
     random_parabolic_element,
-    valuation,
 )
 from bruhat_satake.weyl import Family, GroupKind, all_subsets_j
+from oracles import block_inverse, block_transpose
 
 A1 = GroupKind(Family.TYPE_A, 1)
 A2 = GroupKind(Family.TYPE_A, 2)
@@ -44,29 +44,30 @@ PRIMES = (2, 3, 5)
 def test_valuation_of_scaled_units(unit, up, down, p):
     if unit % p == 0:
         unit += 1  # now a p-adic unit
-    assert valuation(Fraction(unit * p**up, p**down), p) == up - down
+    x = Fraction(unit * p**up, p**down)
+    assert _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p) == up - down
 
 
 def test_valuation_literals():
-    assert valuation(8, 2) == 3
-    assert valuation(Fraction(3, 4), 2) == -2
-    assert valuation("5/9", 3) == -2
-    assert valuation(0, 7) == math.inf
+    assert _int_valuation(8, 2) == 3
+    assert _int_valuation(-3 * 5**7, 5) == 7
+    for x, p in ((Fraction(3, 4), 2), (exact("5/9"), 3)):
+        assert _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p) == -2
 
 
 @pytest.mark.parametrize("x", [0.1, 0.5, 2.0, True, "0.1", "1e3", "1/0", None])
-def test_valuation_refuses_inexact_input(x):
+def test_exact_refuses_inexact_input(x):
     # Fraction(0.1) is 3602879701896397/2^55, so v_2(0.1) read -55
     with pytest.raises(ValueError):
-        valuation(x, 2)
+        exact(x)
 
 
 @pytest.mark.parametrize("p", [1, -1, 0, 4])
-def test_valuation_refuses_a_p_that_is_not_prime(p):
-    # p = 1 or -1 divides every x, so stripping its powers never ended
-    for x in (12, Fraction(1, 3), 0):
+def test_block_matrix_refuses_a_p_that_is_not_prime(p):
+    # p = 1 or -1 divides every x, so stripping its powers in h_invariant never ended
+    for rows in ([[1, 0], [12, 1]], [[1, 0], ["1/3", 1]]):
         with pytest.raises(ValueError, match="not prime"):
-            valuation(x, p)
+            block_matrix(A1, p, rows)
 
 
 @pytest.mark.parametrize(
@@ -77,7 +78,8 @@ def test_valuation_refuses_a_p_that_is_not_prime(p):
 def test_valuation_of_a_deep_power_is_fast(x, p, expected):
     # one division per factor of p makes v divisions of a long integer; squaring p^(2^k) needs O(log v)
     started = time.perf_counter()
-    assert valuation(x, p) == expected
+    x = Fraction(x)
+    assert _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p) == expected
     assert time.perf_counter() - started < 2.0
 
 
@@ -118,12 +120,9 @@ def test_is_prime_is_bounded():
 
 @pytest.mark.parametrize("p", [5.0, 2.0, True, False, Fraction(5), "5"])
 def test_is_prime_refuses_a_p_that_is_not_an_int(p):
-    # is_prime(5.0) was True, so valuation(25, 5.0) returned 2 and a
-    # BlockMatrix could carry p = 5.0
+    # is_prime(5.0) was True, so a BlockMatrix could carry p = 5.0
     with pytest.raises(ValueError, match="integer"):
         padic.is_prime(p)
-    with pytest.raises(ValueError):
-        valuation(25, p)
     with pytest.raises(ValueError):
         block_matrix(A1, p, [[1, 0], [25, 1]])
     with pytest.raises(ValueError):
@@ -137,10 +136,10 @@ def test_block_views_and_products():
     assert tuple(row[2:] for row in g.num[:2]) == ((3, 4), (7, 8))
     assert tuple(row[:2] for row in g.num[2:]) == ((9, 10), (13, 14))
     assert tuple(row[2:] for row in g.num[2:]) == ((12, 12), (15, 17))
-    gi = g.inverse()
+    gi = block_inverse(g)
     prod = g * gi
     assert prod.rows == block_matrix(A2, 2, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]).rows
-    assert g.transpose().transpose().rows == g.rows
+    assert block_transpose(block_transpose(g)).rows == g.rows
     with pytest.raises(ValueError):
         g * block_matrix(A2, 3, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 
@@ -163,9 +162,9 @@ def test_equal_rationals_give_equal_matrices():
     # the same rational matrix reached through other denominators
     g = block_matrix(A2, 5, [["1/3", 2, 0, "5/7"], [0, 1, 4, 0], [1, 0, "2/5", 1], [0, "1/6", 0, 1]])
     one = block_matrix(A2, 5, [[int(i == j) for j in range(4)] for i in range(4)])
-    assert g * g.inverse() == one == g.inverse() * g
-    assert g.inverse().inverse() == g
-    assert len({g, g.inverse().inverse(), one, g * g.inverse()}) == 2
+    assert g * block_inverse(g) == one == block_inverse(g) * g
+    assert block_inverse(block_inverse(g)) == g
+    assert len({g, block_inverse(block_inverse(g)), one, g * block_inverse(g)}) == 2
 
 
 def test_string_entries_coerce():
@@ -244,7 +243,7 @@ def test_factorization_reassembles(kind, p):
     for m in (1, 2):
         for _ in range(6):
             g = random_parabolic_element(kind, p, rng) * random_congruence_element(kind, p, m, rng)
-            assert in_P_Gamma1(g, m)
+            assert h_invariant(g) >= m
             p_part, c_part = factor_P_Gamma1(g, m)
             n = kind.n
             assert (p_part * c_part).rows == g.rows
@@ -269,7 +268,8 @@ def test_no_fraction_arithmetic_past_the_boundary(monkeypatch):
             assert h_invariant(gk) >= 2
             p_part, g1_part = factor_P_Gamma1(gk, 2)
             assert in_level(g1_part, 2)
-            assert g.inverse().transpose() * g.transpose() == gamma(kind, p) * gamma(kind, p).inverse()
+            gam = gamma(kind, p)
+            assert block_transpose(block_inverse(g)) * block_transpose(g) == gam * block_inverse(gam)
 
 
 def test_factorization_needs_enough_depth():
@@ -278,7 +278,7 @@ def test_factorization_needs_enough_depth():
     with pytest.raises(ValueError):
         factor_P_Gamma1(g, 2)
     with pytest.raises(ValueError):
-        in_P_Gamma1(g, 0)
+        factor_P_Gamma1(g, 0)
 
 
 def test_sharpness_at_the_level_boundary():
@@ -286,8 +286,9 @@ def test_sharpness_at_the_level_boundary():
         for m in (2, 3):
             g = block_matrix(A1, p, [[1, 0], [p ** (m - 1), 1]])
             assert h_invariant(g) == m - 1
-            assert in_P_Gamma1(g, m - 1)
-            assert not in_P_Gamma1(g, m)
+            factor_P_Gamma1(g, m - 1)
+            with pytest.raises(ValueError, match="not in P"):
+                factor_P_Gamma1(g, m)
 
 
 # ------------------------------------------------------------------- levels
@@ -369,7 +370,6 @@ def test_every_level_exponent_is_an_int_at_least_one(m, message, monkeypatch):
     monkeypatch.setattr(padic, "_solve_dc", no_work)
     calls = [
         lambda: in_level(g, m),
-        lambda: in_P_Gamma1(g, m),
         lambda: factor_P_Gamma1(g, m),
         lambda: random_congruence_element(C2, 3, m, rng),
         lambda: ordcoh.cores_kunneth(2, m, ordcoh.Lambda(2, 2)),
@@ -504,7 +504,7 @@ def test_outside_data_is_still_refused():
     g = block_matrix(C1, 3, [["1/2", 0], [0, 2]])
     h = block_matrix(C1, 3, [[1, "1/3"], [0, 1]])
     assert (g * h) == BlockMatrix(C1, 3, ((3, 1), (0, 12)), 6) == block_matrix(C1, 3, [["1/2", "1/6"], [0, 2]])
-    assert (g * g.inverse()).den == 1
+    assert (g * block_inverse(g)).den == 1
 
 
 def test_a_seeded_suite_at_a_large_prime_divides_it_out_once():

@@ -12,8 +12,8 @@ from bruhat_satake.roots import (
     in_phi_i,
     is_positive,
     root,
-    weyl_action,
 )
+from oracles import w_j, weyl_action
 
 KINDS = [weyl.type_a(1), weyl.type_a(2), weyl.type_a(3), weyl.type_c(1), weyl.type_c(2), weyl.type_c(3)]
 ORACLE_KINDS = [weyl.type_a(n) for n in range(1, 5)] + [weyl.type_c(n) for n in range(1, 5)]
@@ -166,16 +166,9 @@ def test_parabolic_split(kind):
     assert phi_i | n_i | nbar_i == all_roots(kind)
     assert not (phi_i & n_i or phi_i & nbar_i or n_i & nbar_i)
     assert n_i == pos - phi_i and nbar_i == neg - phi_i
-    assert len(n_i) == len(nbar_i) == roots.place_dimension(kind)
+    assert len(n_i) == len(nbar_i) == roots.cell_dim_formula(kind, kind.n)
     assert {negative(kind, r) for r in n_i} == nbar_i
     assert {negative(kind, r) for r in phi_i} == phi_i
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_place_dimension(kind):
-    n = kind.n
-    expected = n * n if kind.family is weyl.Family.TYPE_A else n * (n + 1) // 2
-    assert roots.place_dimension(kind) == expected
 
 
 @pytest.mark.parametrize("kind", KINDS[:4])
@@ -262,8 +255,8 @@ def assert_counts_match_the_oracle(kind, elements, subsets, w0=None):
         assert roots.standard_unipotent_intersection_dim(w) == per_pair_count(oracle, w, "upper_pairs", "n_hits")
         if w0 is not None:
             assert roots.schubert_cell_dim(w) == size - per_pair_count(oracle, w * w0, "lower_pairs", "upper_hits")
-    for J in subsets:
-        assert roots.n0j_rank(J) == per_pair_count(oracle, weyl.w_j(J), "upper_pairs", "n_hits")
+    for w in map(w_j, subsets):
+        assert roots.standard_unipotent_intersection_dim(w) == per_pair_count(oracle, w, "upper_pairs", "n_hits")
 
 
 BYTE_KINDS = [weyl.type_a(n) for n in range(1, 5)] + [weyl.type_c(n) for n in range(1, 7)]
@@ -312,8 +305,6 @@ def test_canonical_rep_cell_dims_closed_form(kind):
         want = k * (2 * n - k) if kind.family is weyl.Family.TYPE_A else k * (2 * n - k + 1) // 2
         assert roots.cell_dim_formula(kind, k) == want
         assert roots.schubert_cell_dim(rep) == want
-    # the open cell has the full place dimension
-    assert roots.cell_dim_formula(kind, n) == roots.place_dimension(kind)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -324,13 +315,13 @@ def test_cell_dim_constant_on_double_cosets(kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_n0j_rank_identity(kind):
+def test_frame_pairing_rank_identity(kind):
+    # the rank of the J-frame pairing, #( roots(N_I) cap w_J(roots(P_I)) )
     w0 = weyl.longest_element(kind)
-    full = roots.place_dimension(kind)
     for J in weyl.all_subsets_j(kind):
-        r = roots.n0j_rank(J)
-        assert r == roots.schubert_cell_dim(weyl.w_j(J) * w0)
-        assert roots.n0j_corank(J) == full - r
-    # J = {1..n} gives w_J = identity and full rank
-    base = weyl.subset_j(kind, frozenset(range(1, kind.n + 1)))
-    assert roots.n0j_rank(base) == full
+        w = w_j(J)
+        assert roots.standard_unipotent_intersection_dim(w) == roots.schubert_cell_dim(w * w0)
+    # J = {1..n} gives w_J = identity and the full rank dim N_I
+    base = w_j(weyl.SubsetJ(kind, frozenset(range(1, kind.n + 1))))
+    assert base.is_identity()
+    assert roots.standard_unipotent_intersection_dim(base) == roots.cell_dim_formula(kind, kind.n)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruhat_satake import roots, weyl
+from oracles import parabolic_elements, w_j, weyl_inverse
 
 KINDS = [weyl.type_a(1), weyl.type_a(2), weyl.type_a(3), weyl.type_c(1), weyl.type_c(2), weyl.type_c(3)]
 
@@ -37,7 +38,7 @@ def test_enumeration_count(kind):
 def test_parabolic_subgroup_count(kind):
     n = kind.n
     expected = math.factorial(n) ** 2 if kind.family is weyl.Family.TYPE_A else math.factorial(n)
-    assert len(weyl.parabolic_elements(kind)) == expected
+    assert len(parabolic_elements(kind)) == expected
 
 
 def test_validation_rejects_bad_perms():
@@ -60,10 +61,10 @@ def test_type_c_centralizes_pairing(kind):
 @settings(max_examples=60, deadline=None)
 def test_group_axioms(kind, indices):
     w = random_word_element(kind, indices)
-    assert (w * w.inverse()).is_identity()
-    assert (w.inverse() * w).is_identity()
+    assert (w * weyl_inverse(w)).is_identity()
+    assert (weyl_inverse(w) * w).is_identity()
     v = random_word_element(kind, indices[::-1])
-    assert ((w * v).inverse()).perm == (v.inverse() * w.inverse()).perm
+    assert weyl_inverse(w * v).perm == (weyl_inverse(v) * weyl_inverse(w)).perm
 
 
 @given(st.sampled_from(KINDS), st.lists(st.integers(0, 10), max_size=10), st.lists(st.integers(0, 10), max_size=10))
@@ -117,16 +118,16 @@ def test_double_cosets_against_partition_oracle(kind):
 
 
 @pytest.mark.parametrize("kind", KINDS[:4])
-def test_canonical_rep_constant_on_cosets(kind):
+def test_sigma_of_tau_is_constant_on_cosets(kind):
     for block in weyl.double_coset_partition(kind):
-        reps = {weyl.canonical_rep(weyl.WeylElement(kind, perm)).perm for perm in block}
+        reps = {weyl.sigma(kind, weyl.tau(weyl.WeylElement(kind, perm))).perm for perm in block}
         assert len(reps) == 1
-        assert weyl.canonical_rep(weyl.WeylElement(kind, next(iter(block)))).perm in reps
+        assert weyl.sigma(kind, weyl.tau(weyl.WeylElement(kind, next(iter(block))))).perm in reps
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_tau_is_coset_invariant(kind):
-    par = weyl.parabolic_elements(kind)
+    par = parabolic_elements(kind)
     for w in weyl.all_elements(kind)[:40]:
         t = weyl.tau(w)
         for u in par[:6]:
@@ -142,15 +143,20 @@ def test_subsets_j(kind):
     assert len(subs) == expected
     assert len({s.members for s in subs}) == expected
     for J in subs:
-        w = weyl.w_j(J)
+        w = w_j(J)
         assert (w * w).is_identity()
-        assert w.apply_to_set(frozenset(range(1, n + 1))) == J.members
+        assert frozenset(map(w, range(1, n + 1))) == J.members
+
+
+def test_w_j_literal():
+    # the moved docstring example: {1, 2} is swapped, in order, with {3, 4}
+    assert w_j(weyl.SubsetJ(weyl.type_a(2), frozenset({3, 4}))).perm == (3, 4, 1, 2)
 
 
 def test_subset_j_type_c_validation():
     with pytest.raises(ValueError):
-        weyl.subset_j(weyl.type_c(2), {1, 3})  # 3 pairs with 1, cannot take both
-    weyl.subset_j(weyl.type_c(2), {1, 4})  # picking one of each pair is fine
+        weyl.SubsetJ(weyl.type_c(2), frozenset({1, 3}))  # 3 pairs with 1, cannot take both
+    weyl.SubsetJ(weyl.type_c(2), frozenset({1, 4}))  # picking one of each pair is fine
 
 
 @pytest.mark.parametrize("kind", [weyl.type_a(2), weyl.type_c(2)])
@@ -177,7 +183,7 @@ def test_enumeration_guard_refuses_before_any_bfs():
         with pytest.raises(ValueError):
             weyl.all_elements(kind)
         with pytest.raises(ValueError):
-            weyl.parabolic_elements(kind)
+            parabolic_elements(kind)
     # a huge n is refused by |W| >= 2^n, without computing |W|
     with pytest.raises(ValueError, match="WEYL_ORDER_GUARD"):
         weyl.check_order(weyl.type_a(10**9))
