@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import math
+import os
 import random
 import sys
 from pathlib import Path
@@ -115,6 +116,11 @@ COMMON = (
 def main():
     """Exact checks for parabolic cosets, Schubert cells, Satake identities,
     p-adic coset invariants, and ordinary Koszul cohomology."""
+    # Every kernel is integer, so numpy never calls BLAS.  One OpenBLAS thread
+    # spares the process the worker thread OpenBLAS starts when numpy loads,
+    # which only a command body, run after this, can do.  A value the user
+    # set is kept.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 
 main.add_command(click.Group("weyl", help="Weyl group combinatorics."))

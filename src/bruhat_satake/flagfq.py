@@ -21,6 +21,17 @@ cover checks hold each set of matrices as a sorted array of distinct
 when merging its sorted codes into the target adds no distinct value, and
 the cover is one array comparison.  Bulk matrix work runs through
 :mod:`.kernels`.
+
+A stack of matrices over F_q is a uint8 array, one byte per entry in
+[0, q), as the kernels return it: the closures, the transposed Borel and
+parabolic, the chunk operands of the product sets, the decoded product
+sets and the translate operands.  Here such a stack is only reduced
+(``% q``), transposed, tiled, repeated, indexed and compared; every
+product of bytes is a ``kernels.matmul_mod`` call.  The generator
+matrices, the Weyl lifts and the symplectic form stay int64, because they
+are multiplied here with ``@``.  The group G itself is held only as its
+sorted codes (``_group_keys``), and a product set collects its codes in a
+buffer that is compacted as it fills.
 """
 
 from __future__ import annotations
@@ -205,8 +216,8 @@ def group_generators(kind: GroupKind, q: int) -> list[np.ndarray]:
 
 
 def _closure(gens: list[np.ndarray], q: int, expected: int) -> np.ndarray:
-    """Breadth-first closure of a generating set, as a deterministic stack,
-    certified to have ``expected`` elements."""
+    """Breadth-first closure of a generating set, as a deterministic uint8
+    stack, certified to have ``expected`` elements."""
     m = gens[0].shape[0]
     gen_stack = np.stack([g % q for g in gens])
 
@@ -231,8 +242,9 @@ def _parabolic_matrices(kind: GroupKind, q: int) -> np.ndarray:
     return _closure(parabolic_generators(kind, q), q, parabolic_order(kind, q))
 
 
-@lru_cache(maxsize=None)
 def _group_matrices(kind: GroupKind, q: int) -> np.ndarray:
+    """The stack of G(F_q), built afresh on each call: only its keys are
+    cached (``_group_keys``)."""
     # |G| >= 2^(n^2) in both types, so a large n is refused without computing |G|
     if kind.n * kind.n >= GROUP_ORDER_GUARD.bit_length() or (order := group_order(kind, q)) > GROUP_ORDER_GUARD:
         raise ValueError(
@@ -240,6 +252,13 @@ def _group_matrices(kind: GroupKind, q: int) -> np.ndarray:
             f"GROUP_ORDER_GUARD = {GROUP_ORDER_GUARD}"
         )
     return _closure(group_generators(kind, q), q, order)
+
+
+@lru_cache(maxsize=None)
+def _group_keys(kind: GroupKind, q: int) -> np.ndarray:
+    """The keys of G(F_q) as a sorted array; they are distinct because G is
+    a closure.  The stack they come from is dropped."""
+    return np.sort(kernels.mat_keys(_group_matrices(kind, q), q))
 
 
 @lru_cache(maxsize=None)
@@ -397,7 +416,7 @@ def _orbits(points: list[Subspace], gens: list[np.ndarray], q: int) -> list[list
     span of U g^T: each as ascending point indices, ordered by their first
     point."""
     index = {kernels.mat_keys(U.mat[None], q).item(): i for i, U in enumerate(points)}
-    stack = np.stack([U.mat for U in points])
+    stack = np.array([U.rows for U in points], dtype=np.uint8)
 
     def images(frontier):
         batch = stack[frontier]
@@ -458,13 +477,20 @@ def _product_keys(left: np.ndarray, right: np.ndarray, q: int):
 def _product_set(left: np.ndarray, right: np.ndarray, q: int) -> np.ndarray:
     """The keys of all products x y for x in left, y in right, as a sorted
     array of distinct codes."""
-    # each chunk is deduplicated as it comes and written into one buffer sized
-    # for every product, so only distinct codes pile up and they are held once;
-    # the part of the buffer past them is never written, so never resident
-    codes = np.empty(len(left) * len(right), dtype=np.int64)
+    # each chunk is deduplicated as it comes and appended to one buffer; a
+    # full buffer is compacted to its distinct codes, and replaced by one four
+    # times the codes it must hold when they would fill more than half of it,
+    # so the buffer stays within a small multiple of the set it collects
+    codes = np.empty(4 * _PRODUCT_CHUNK, dtype=np.int64)
     end = 0
     for keys in _product_keys(left, right, q):
         keys = _sorted_unique(keys)
+        if end + len(keys) > len(codes):
+            distinct = _sorted_unique(codes[:end])
+            end = len(distinct)
+            if 2 * (end + len(keys)) > len(codes):
+                codes = np.empty(4 * (end + len(keys)), dtype=np.int64)
+            codes[:end] = distinct
         codes[end : end + len(keys)] = keys
         end += len(keys)
     return _sorted_unique(codes[:end])
@@ -492,8 +518,9 @@ def _products_within(left: np.ndarray, right: np.ndarray, q: int, target: np.nda
 
 
 def _translate_keys(g: np.ndarray, stack: np.ndarray, q: int) -> np.ndarray:
-    """The keys of g x for x in ``stack``, as a sorted array of distinct codes."""
-    moved = kernels.matmul_mod(np.broadcast_to(g, stack.shape).copy(), stack, q)
+    """The keys of g x for x in ``stack``, as a sorted array of distinct codes.
+    g is copied once per matrix, in bytes, as the left operand."""
+    moved = kernels.matmul_mod(np.broadcast_to(g % q, stack.shape).astype(np.uint8), stack, q)
     return _sorted_unique(kernels.mat_keys(moved, q))
 
 
@@ -504,8 +531,7 @@ def cover_lemma_check(kind: GroupKind, q: int) -> dict:
     * B w P_I is contained in (w w_0) P_I w_0 P_I;
     * the translates w (Pbar_I P_I) cover all of G(F_q).
     """
-    G = _group_matrices(kind, q)  # refuses a group over GROUP_ORDER_GUARD
-    g_keys = np.sort(kernels.mat_keys(G, q))  # distinct: G is a closure
+    g_keys = _group_keys(kind, q)  # refuses a group over GROUP_ORDER_GUARD
     P = _parabolic_matrices(kind, q)
     Pbar = P.transpose(0, 2, 1) % q
     B = _borel_matrices(kind, q)
@@ -528,7 +554,7 @@ def cover_lemma_check(kind: GroupKind, q: int) -> dict:
             upper_ok = False
     covers = np.array_equal(_sorted_unique(np.concatenate(covered)), g_keys)
     return {
-        "group_order": G.shape[0],
+        "group_order": len(g_keys),
         "lower_inclusions": lower_ok,
         "upper_inclusions": upper_ok,
         "translates_cover_group": covers,

@@ -2,10 +2,15 @@
 
 The finite flag sweeps reduce to three bulk operations on stacks of small
 integer matrices mod q: stack matmul, stack reduced row echelon form, and
-stack rank.  ``rref_mod`` and ``rank_mod`` return the representation they
-are given: Python rows (a list or tuple of rows) give Python rows and an
-int, with no array built; a 2-D array gives an int64 array and an
-``np.int64``; a 3-D stack gives an int64 stack and an int64 rank vector.
+stack rank.  A matrix over F_q is stored in bytes: every array a kernel
+returns for matrices is uint8, one byte per entry, each in [0, q).  Ranks
+and ``mat_keys`` codes are int64.  An operand of any integer dtype is
+accepted; a uint8 one already in [0, q) is used as it is, after one max,
+and anything else is reduced mod q and copied into bytes.  ``rref_mod`` and
+``rank_mod`` return the representation they are given: Python rows (a
+list or tuple of rows) give Python rows and an int, with no array built;
+a 2-D array gives a uint8 array and an ``np.int64``; a 3-D stack gives a
+uint8 stack and an int64 rank vector.
 A single matrix is row reduced in scalar Python (``rref_rows``), where
 numpy's per-operation cost would dominate the few arithmetic steps, and so
 is a stack of at most ``SCALAR_STACK_ROWS`` = 64 rows in all, matrix by
@@ -17,15 +22,19 @@ reduced mod q on entry, and q must be a key of ``PRIMITIVE_ROOT``;
 
 A stack product is lane packed (Kronecker substitution on the rows of the
 right operand): each row of ``b`` is written as four 16-bit lanes per
-64-bit word, one batched unsigned integer matmul forms four products per
-multiply-add, and the lanes are read back and reduced mod q by one residue
-lookup.  A lane sum is at most s (q-1)^2 for inner dimension s, so an
-inner dimension with s (q-1)^2 >= 2^16, where a lane could carry into the
-next, is refused with ``ValueError`` before anything is allocated.
+64-bit word, the left operand is widened to uint64, one batched unsigned
+integer matmul forms four products per multiply-add, and the lanes are
+read back and reduced mod q by one lookup in a uint8 residue table, which
+writes the result's bytes.  A lane sum is at most s (q-1)^2 for inner
+dimension s, so an inner dimension with s (q-1)^2 >= 2^16, where a lane
+could carry into the next, is refused with ``ValueError`` before anything
+is allocated.
 
 A matrix is keyed by ``mat_keys``: one exact int64 code, its row-major
-entries read as base-q digits, so equal matrices have equal codes, a set
-of matrices is a sorted array of codes and ``mats_from_keys`` decodes them.
+entries read as base-q digits (in place: a byte stack is not widened), so
+equal matrices have equal codes, a set of matrices is a sorted array of
+codes and ``mats_from_keys`` decodes them into a byte stack, one digit
+column at a time.
 
 numpy is bound lazily, through the package's ``_lazy_module`` like the
 package's own modules: it is imported on the first attribute access of
@@ -67,9 +76,11 @@ def _inverse_table(q: int) -> np.ndarray:
 def _rref_stack(m: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Reduced row echelon form of every matrix in the stack, in place.
 
-    ``m`` is an int64 stack already reduced mod q that the caller owns.
+    ``m`` is a uint8 stack already reduced mod q that the caller owns.
     Vectorized across the stack: the loops run only over the r*c grid of
-    one matrix shape, doing whole-stack work per step.
+    one matrix shape, doing whole-stack work per step.  Each update is
+    computed in int64 (the inverses and the elimination factors are int64)
+    and written back, reduced mod q, into the bytes of ``m``.
     """
     count, rows, cols = m.shape
     inv = _inverse_table(q)
@@ -92,7 +103,7 @@ def _rref_stack(m: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
         # normalize pivot row, then clear the column above and below
         piv = m[idx, dst, col]
         m[idx, dst] = (m[idx, dst] * inv[piv][:, None]) % q
-        factors = m[idx][:, :, col].copy()
+        factors = m[idx][:, :, col].astype(np.int64)
         factors[ar[: idx.size], dst] = 0
         m[idx] = (m[idx] - factors[:, :, None] * m[idx, dst][:, None, :]) % q
         pivot_row[idx] += 1
@@ -131,12 +142,15 @@ def rref_rows(rows: list[list[int]], q: int) -> tuple[list[list[int]], int]:
 
 
 def _reduced(a: np.ndarray, q: int) -> np.ndarray:
-    """``a`` as int64 mod q; reduces (and copies) only if some entry needs it."""
-    a = np.ascontiguousarray(a, dtype=np.int64)
-    # read as uint64 a negative entry is past q too, so one max finds any entry outside [0, q)
-    if a.size and a.view(np.uint64).max() >= q:
-        return a % q
-    return a
+    """``a`` as a C-contiguous uint8 array with entries in [0, q).  A uint8
+    array already in range is used as it is, after one max; any other array
+    is reduced mod q, only if some entry needs it, and copied into bytes."""
+    a = np.asarray(a)
+    # read as unsigned a negative entry is past q too, so one max finds any entry outside [0, q)
+    unsigned = a.view(f"u{a.itemsize}") if a.dtype.kind == "i" else a
+    if a.size and unsigned.max() >= q:
+        a = a % q
+    return np.ascontiguousarray(a, dtype=np.uint8)
 
 
 def backend_name() -> str:
@@ -149,9 +163,11 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 
     Exact in unsigned integers: the rows of ``b`` are packed ``LANES`` to a
     64-bit word, so one product word holds ``LANES`` entries of a @ b, each
-    a lane sum below 2^16 that never carries into the next lane.  Returns
-    the int64 stack reduced mod q; a shape whose lane sum could reach 2^16
-    is refused with ``ValueError`` before anything is allocated.
+    a lane sum below 2^16 that never carries into the next lane.  Only the
+    left operand is widened, to uint64, for the product; the lanes are read
+    back through a uint8 residue table, so the result is the uint8 stack
+    reduced mod q.  A shape whose lane sum could reach 2^16 is refused with
+    ``ValueError`` before anything is allocated.
     """
     check_q(q)
     s, t = np.shape(b)[-2:]
@@ -161,13 +177,8 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     a, b = _reduced(a, q), _reduced(b, q)
     packed = np.zeros((*b.shape[:-1], -(-t // LANES) * LANES), dtype=np.uint16)
     packed[..., :t] = b
-    # a is reduced, so its uint64 view holds the same values and no copy is made
-    lanes = (a.view(np.uint64) @ packed.view(np.uint64)).view(np.uint16)[..., :t]
-    out = lanes.astype(np.int64)
-    # take reads each index before it writes that slot, so the lookup overwrites
-    # its own indices; "clip" never acts (no lane exceeds top) and, unlike
-    # "raise", does not buffer the output
-    return (np.arange(top + 1) % q).take(out, out=out, mode="clip")
+    lanes = (a.astype(np.uint64) @ packed.view(np.uint64)).view(np.uint16)[..., :t]
+    return (np.arange(top + 1) % q).astype(np.uint8).take(lanes)
 
 
 def rref_mod(mats, q: int):
@@ -176,8 +187,8 @@ def rref_mod(mats, q: int):
     The RREF is the canonical representative of the row space, so two
     matrices have equal row spans iff their RREFs are equal.  Python rows (a
     list or tuple of rows) go straight to ``rref_rows`` and come back as its
-    ``(list rows, int rank)``, with no array built.  A 2-D array returns an
-    int64 array and an ``np.int64`` rank.  A 3-D stack returns the int64
+    ``(list rows, int rank)``, with no array built.  A 2-D array returns a
+    uint8 array and an ``np.int64`` rank.  A 3-D stack returns the uint8
     RREF stack and the int64 rank vector: a stack of at most
     ``SCALAR_STACK_ROWS`` rows in all is reduced matrix by matrix through
     ``rref_rows``, a larger one by ``_rref_stack``.
@@ -185,14 +196,14 @@ def rref_mod(mats, q: int):
     check_q(q)
     if isinstance(mats, (list, tuple)):
         return rref_rows(mats, q)
-    mats = np.asarray(mats, dtype=np.int64)
+    mats = np.asarray(mats)
     if mats.ndim == 2:
         red, rank = rref_rows(mats.tolist(), q)
-        return np.array(red, dtype=np.int64).reshape(mats.shape), np.int64(rank)
+        return np.array(red, dtype=np.uint8).reshape(mats.shape), np.int64(rank)
     if mats.shape[0] * mats.shape[1] > SCALAR_STACK_ROWS:
-        return _rref_stack(mats % q, q)  # a fresh array
+        return _rref_stack((mats % q).astype(np.uint8, copy=False), q)  # a fresh array
     reduced = [rref_rows(mat, q) for mat in mats.tolist()]
-    red = np.array([rows for rows, _ in reduced], dtype=np.int64).reshape(mats.shape)
+    red = np.array([rows for rows, _ in reduced], dtype=np.uint8).reshape(mats.shape)
     return red, np.array([rank for _, rank in reduced], dtype=np.int64)
 
 
@@ -208,20 +219,27 @@ def mat_keys(mats: np.ndarray, q: int) -> np.ndarray:
     with the first entry least significant.
 
     Codes are exact and injective on one shape, so equal matrices have equal
-    codes and a set of matrices is a sorted array of codes.  A shape with
-    q**entries >= 2**63 would wrap, and is refused with ``ValueError`` before
-    anything is allocated.
+    codes, whatever the integer dtype of the stack, and a set of matrices is
+    a sorted array of codes.  The digits are read in place: a uint8 stack is
+    not widened to an int64 copy.  A shape with q**entries >= 2**63 would
+    wrap, and is refused with ``ValueError`` before anything is allocated.
     """
     shape = np.shape(mats)
     width = math.prod(shape[1:])
     if q**width >= 1 << 63:
         raise ValueError(f"{q}^{width} matrices of shape {shape[1:]} do not fit int64 keys")
-    arr = np.asarray(mats, dtype=np.int64)
-    return arr.reshape(len(arr), width) @ q ** np.arange(width, dtype=np.int64)
+    arr = np.asarray(mats)
+    # einsum casts the digits to int64 a buffer at a time
+    return np.einsum("ij,j->i", arr.reshape(len(arr), width), q ** np.arange(width, dtype=np.int64))
 
 
 def mats_from_keys(keys, shape: tuple[int, ...], q: int) -> np.ndarray:
-    """The int64 stack of matrices of the given shape whose ``mat_keys`` at q
-    are ``keys`` (an int64 array or a list of Python ints)."""
-    digits = np.asarray(keys, dtype=np.int64)[:, None] // q ** np.arange(math.prod(shape), dtype=np.int64) % q
+    """The uint8 stack of matrices of the given shape whose ``mat_keys`` at q
+    are ``keys`` (an int64 array or a list of Python ints).  The digits are
+    peeled off one entry at a time, so the only int64 arrays are of one code
+    per matrix."""
+    rest = np.asarray(keys, dtype=np.int64)
+    digits = np.empty((len(rest), math.prod(shape)), dtype=np.uint8)
+    for k in range(digits.shape[1]):
+        rest, digits[:, k] = np.divmod(rest, q)
     return digits.reshape(len(digits), *shape)

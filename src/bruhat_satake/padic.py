@@ -322,9 +322,15 @@ def gamma(kind: GroupKind, p: int) -> BlockMatrix:
 # --------------------------------------------------------------- congruence
 
 
-def _congruent(num: IntMat, i0: int, j0: int, n: int, s: int, q: int) -> bool:
-    """Whether the n x n block of num at (i0, j0) is s * I modulo q."""
-    return all((num[i0 + i][j0 + j] - (s if i == j else 0)) % q == 0 for i in range(n) for j in range(n))
+def _congruent(num: IntMat, i0: int, j0: int, n: int, s: int, p: int, m: int) -> bool:
+    """Whether the n x n block of num at (i0, j0) is s * I modulo p^m: each
+    entry minus its target is 0 or has v_p at least m, so p^m is never
+    computed and the work is bounded by the entries, not by m."""
+    return all(
+        (x := num[i0 + i][j0 + j] - (s if i == j else 0)) == 0 or _int_valuation(x, p) >= m
+        for i in range(n)
+        for j in range(n)
+    )
 
 
 def check_level(m: int) -> None:
@@ -355,11 +361,11 @@ def in_level(g: BlockMatrix, m: int) -> bool:
     check_level(m)
     if not g.is_integral():
         raise ValueError("matrix is not p-integral; congruence levels need G(Z_p)")
-    num, n, den, q = g.num, g.n, g.den, g.p**m
+    num, n, den, p = g.num, g.n, g.den, g.p
     return (
-        _congruent(num, n, 0, n, 0, q)  # C = 0
-        and _congruent(num, 0, 0, n, den, q)  # A = I
-        and _congruent(num, n, n, n, den, q)  # D = I
+        _congruent(num, n, 0, n, 0, p, m)  # C = 0
+        and _congruent(num, 0, 0, n, den, p, m)  # A = I
+        and _congruent(num, n, n, n, den, p, m)  # D = I
     )
 
 

@@ -693,6 +693,21 @@ def test_ordcoh_refuses_a_long_modulus_before_computing_it(runner, command):
     refused(invoke(runner, ["ordcoh", *command.split(), "--p", "2", "--r", "1024"]), "CONGRUENCE_BITS_GUARD")
 
 
+def test_padic_factor_checks_a_deep_level_without_computing_p_to_the_m(runner):
+    # in_level reduced modulo 3^16000000, a 25-million-bit number: 6 s for
+    # this report, which now tests each congruence by a p-adic valuation
+    started = time.perf_counter()
+    result = invoke(runner, ["padic", "factor", "--kind", "A", "--n", "1", "--p", "3",
+                             "--matrix", "[[1,0],[0,1]]", "--m", "16000000"])
+    assert time.perf_counter() - started < 1.0
+    assert result.exit_code == 0
+    assert result.stdout == (
+        '{"command":"padic factor","gamma1_part":[["1","0"],["0","1"]],"ok":true,"p_part":[["1","0"],["0","1"]],'
+        '"params":{"count":20,"kind":"A","m":16000000,"n":1,"p":3,"seed":0},'
+        '"rows":[{"h":"+inf","reassembled":true}],"schema":"bruhat-satake/1"}\n'
+    )
+
+
 def test_ordcoh_takes_the_longest_modulus_the_guard_allows(runner):
     # 2^1023 has 1024 bits: ranks reports on it, and ordinary passes the
     # modulus guard to meet its int64 bound
@@ -816,6 +831,37 @@ def test_each_command_runs_only_the_modules_it_uses(command):
     assert report["registered"] == [f"bruhat_satake.{name}" for name in ["cli", *library]]
     assert report["ran"] == [f"bruhat_satake.{name}" for name in sorted(["cli", *modules])]
     assert report["numpy"] is numpy
+
+
+OPENBLAS_SCRIPT = """
+import io, os, sys, types
+from bruhat_satake import cli
+before = os.environ.get("OPENBLAS_NUM_THREADS")
+real, sys.stdout = sys.stdout, io.TextIOWrapper(io.BytesIO())
+try:
+    cli.main.main(["ordcoh", "ranks", "--d", "2"], prog_name="bruhat-satake")
+except SystemExit as stop:
+    code = stop.code
+finally:
+    sys.stdout = real
+numpy = type(sys.modules.get("numpy")) is types.ModuleType
+print(before, code, os.environ.get("OPENBLAS_NUM_THREADS"), numpy)
+"""
+
+
+@pytest.mark.parametrize("preset,threads", [(None, "1"), ("3", "3")])
+def test_cli_asks_openblas_for_one_thread_unless_the_user_chose(preset, threads):
+    # set as a command starts, before its body loads numpy; importing the
+    # module changes nothing
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = src
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    result = subprocess.run(
+        [sys.executable, "-c", OPENBLAS_SCRIPT], capture_output=True, text=True, env=env, timeout=60, check=True
+    )
+    assert result.stdout.split() == [str(preset), "0", threads, "True"]
 
 
 def run_under_hash_seeds(argv, seeds, cwd):

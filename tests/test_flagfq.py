@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,8 +71,9 @@ def reference_cover_lemma_check(kind, q):
     factor at a time: ``dict.fromkeys`` deduplicates the product sets,
     ``issuperset`` tests the inclusions and a set union collects the cover."""
     G = flagfq._group_matrices(kind, q)
-    P = flagfq._parabolic_matrices(kind, q)
-    B = flagfq._borel_matrices(kind, q)
+    # the closures are byte stacks; the oracle multiplies in int64
+    P = flagfq._parabolic_matrices(kind, q).astype(np.int64)
+    B = flagfq._borel_matrices(kind, q).astype(np.int64)
     Pbar, Bbar = P.transpose(0, 2, 1) % q, B.transpose(0, 2, 1) % q
 
     def product_keys(left):  # x outer, y in P inner
@@ -191,7 +193,7 @@ def test_is_isotropic_matches_the_gram_matrix(kind, q):
 def test_closure_matches_a_reference_bfs(gens, q):
     want = reference_closure(gens, q)
     got = flagfq._closure(gens, q, len(want))
-    assert got.dtype == np.int64
+    assert got.dtype == np.uint8
     assert got.shape == want.shape and (got == want).all()
 
 
@@ -200,8 +202,8 @@ def test_product_set_is_every_pair_product(chunk, monkeypatch):
     monkeypatch.setattr(flagfq, "_PRODUCT_CHUNK", chunk)
     kind, q = weyl.type_a(1), 3
     left, right = flagfq._borel_matrices(kind, q), flagfq._parabolic_matrices(kind, q)
-    # the codes of the pair products, deduplicated and sorted
-    brute = sorted(set(codes([(x @ y) % q for x in left for y in right], q)))
+    # the codes of the pair products, deduplicated and sorted, multiplied in int64
+    brute = sorted(set(codes([(x @ y) % q for x in left.astype(np.int64) for y in right], q)))
     got = flagfq._product_set(left, right, q)
     assert got.dtype == np.int64 and got.tolist() == brute
 
@@ -358,6 +360,31 @@ def test_cover_lemma_small(kind, q):
 )
 def test_cover_lemma_matches_the_byte_key_oracle(kind, q):
     assert flagfq.cover_lemma_check(kind, q) == reference_cover_lemma_check(kind, q)
+
+
+def cold_peak_bytes(call):
+    """The peak memory traced while ``call`` runs, every cache of flagfq's
+    own functions cleared first; numpy reports its array buffers to
+    tracemalloc."""
+    for value in vars(flagfq).values():
+        if hasattr(value, "cache_clear") and value.__module__ == flagfq.__name__:
+            value.cache_clear()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind,q,budget_mb", [(weyl.type_c(2), 3, 20), (weyl.type_a(2), 2, 8)])
+def test_cover_lemma_stays_within_its_memory_budget(kind, q, budget_mb):
+    # byte stacks, G held only as its sorted keys, and product-set codes in a
+    # buffer compacted as it fills: 32.6 and 14.5 MB with int64 stacks
+    report = {}
+    peak = cold_peak_bytes(lambda: report.update(flagfq.cover_lemma_check(kind, q)))
+    assert report["ok"]
+    assert peak < budget_mb * 10**6
 
 
 @pytest.mark.parametrize("kind,q", [(weyl.type_a(1), 2), (weyl.type_c(1), 3), (weyl.type_c(2), 2), (weyl.type_a(2), 2)])

@@ -61,7 +61,7 @@ def test_rref_matches_naive_oracle(q):
         red, rank = kernels.rref_mod(mat, q)
         assert (mat == before).all()  # the input is left alone
         want, want_rank = naive_rref(mat, q)
-        assert red.shape == mat.shape and red.dtype == np.int64
+        assert red.shape == mat.shape and red.dtype == np.uint8
         assert (red == want).all()
         assert isinstance(rank, np.int64) and rank == want_rank
         assert kernels.rank_mod(mat, q) == want_rank
@@ -91,21 +91,31 @@ def naive_matmul(a, b, q):
     ]
 
 
-def refusal_peak_bytes(call, message):
-    """The peak memory traced while ``call`` raises ``ValueError`` matching
-    ``message``; numpy reports its array buffers to tracemalloc."""
+def traced_peak_bytes(call):
+    """The peak memory traced while ``call`` runs; numpy reports its array
+    buffers to tracemalloc."""
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=message):
-            call()
+        call()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
+def refusal_peak_bytes(call, message):
+    """The peak memory traced while ``call`` raises ``ValueError`` matching
+    ``message``."""
+
+    def refused():
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    return traced_peak_bytes(refused)
+
+
 def assert_matmul_matches_the_oracle(a, b, q):
     got = kernels.matmul_mod(a, b, q)
-    assert got.dtype == np.int64 and got.shape == (len(a), a.shape[1], b.shape[-1])
+    assert got.dtype == np.uint8 and got.shape == (len(a), a.shape[1], b.shape[-1])
     assert got.tolist() == naive_matmul(a, b, q)
 
 
@@ -142,6 +152,71 @@ def test_matmul_mod_at_the_widest_inner_dimension(q):
         assert_matmul_matches_the_oracle(a, b, q)
 
 
+def largest_byte(q):
+    """The largest uint8 value that is q - 1 mod q."""
+    return 255 - (255 - (q - 1)) % q
+
+
+@Q
+def test_byte_operands_with_entries_past_q_are_reduced(q):
+    rng = np.random.default_rng(9)
+    a = rng.integers(q, 256, size=(20, 3, 4), dtype=np.uint8)  # every entry >= q
+    b = rng.integers(0, 256, size=(20, 4, 5), dtype=np.uint8)
+    a[0, 0, 0], b[0, 0, 0] = 255, q
+    for x, y in ((a, b), (a, b[0]), (a % q, b), (a, b % q)):
+        assert_matmul_matches_the_oracle(x, y, q)
+    # below and above SCALAR_STACK_ROWS: matrix by matrix, then _rref_stack
+    for mats in (a, rng.integers(0, 256, size=(40, 3, 5), dtype=np.uint8)):
+        before = mats.copy()
+        red, ranks = kernels.rref_mod(mats, q)
+        assert (mats == before).all()  # the input stack is left alone
+        assert red.dtype == np.uint8 and ranks.dtype == np.int64
+        for i in range(len(mats)):
+            want, want_rank = naive_rref(mats[i], q)
+            assert (red[i] == want).all() and ranks[i] == want_rank
+
+
+@Q
+def test_mixed_byte_and_int64_operands(q):
+    rng = np.random.default_rng(10)
+    bytes_a = rng.integers(0, q, size=(20, 3, 4), dtype=np.uint8)
+    bytes_b = rng.integers(0, 256, size=(20, 4, 5), dtype=np.uint8)
+    wide_a = rng.integers(-11, 12, size=(20, 3, 4))
+    wide_b = rng.integers(-11, 12, size=(20, 4, 5))
+    lift = rng.integers(-2 * q, 2 * q, size=(4, 6))  # a 2-D int64 right operand, as a generator matrix
+    for x, y in ((bytes_a, wide_b), (wide_a, bytes_b), (bytes_a, lift), (bytes_a % q, wide_b % q)):
+        assert_matmul_matches_the_oracle(x, y, q)
+
+
+@Q
+def test_matmul_mod_at_the_widest_inner_dimension_with_byte_operands(q):
+    s = ((1 << 16) - 1) // (q - 1) ** 2
+    top = largest_byte(q)  # q - 1 once reduced
+    for a, b in (
+        (np.full((2, 2, s), q - 1, dtype=np.uint8), np.full((2, s, 5), q - 1, dtype=np.uint8)),
+        (np.full((1, 1, s), top, dtype=np.uint8), np.full((s, 3), top, dtype=np.uint8)),
+        (np.full((1, 2, s), top, dtype=np.uint8), np.full((1, s, 2), -1)),  # an int64 right operand
+    ):
+        assert_matmul_matches_the_oracle(a, b, q)
+
+
+@Q
+def test_byte_operands_are_used_without_an_int64_copy(q):
+    rng = np.random.default_rng(11)
+    stack = rng.integers(0, q, size=(4096, 4, 4), dtype=np.uint8)
+    assert kernels._reduced(stack, q) is stack  # in range: one max, no copy
+    assert (kernels._reduced(stack + q, q) == stack).all()
+    # only the left operand is widened, to uint64; an int64 copy of the right
+    # operand alone would take 2 MB
+    a = rng.integers(0, q, size=(4096, 1, 8), dtype=np.uint8)
+    b = rng.integers(0, q, size=(4096, 8, 8), dtype=np.uint8)
+    assert traced_peak_bytes(lambda: kernels.matmul_mod(a, b, q)) < b.size * 8
+    # keys read the digits in place, and decoding holds one int64 code per matrix
+    keys = kernels.mat_keys(stack, q)
+    assert traced_peak_bytes(lambda: kernels.mat_keys(stack, q)) < stack.size * 8 // 4
+    assert traced_peak_bytes(lambda: kernels.mats_from_keys(keys, (4, 4), q)) < stack.size * 8 // 2
+
+
 @Q
 def test_matmul_mod_refuses_a_lane_overflow_before_allocating(q):
     s = ((1 << 16) - 1) // (q - 1) ** 2 + 1  # one step past the widest
@@ -168,7 +243,7 @@ def test_rref_on_python_rows_matches_the_equal_array(q):
     ]
     for mat in mats:
         want_red, want_rank = kernels.rref_mod(mat, q)
-        assert want_red.dtype == np.int64 and want_red.shape == mat.shape
+        assert want_red.dtype == np.uint8 and want_red.shape == mat.shape
         assert isinstance(want_rank, np.int64)
         for rows in (mat.tolist(), tuple(map(tuple, mat.tolist()))):
             before = list(map(list, rows))
@@ -207,7 +282,7 @@ def test_stacks_on_either_side_of_the_scalar_bound_match_the_oracle(q, shape, mo
         red, ranks = kernels.rref_mod(mats, q)
         assert stack_calls == ([(count, r, c)] if stacked else [])
         assert (mats == before).all()  # the input stack is left alone
-        assert red.dtype == ranks.dtype == np.int64
+        assert red.dtype == np.uint8 and ranks.dtype == np.int64
         assert red.shape == mats.shape and ranks.shape == (count,)
         for i in range(count):
             want, want_rank = naive_rref(mats[i], q)
@@ -220,7 +295,7 @@ def test_stacks_on_either_side_of_the_scalar_bound_match_the_oracle(q, shape, mo
 def test_an_empty_stack_reduces_to_an_empty_stack():
     red, ranks = kernels.rref_mod(np.zeros((0, 3, 6), dtype=np.int64), 2)
     assert red.shape == (0, 3, 6) and ranks.shape == (0,)
-    assert red.dtype == ranks.dtype == np.int64
+    assert red.dtype == np.uint8 and ranks.dtype == np.int64
 
 
 def test_single_matrix_round_trips_without_a_stack_axis():
@@ -240,7 +315,22 @@ def test_mat_keys_are_the_base_q_codes_of_each_matrix_and_round_trip(q):
         assert keys.dtype == np.int64 and keys.tolist() == want
         for codes in (keys, want):
             back = kernels.mats_from_keys(codes, mats.shape[1:], q)
-            assert back.dtype == np.int64 and back.shape == mats.shape and (back == mats).all()
+            assert back.dtype == np.uint8 and back.shape == mats.shape and (back == mats).all()
+
+
+@Q
+def test_mat_keys_agree_on_every_integer_form_of_a_stack_and_round_trip_in_bytes(q):
+    rng = np.random.default_rng(12)
+    mats = rng.integers(0, q, size=(50, 3, 5))
+    mats[0] = q - 1  # the largest code of the shape
+    want = kernels.mat_keys(mats, q)
+    for dtype in (np.uint8, np.int8, np.int32, np.uint16):
+        assert kernels.mat_keys(mats.astype(dtype), q).tolist() == want.tolist()
+    assert want[0] == q**15 - 1
+    back = kernels.mats_from_keys(want, (3, 5), q)
+    assert back.dtype == np.uint8 and back.shape == mats.shape and (back == mats).all()
+    assert kernels.mat_keys(back, q).tolist() == want.tolist()
+    assert kernels.mats_from_keys([], (3, 5), q).shape == (0, 3, 5)
 
 
 def test_mat_keys_distinguish_every_2x2_matrix_over_f3():

@@ -322,6 +322,25 @@ def test_in_level_refuses_each_broken_block(kind, m):
         assert not in_level(_from_blocks(kind, p, eye, zero, zero, two), m)  # D = 2I
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_in_level_reads_each_congruence_off_a_valuation(kind):
+    # an entry meets its target modulo p^m exactly when the difference has
+    # v_p >= m, either sign; a zero difference meets every level
+    eye, zero = _scalar_rows(kind.n, 1), _scalar_rows(kind.n, 0)
+    for p in (2, 3, 5):
+        for m in (1, 2, 5):
+            for c in (p**m, -(p**m), 7 * p**m, p ** (m - 1), -(p ** (m - 1)), 1):
+                g = _from_blocks(kind, p, eye, zero, _scalar_rows(kind.n, c), eye)
+                assert in_level(g, m) is (c % p**m == 0)
+            if kind.family is Family.TYPE_A:
+                for a in (1 + p**m, 1 - p**m, 1 + p ** (m - 1)):
+                    g = _from_blocks(kind, p, _scalar_rows(kind.n, a), zero, zero, eye)
+                    assert in_level(g, m) is ((a - 1) % p**m == 0)
+        # a level far past the entries' valuations
+        assert in_level(_from_blocks(kind, p, eye, eye, zero, eye), 10**6)
+        assert not in_level(_from_blocks(kind, p, eye, zero, _scalar_rows(kind.n, p**40), eye), 10**6)
+
+
 def test_in_level_rejects_non_integral():
     with pytest.raises(ValueError):
         in_level(gamma(C1, 2), 1)
