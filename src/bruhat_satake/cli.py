@@ -158,13 +158,17 @@ def _check_rows(result: dict, *checks: str) -> list[dict]:
 
 @_report("weyl", "cosets", *KIND_N)
 def weyl_cosets(kind, n):
-    """List the parabolic double coset representatives sigma_k."""
+    """List the parabolic double coset representatives sigma_k.
+
+    They must have the taus 0..n, and their double cosets must fill W."""
     gk = _group_kind(kind, n)
     weyl.check_order(gk)
     reps = weyl.double_cosets(gk)
     rows = [{"k": k, "perm": "".join(map(str, w.perm)) if 2 * n < 10 else str(list(w.perm)),
              "tau": weyl.tau(w), "length": weyl.length(w)} for k, w in enumerate(reps)]
-    return {"rows": rows, "count": len(reps), "ok": len(reps) == n + 1}
+    taus_ok = [row["tau"] for row in rows] == list(range(n + 1))
+    fill = sum(map(weyl.double_coset_size, reps)) == weyl.order(gk)
+    return {"rows": rows, "count": len(reps), "ok": taus_ok and fill}
 
 
 @_report("cells", "dims", *KIND_N)

@@ -30,8 +30,10 @@ sets and the translate operands.  Here such a stack is only reduced
 product of bytes is a ``kernels.matmul_mod`` call.  The generator
 matrices, the Weyl lifts and the symplectic form stay int64, because they
 are multiplied here with ``@``.  The group G itself is held only as its
-sorted codes (``_group_keys``), and a product set collects its codes in a
-buffer that is compacted as it fills.
+sorted codes (``_group_keys``), a product set collects its codes in a
+buffer that is compacted as it fills, and the translates of the cover are
+kept as one running sorted union of their codes.  The closures walk int64
+code arrays, with no Python int per element.
 """
 
 from __future__ import annotations
@@ -102,13 +104,35 @@ def gaussian_binomial(m: int, k: int, q: int) -> int:
     return num // den
 
 
+def _binomial_coefficients(m: int, k: int) -> list[int]:
+    """The coefficients of C(m, k)_q as a polynomial in q, lowest degree
+    first, by the q-Pascal rule C(i, j) = C(i-1, j-1) + q^j C(i-1, j)."""
+    row = [[1]] + [[] for _ in range(k)]  # row[j]: C(i, j) for the current i, [] for zero
+    for i in range(1, m + 1):
+        for j in range(min(i, k), 0, -1):
+            shifted = [0] * j + row[j] if row[j] else []
+            row[j] = [x + y for x, y in itertools.zip_longest(row[j - 1], shifted, fillvalue=0)]
+    return row[k]
+
+
+def stratum_cells(kind: GroupKind, k: int) -> list[int]:
+    """The Bruhat cells of the stratum tau = k: entry l is the number of
+    Borel orbits with q^l points, the coefficient of q^l in q^(k^2) C(n, k)_q^2
+    (type A) or q^(k(k+1)/2) C(n, k)_q (type C)."""
+    coeffs = _binomial_coefficients(kind.n, k)
+    if kind.family is Family.TYPE_A:
+        square = [0] * (2 * len(coeffs) - 1)
+        for i, x in enumerate(coeffs):
+            for j, y in enumerate(coeffs):
+                square[i + j] += x * y
+        return [0] * (k * k) + square
+    return [0] * (k * (k + 1) // 2) + coeffs
+
+
 def stratum_size(kind: GroupKind, k: int, q: int) -> int:
     """Number of points with tau = k, in closed form: q^(k^2) C(n, k)_q^2 in
-    type A, q^(k(k+1)/2) C(n, k)_q in type C."""
-    n = kind.n
-    if kind.family is Family.TYPE_A:
-        return q ** (k * k) * gaussian_binomial(n, k, q) ** 2
-    return q ** (k * (k + 1) // 2) * gaussian_binomial(n, k, q)
+    type A, q^(k(k+1)/2) C(n, k)_q in type C, as ``stratum_cells`` at q."""
+    return sum(count * q**ell for ell, count in enumerate(stratum_cells(kind, k)))
 
 
 def flag_size(kind: GroupKind, q: int) -> int:
@@ -217,16 +241,33 @@ def group_generators(kind: GroupKind, q: int) -> list[np.ndarray]:
 
 def _closure(gens: list[np.ndarray], q: int, expected: int) -> np.ndarray:
     """Breadth-first closure of a generating set, as a deterministic uint8
-    stack, certified to have ``expected`` elements."""
+    stack, certified to have ``expected`` elements.
+
+    The walk is ``weyl.walk``'s, on int64 ``mat_keys`` code arrays: each
+    level's frontier is decoded once and multiplied by one generator at a
+    time, and an image is new when it is the first occurrence of its code
+    in that generator's images (``np.unique``) and is missing from the
+    sorted codes seen so far (``searchsorted``), into which the new codes
+    are then inserted.  So the stack is in ``walk``'s discovery order, with
+    its level sizes and kernel calls, and no Python int is held per element.
+    """
     m = gens[0].shape[0]
     gen_stack = np.stack([g % q for g in gens])
-
-    def images(frontier):
+    frontier = kernels.mat_keys(np.eye(m, dtype=np.int64)[None] % q, q)
+    seen, order = frontier, [frontier]
+    while len(frontier):
         stack = kernels.mats_from_keys(frontier, (m, m), q)
-        return (kernels.mat_keys(kernels.matmul_mod(stack, g, q), q).tolist() for g in gen_stack)
-
-    start = kernels.mat_keys(np.eye(m, dtype=np.int64)[None] % q, q).item()
-    out = kernels.mats_from_keys(list(walk(start, images)), (m, m), q)
+        fresh = []
+        for g in gen_stack:
+            images = kernels.mat_keys(kernels.matmul_mod(stack, g, q), q)
+            codes, first = np.unique(images, return_index=True)
+            at = np.searchsorted(seen, codes)
+            new = seen[np.minimum(at, len(seen) - 1)] != codes
+            seen = np.insert(seen, at[new], codes[new])
+            fresh.append(images[np.sort(first[new])])
+        frontier = np.concatenate(fresh)
+        order.append(frontier)
+    out = kernels.mats_from_keys(np.concatenate(order), (m, m), q)
     if out.shape[0] != expected:
         raise AssertionError(f"closure reached {out.shape[0]} elements, expected {expected}")
     return out
@@ -451,15 +492,29 @@ def closure_order_check(kind: GroupKind, q: int) -> dict:
 # ------------------------------------------------------------- cover lemmas
 
 
-def _sorted_unique(codes: np.ndarray) -> np.ndarray:
-    """The distinct values of ``codes`` in ascending order: a sort and an
-    adjacent-difference mask, much cheaper than ``np.unique``.  Every caller
-    passes a fresh array, which is sorted in place rather than copied."""
-    codes.sort()
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """The distinct values of the sorted array ``codes``, by an
+    adjacent-difference mask."""
     keep = np.empty(codes.shape, dtype=bool)
     keep[:1] = True
     np.not_equal(codes[1:], codes[:-1], out=keep[1:])
     return codes[keep]
+
+
+def _sorted_unique(codes: np.ndarray) -> np.ndarray:
+    """The distinct values of ``codes`` in ascending order: a sort and
+    ``_distinct``, much cheaper than ``np.unique``.  Every caller passes a
+    fresh array, which is sorted in place rather than copied."""
+    codes.sort()
+    return _distinct(codes)
+
+
+def _merged(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """The two sorted arrays as one sorted array: a stable sort of their
+    concatenation, which merges the two ascending runs in one linear pass."""
+    merged = np.concatenate([first, second])
+    merged.sort(kind="stable")
+    return merged
 
 
 def _product_keys(left: np.ndarray, right: np.ndarray, q: int):
@@ -501,12 +556,9 @@ def _keys_within(keys: np.ndarray, target: np.ndarray) -> bool:
     sorted array of distinct codes.
 
     The keys lie in the target exactly when merging them into it adds no
-    distinct value.  The merge is a stable sort of the target joined with
-    the sorted keys: two ascending runs, which the stable sort merges in one
-    linear pass.
+    distinct value.
     """
-    merged = np.concatenate([target, np.sort(keys)])
-    merged.sort(kind="stable")
+    merged = _merged(target, np.sort(keys))
     return bool(np.count_nonzero(merged[1:] != merged[:-1]) + 1 == len(target))
 
 
@@ -541,18 +593,18 @@ def cover_lemma_check(kind: GroupKind, q: int) -> dict:
     w0_mat = weyl_matrix(longest_element(kind), q)
     p_w0_p = kernels.mats_from_keys(_product_set(kernels.matmul_mod(P, w0_mat, q), P, q), shape, q)
 
-    covered = []
+    covered = np.empty(0, dtype=np.int64)  # the running union of the translates' codes
     lower_ok = upper_ok = True
     for w in all_elements(kind):
         wm = weyl_matrix(w, q)
         target_lower = _translate_keys(wm, pbar_p, q)
-        covered.append(target_lower)
+        covered = _distinct(_merged(covered, target_lower))
         if not _products_within(kernels.matmul_mod(Bbar, wm, q), P, q, target_lower):
             lower_ok = False
         target_upper = _translate_keys((wm @ w0_mat) % q, p_w0_p, q)
         if not _products_within(kernels.matmul_mod(B, wm, q), P, q, target_upper):
             upper_ok = False
-    covers = np.array_equal(_sorted_unique(np.concatenate(covered)), g_keys)
+    covers = np.array_equal(covered, g_keys)
     return {
         "group_order": len(g_keys),
         "lower_inclusions": lower_ok,
@@ -580,7 +632,10 @@ def finding_j_check(kind: GroupKind, q: int) -> dict:
     """Every Borel orbit must admit one J, with |J cap {1..n}| = tau, whose
     frame misses every point of the orbit.
 
-    The open cell must in particular admit J = {1, ..., n}.
+    The open cell must in particular admit J = {1, ..., n}.  The orbits are
+    the Bruhat cells, so their (tau, size) pairs must also be those of
+    ``stratum_cells``: one orbit of q^l points of tau = k per unit of its
+    coefficient l.
     """
     points = enumerate_flag(kind, q)
     orbits = _orbits(points, borel_generators(kind, q), q)
@@ -590,20 +645,26 @@ def finding_j_check(kind: GroupKind, q: int) -> dict:
     all_ok = True
     open_cell_ok = True
     full_J = SubsetJ(kind, frozenset(range(1, kind.n + 1)))
+    cells = []
     for members in orbits:
         taus = {tau_of_point(points[i]) for i in members}
         if len(taus) != 1:
             raise AssertionError("tau is not constant on a Borel orbit")
         t = taus.pop()
+        cells.append((t, len(members)))
         candidates = by_lower.get(t, [])
         if not any(all(meets_trivially(points[i], J) for i in members) for J in candidates):
             all_ok = False
         if t == kind.n and not all(meets_trivially(points[i], full_J) for i in members):
             open_cell_ok = False
+    expected = [(k, q**ell) for k in range(kind.n + 1) for ell, count in enumerate(stratum_cells(kind, k))
+                for _ in range(count)]
+    cells_ok = sorted(cells) == sorted(expected)
     return {
         "points": len(points),
         "borel_orbits": len(orbits),
         "every_orbit_admits_J": all_ok,
         "open_cell_admits_full_J": open_cell_ok,
-        "ok": all_ok and open_cell_ok,
+        "orbits_are_bruhat_cells": cells_ok,
+        "ok": all_ok and open_cell_ok and cells_ok,
     }

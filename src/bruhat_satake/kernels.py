@@ -21,14 +21,21 @@ reduced mod q on entry, and q must be a key of ``PRIMITIVE_ROOT``;
 ``rref_rows`` itself takes any prime.
 
 A stack product is lane packed (Kronecker substitution on the rows of the
-right operand): each row of ``b`` is written as four 16-bit lanes per
-64-bit word, the left operand is widened to uint64, one batched unsigned
-integer matmul forms four products per multiply-add, and the lanes are
-read back and reduced mod q by one lookup in a uint8 residue table, which
-writes the result's bytes.  A lane sum is at most s (q-1)^2 for inner
-dimension s, so an inner dimension with s (q-1)^2 >= 2^16, where a lane
-could carry into the next, is refused with ``ValueError`` before anything
-is allocated.
+right operand): each row of ``b`` is written as ``LANES`` = 4 lanes per
+word, the left operand is widened to words, one batched unsigned integer
+matmul forms four products per multiply-add, and the lanes are read back
+and reduced mod q into the result's bytes.  A lane sum is at most
+s (q-1)^2 for inner dimension s, and the lane is the narrowest that holds
+it: a byte in a uint32 word below 2^8 (every flag shape at q <= 5), 16
+bits in a uint64 word below 2^16.  An inner dimension with
+s (q-1)^2 >= 2^16, where a lane could carry into the next, is refused
+with ``ValueError`` before anything is allocated.  A byte right operand
+whose width is a multiple of ``LANES`` is its own packing, read as words
+in place.  The left operand is widened ``BLOCK`` = 2^14 matrices at a
+time into one preallocated result, so the temporaries are bounded by a
+block, not by the stack.  Byte lanes are reduced by ``bytes.translate``
+through a 256-byte residue table, with no index array; 16-bit lanes by a
+lookup in a uint8 table.
 
 A matrix is keyed by ``mat_keys``: one exact int64 code, its row-major
 entries read as base-q digits (in place: a byte stack is not widened), so
@@ -53,7 +60,8 @@ from . import _lazy_module
 np = _lazy_module("numpy")
 
 PRIMITIVE_ROOT = {2: 1, 3: 2, 5: 2}  # the supported fields F_q, each with a generator of F_q^x
-LANES = 4  # 16-bit lanes per 64-bit word in matmul_mod
+LANES = 4  # lanes per word in matmul_mod: bytes in a uint32, or 16 bits in a uint64
+BLOCK = 1 << 14  # left-operand matrices per word product in matmul_mod; bounds its temporaries
 # A stack with at most this many rows in all is row reduced matrix by matrix
 # by rref_rows: below it the ~20 whole-stack numpy calls per column of
 # _rref_stack cost more than the arithmetic they vectorize.  The two paths
@@ -162,12 +170,18 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """Stack matmul mod q.  a: (N, r, s), b: (N, s, t) or (s, t).
 
     Exact in unsigned integers: the rows of ``b`` are packed ``LANES`` to a
-    64-bit word, so one product word holds ``LANES`` entries of a @ b, each
-    a lane sum below 2^16 that never carries into the next lane.  Only the
-    left operand is widened, to uint64, for the product; the lanes are read
-    back through a uint8 residue table, so the result is the uint8 stack
-    reduced mod q.  A shape whose lane sum could reach 2^16 is refused with
-    ``ValueError`` before anything is allocated.
+    word, so one product word holds ``LANES`` entries of a @ b, each a lane
+    sum of at most s (q-1)^2 that never carries into the next lane.  The
+    lane is a byte (a uint32 word) when s (q-1)^2 < 2^8, and 16 bits (a
+    uint64 word) below 2^16; a shape whose lane sum could reach 2^16 is
+    refused with ``ValueError`` before anything is allocated.  A byte right
+    operand whose width t is a multiple of ``LANES`` is already packed and
+    is read as words in place.  The left operand is widened to words
+    ``BLOCK`` matrices at a time, and each block's lanes are reduced mod q
+    into one preallocated result: byte lanes by ``bytes.translate`` through
+    a 256-byte residue table, 16-bit lanes by a lookup in a uint8 one.  The
+    result is a fresh C-contiguous uint8 stack; the operands are not
+    changed.
     """
     check_q(q)
     s, t = np.shape(b)[-2:]
@@ -175,10 +189,29 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     if top >= 1 << 16:
         raise ValueError(f"inner dimension {s} over F_{q} overflows a 16-bit lane: {s} * {q - 1}^2 >= 2^16")
     a, b = _reduced(a, q), _reduced(b, q)
-    packed = np.zeros((*b.shape[:-1], -(-t // LANES) * LANES), dtype=np.uint16)
-    packed[..., :t] = b
-    lanes = (a.astype(np.uint64) @ packed.view(np.uint64)).view(np.uint16)[..., :t]
-    return (np.arange(top + 1) % q).astype(np.uint8).take(lanes)
+    lane, word = (np.uint8, np.uint32) if top < 1 << 8 else (np.uint16, np.uint64)
+    width = -(-t // LANES) * LANES
+    if lane is np.uint8 and width == t:
+        packed = b
+    else:
+        packed = np.zeros((*b.shape[:-1], width), dtype=lane)
+        packed[..., :t] = b
+    words = packed.view(word)
+    out = np.empty((len(a), a.shape[1], t), dtype=np.uint8)
+    if lane is np.uint8:
+        residues = (bytes(range(q)) * (256 // q + 1))[:256]  # x -> x mod q
+    else:
+        residues = (np.arange(top + 1) % q).astype(np.uint8)
+    for start in range(0, len(a), BLOCK):
+        stop = start + BLOCK
+        right = words if words.ndim == 2 else words[start:stop]
+        lanes = (a[start:stop].astype(word) @ right).view(lane)
+        if lane is np.uint8:
+            reduced = np.frombuffer(lanes.tobytes().translate(residues), dtype=np.uint8)
+            out[start:stop] = reduced.reshape(lanes.shape)[..., :t]
+        else:
+            np.take(residues, lanes[..., :t], out=out[start:stop])
+    return out
 
 
 def rref_mod(mats, q: int):

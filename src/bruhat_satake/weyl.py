@@ -300,6 +300,24 @@ def tau(w: WeylElement) -> int:
     return n - len(top & {w(i) for i in top})
 
 
+def double_coset_size(w: WeylElement) -> int:
+    """|W_I w W_I| = |W_I|^2 / |W_I cap w W_I w^-1|, with no element built.
+
+    W_I is the stabilizer of T = {1..n} (and of its complement B) in W, so
+    the intersection fixes the blocks that T and B cut out of w(T) and
+    w(B): it is a product of factorials of their sizes, the four blocks
+    T, B meet w(T), w(B) in type A, and in type C the two of T alone,
+    since iota carries them onto the two of B.
+
+    >>> [double_coset_size(sigma(type_a(2), k)) for k in range(3)]
+    [4, 16, 4]
+    """
+    n = w.kind.n
+    meet = len(set(w.perm[:n]) & set(range(1, n + 1)))  # |T cap w(T)|; |T cap w(B)| = n - meet
+    copies = 2 if w.kind.family is Family.TYPE_A else 1  # W_I is S_n x S_n in type A, S_n in type C
+    return math.factorial(n) ** (2 * copies) // (math.factorial(meet) * math.factorial(n - meet)) ** copies
+
+
 def sigma(kind: GroupKind, k: int) -> WeylElement:
     """The double coset representative sigma_k = (1, n+1) ... (k, n+k)."""
     if not 0 <= k <= kind.n:

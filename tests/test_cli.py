@@ -235,6 +235,31 @@ def _tau_zero_and_one_swapped(genuine):
     return lambda U: {0: 1, 1: 0}.get(genuine(U), genuine(U))
 
 
+def _two_orbits_of_one_tau_merged(genuine):
+    """The first two orbits whose points share a tau, read as one orbit."""
+
+    def orbits(points, gens, q):
+        found = genuine(points, gens, q)
+        taus = [cli.flagfq.tau_of_point(points[orbit[0]]) for orbit in found]
+        i = next(i for i in range(len(found)) if taus.count(taus[i]) > 1)
+        j = taus.index(taus[i], i + 1)
+        return [sorted(found[i] + found[j]) if k == i else orbit for k, orbit in enumerate(found) if k != j]
+
+    return orbits
+
+
+def _first_orbit_split(genuine):
+    """The first orbit of more than one point, read as its first point and
+    the rest: each part still misses the orbit's frame."""
+
+    def orbits(points, gens, q):
+        found = genuine(points, gens, q)
+        i = next(i for i, orbit in enumerate(found) if len(orbit) > 1)
+        return found[:i] + [found[i][:1], found[i][1:]] + found[i + 1 :]
+
+    return orbits
+
+
 # Each report with one library step broken: (command, module, name, the
 # broken step built from the genuine one).  The report must notice and exit 1.
 BROKEN_STEPS = [
@@ -252,6 +277,16 @@ BROKEN_STEPS = [
      lambda genuine: lambda J, q: genuine(cli.weyl.SubsetJ(J.kind, frozenset(range(1, J.kind.n + 1))), q)),
     # an orbit of tau n - 1 read as the open cell: it meets the full frame
     ("flag check-finding-j --kind A --n 2 --q 2", "flagfq", "tau_of_point", _tau_one_too_high),
+    # Borel orbits merged or split: tau stays constant on every orbit, but the orbits are not the Bruhat cells
+    ("flag check-finding-j --kind A --n 2 --q 2", "flagfq", "_orbits", _two_orbits_of_one_tau_merged),
+    ("flag check-finding-j --kind C --n 2 --q 3", "flagfq", "_orbits", _first_orbit_split),
+    # every sigma_k replaced by sigma_0, the identity
+    ("weyl cosets --kind A --n 3", "weyl", "sigma", lambda genuine: lambda kind, k: genuine(kind, 0)),
+    ("weyl cosets --kind C --n 2", "weyl", "sigma", lambda genuine: lambda kind, k: genuine(kind, 0)),
+    # the right double cosets, listed in the wrong order: they still fill W, but sigma_k has tau n - k
+    ("weyl cosets --kind A --n 3", "weyl", "double_cosets", lambda genuine: lambda kind: genuine(kind)[::-1]),
+    # |W| counted twice: the double cosets of the right sigma_k no longer fill it
+    ("weyl cosets --kind C --n 3", "weyl", "order", lambda genuine: lambda kind: 2 * genuine(kind)),
     ("cells dims --kind A --n 2", "roots", "cell_dim_formula", lambda genuine: lambda kind, t: t),
     ("ordcoh ordinary --d 3", "ordcoh", "hecke_gamma", _identity_hecke_gamma),
 ]

@@ -197,6 +197,48 @@ def test_closure_matches_a_reference_bfs(gens, q):
     assert got.shape == want.shape and (got == want).all()
 
 
+def walk_frontier_sizes(gens, q):
+    """The frontier sizes of the closure as a ``weyl.walk`` over Python int
+    codes, with one decode per level and one product and one keying per
+    generator."""
+    m = gens[0].shape[0]
+    sizes = []
+
+    def images(frontier):
+        sizes.append(len(frontier))
+        stack = kernels.mats_from_keys(frontier, (m, m), q)
+        return (kernels.mat_keys(kernels.matmul_mod(stack, g % q, q), q).tolist() for g in gens)
+
+    weyl.walk(kernels.mat_keys(np.eye(m, dtype=np.int64)[None] % q, q).item(), images)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "gens,q",
+    [
+        (flagfq.parabolic_generators(weyl.type_c(2), 2), 2),
+        (flagfq.borel_generators(weyl.type_a(2), 3), 3),
+        (flagfq.group_generators(weyl.type_c(2), 2), 2),
+    ],
+)
+def test_closure_makes_the_kernel_calls_of_a_walk(gens, q, monkeypatch):
+    # the counted kernel calls and their left-operand shapes are those of the
+    # walk: one keying of the identity, then per level and generator one
+    # product and one keying of the whole frontier
+    m = gens[0].shape[0]
+    sizes = walk_frontier_sizes(gens, q)
+    calls = []
+    for name in ("matmul_mod", "mat_keys"):
+        genuine = getattr(kernels, name)
+        monkeypatch.setattr(
+            kernels, name, lambda *args, name=name, genuine=genuine: calls.append((name, args[0].shape)) or genuine(*args)
+        )
+    flagfq._closure(gens, q, len(reference_closure(gens, q)))
+    per_level = [(("matmul_mod", (f, m, m)), ("mat_keys", (f, m, m))) for f in sizes for _ in gens]
+    assert calls == [("mat_keys", (1, m, m))] + [call for pair in per_level for call in pair]
+    assert sizes[-1] > 0 and sum(sizes) == len(reference_closure(gens, q))
+
+
 @pytest.mark.parametrize("chunk", [flagfq._PRODUCT_CHUNK, 20])
 def test_product_set_is_every_pair_product(chunk, monkeypatch):
     monkeypatch.setattr(flagfq, "_PRODUCT_CHUNK", chunk)
@@ -377,10 +419,13 @@ def cold_peak_bytes(call):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("kind,q,budget_mb", [(weyl.type_c(2), 3, 20), (weyl.type_a(2), 2, 8)])
+@pytest.mark.parametrize("kind,q,budget_mb", [(weyl.type_c(2), 3, 8), (weyl.type_a(2), 2, 4.5)])
 def test_cover_lemma_stays_within_its_memory_budget(kind, q, budget_mb):
-    # byte stacks, G held only as its sorted keys, and product-set codes in a
-    # buffer compacted as it fills: 32.6 and 14.5 MB with int64 stacks
+    # byte stacks, G held only as its sorted keys, product-set codes in a
+    # buffer compacted as it fills, kernel temporaries bounded by a block,
+    # a closure on code arrays and one running union of the translates:
+    # 32.6 and 14.5 MB with int64 stacks, 12.0 and 6.3 MB with the kernel
+    # widening a whole stack and the closure keeping a dict of Python ints
     report = {}
     peak = cold_peak_bytes(lambda: report.update(flagfq.cover_lemma_check(kind, q)))
     assert report["ok"]
@@ -638,18 +683,25 @@ def q_binomial(m, k, q):
     return q_binomial(m - 1, k - 1, q) + q**k * q_binomial(m - 1, k, q)
 
 
+def bruhat_cells(kind):
+    """{tau: {l: count}}: how many Bruhat cells B w P_I / P_I of each
+    dimension l = l(w) each stratum has, w running over the minimal
+    representatives of W / W_I."""
+    lengths = weyl.length_table(kind)
+    mark = [s.perm for s in weyl.parabolic_mark(kind)]
+    cells = {}
+    for perm, ell in lengths.items():
+        if all(lengths[weyl.compose(perm, s)] > ell for s in mark):
+            by_length = cells.setdefault(weyl.tau(weyl.WeylElement(kind, perm)), {})
+            by_length[ell] = by_length.get(ell, 0) + 1
+    return cells
+
+
 def bruhat_census(kind, q):
     """The tau census by the Bruhat decomposition G/P_I = the disjoint union of
     the cells B w P_I / P_I, one per minimal representative w of w W_I, each
     with q^l(w) points: read off the Weyl layer alone."""
-    lengths = weyl.length_table(kind)
-    mark = [s.perm for s in weyl.parabolic_mark(kind)]
-    census = {}
-    for perm, ell in lengths.items():
-        if all(lengths[weyl.compose(perm, s)] > ell for s in mark):
-            t = weyl.tau(weyl.WeylElement(kind, perm))
-            census[t] = census.get(t, 0) + q**ell
-    return census
+    return {t: sum(count * q**ell for ell, count in cells.items()) for t, cells in bruhat_cells(kind).items()}
 
 
 # every (kind, n, q) whose flag the tier-1 tests enumerate
@@ -660,6 +712,56 @@ CENSUS_CASES += [(weyl.type_a(3), 2), (weyl.type_c(3), 2), (weyl.type_c(3), 3)]
 @pytest.mark.parametrize("kind,q", CENSUS_CASES, ids=case_id)
 def test_census_matches_the_bruhat_q_count(kind, q):
     assert flagfq.cell_census(kind, q) == bruhat_census(kind, q)
+
+
+@pytest.mark.parametrize("kind", [weyl.GroupKind(f, n) for f in weyl.Family for n in (1, 2, 3, 4)], ids=case_id)
+def test_stratum_cells_are_the_bruhat_cells(kind):
+    cells = bruhat_cells(kind)
+    for k in range(kind.n + 1):
+        got = flagfq.stratum_cells(kind, k)
+        assert got[-1] > 0  # no trailing zero coefficient
+        assert got == [cells[k].get(ell, 0) for ell in range(max(cells[k]) + 1)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_binomial_coefficients_evaluate_to_the_gaussian_binomial(q):
+    for m in range(9):
+        for k in range(m + 1):
+            coeffs = flagfq._binomial_coefficients(m, k)
+            value = sum(c * q**ell for ell, c in enumerate(coeffs))
+            assert value == flagfq.gaussian_binomial(m, k, q) == q_binomial(m, k, q)
+            assert len(coeffs) == k * (m - k) + 1 and coeffs == coeffs[::-1]  # degree k(m-k), palindromic
+
+
+@pytest.mark.parametrize("kind,q", [(weyl.type_a(2), 3), (weyl.type_c(2), 3), (weyl.type_c(3), 2)], ids=case_id)
+def test_borel_orbits_are_the_bruhat_cells(kind, q):
+    # the multiset of (tau, orbit size) that finding_j_check compares
+    points = flagfq.enumerate_flag(kind, q)
+    orbits = flagfq._orbits(points, flagfq.borel_generators(kind, q), q)
+    got = sorted((flagfq.tau_of_point(points[orbit[0]]), len(orbit)) for orbit in orbits)
+    cells = bruhat_cells(kind)
+    assert got == sorted((k, q**ell) for k in cells for ell, count in cells[k].items() for _ in range(count))
+    assert flagfq.finding_j_check(kind, q)["orbits_are_bruhat_cells"]
+
+
+def one_point_moved(orbits, points):
+    """The last point of the first orbit with more than one point moved into
+    the next orbit of its tau: as many orbits, each still of one tau."""
+    taus = [flagfq.tau_of_point(points[orbit[0]]) for orbit in orbits]
+    i = next(i for i, orbit in enumerate(orbits) if len(orbit) > 1 and taus.count(taus[i]) > 1)
+    j = next(j for j in range(len(orbits)) if j != i and taus[j] == taus[i])
+    moved = [list(orbit) for orbit in orbits]
+    moved[j] = sorted(moved[j] + [moved[i].pop()])
+    return moved
+
+
+@pytest.mark.parametrize("kind,q", [(weyl.type_a(2), 2), (weyl.type_c(2), 3)], ids=case_id)
+def test_finding_j_check_fails_when_the_orbit_sizes_are_not_the_cells(kind, q, monkeypatch):
+    genuine = flagfq._orbits
+    monkeypatch.setattr(flagfq, "_orbits", lambda points, gens, q: one_point_moved(genuine(points, gens, q), points))
+    res = flagfq.finding_j_check(kind, q)
+    assert res["borel_orbits"] == len(genuine(flagfq.enumerate_flag(kind, q), flagfq.borel_generators(kind, q), q))
+    assert not res["orbits_are_bruhat_cells"] and not res["ok"]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -218,6 +218,43 @@ def test_byte_operands_are_used_without_an_int64_copy(q):
 
 
 @Q
+@pytest.mark.parametrize("lane", ["byte", "16-bit"])
+def test_matmul_mod_keeps_its_contract_at_the_lane_edges_and_across_blocks(q, lane, monkeypatch):
+    # the widest inner dimension with byte lanes, s (q-1)^2 <= 255, and the
+    # narrowest with 16-bit lanes, s (q-1)^2 >= 256; stacks of one block less
+    # one, one block and one block and one, with BLOCK made small
+    monkeypatch.setattr(kernels, "BLOCK", 4)
+    widest_byte = 255 // (q - 1) ** 2
+    s = widest_byte if lane == "byte" else widest_byte + 1
+    assert (s * (q - 1) ** 2 < 1 << 8) == (lane == "byte")
+    rng = np.random.default_rng(13)
+    for t in range(1, 10):
+        for count in (kernels.BLOCK - 1, kernels.BLOCK, kernels.BLOCK + 1):
+            a = rng.integers(0, q, size=(count, 2, s), dtype=np.uint8)
+            a[-1] = q - 1  # the last matrix makes every lane sum its largest, s (q-1)^2
+            for b in (rng.integers(0, q, size=(count, s, t), dtype=np.uint8), rng.integers(0, q, size=(s, t))):
+                b[..., -1] = q - 1
+                before = a.copy(), b.copy()
+                got = kernels.matmul_mod(a, b, q)
+                assert got.dtype == np.uint8 and got.shape == (count, 2, t)
+                assert got.flags.c_contiguous and got.flags.writeable
+                assert got.tolist() == naive_matmul(a, b, q)
+                assert (a == before[0]).all() and (b == before[1]).all()  # the operands are left alone
+                got[...] = 0  # the result is the caller's own
+
+
+@Q
+def test_matmul_mod_on_a_large_byte_stack_stays_within_its_block(q):
+    # 65,536 4x4 byte matrices (1 MB each side): the result (1 MB) plus the
+    # temporaries of one BLOCK of words; widening the whole left operand to
+    # uint64 and indexing its lanes by intp traced 13.6 MB
+    rng = np.random.default_rng(14)
+    a = rng.integers(0, q, size=(65536, 4, 4), dtype=np.uint8)
+    b = rng.integers(0, q, size=(65536, 4, 4), dtype=np.uint8)
+    assert traced_peak_bytes(lambda: kernels.matmul_mod(a, b, q)) < 4 * 10**6
+
+
+@Q
 def test_matmul_mod_refuses_a_lane_overflow_before_allocating(q):
     s = ((1 << 16) - 1) // (q - 1) ** 2 + 1  # one step past the widest
     message = f"^inner dimension {s} over F_{q} overflows a 16-bit lane"

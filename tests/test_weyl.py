@@ -117,6 +117,16 @@ def test_double_cosets_against_partition_oracle(kind):
         assert rep.perm in by_tau[k]
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_double_coset_size_is_the_size_of_each_block(kind):
+    # for every element, not only the sigma_k: the orbit-stabilizer count
+    # that weyl cosets sums against |W|
+    sizes = [weyl.double_coset_size(rep) for rep in weyl.double_cosets(kind)]
+    assert sum(sizes) == weyl.order(kind)
+    for block in weyl.double_coset_partition(kind):
+        assert {weyl.double_coset_size(weyl.WeylElement(kind, perm)) for perm in block} == {len(block)}
+
+
 @pytest.mark.parametrize("kind", KINDS[:4])
 def test_sigma_of_tau_is_constant_on_cosets(kind):
     for block in weyl.double_coset_partition(kind):
