@@ -7,10 +7,10 @@ returns for matrices is uint8, one byte per entry, each in [0, q).  Ranks
 and ``mat_keys`` codes are int64.  An operand of any integer dtype is
 accepted; a uint8 one already in [0, q) is used as it is, after one max,
 and anything else is reduced mod q and copied into bytes.  ``rref_mod`` and
-``rank_mod`` return the representation they are given: Python rows (a
-list or tuple of rows) give Python rows and an int, with no array built;
-a 2-D array gives a uint8 array and an ``np.int64``; a 3-D stack gives a
-uint8 stack and an int64 rank vector.
+``rank_mod`` take two forms and return the one they are given: a single
+matrix is Python rows (a list or tuple of rows), which gives Python rows
+and an int, with no array built; a 3-D stack gives a uint8 stack and an
+int64 rank vector.  Any other array is refused with ``ValueError``.
 A single matrix is row reduced in scalar Python (``rref_rows``), where
 numpy's per-operation cost would dominate the few arithmetic steps, and so
 is a stack of at most ``SCALAR_STACK_ROWS`` = 64 rows in all, matrix by
@@ -215,24 +215,23 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 
 
 def rref_mod(mats, q: int):
-    """RREF mod q of one matrix or of a stack, in the representation it was given.
+    """RREF mod q of one matrix given as Python rows, or of a stack.
 
     The RREF is the canonical representative of the row space, so two
     matrices have equal row spans iff their RREFs are equal.  Python rows (a
     list or tuple of rows) go straight to ``rref_rows`` and come back as its
-    ``(list rows, int rank)``, with no array built.  A 2-D array returns a
-    uint8 array and an ``np.int64`` rank.  A 3-D stack returns the uint8
-    RREF stack and the int64 rank vector: a stack of at most
+    ``(list rows, int rank)``, with no array built.  A 3-D stack returns the
+    uint8 RREF stack and the int64 rank vector: a stack of at most
     ``SCALAR_STACK_ROWS`` rows in all is reduced matrix by matrix through
-    ``rref_rows``, a larger one by ``_rref_stack``.
+    ``rref_rows``, a larger one by ``_rref_stack``.  An array of any other
+    dimension is refused with ``ValueError`` before any reduction.
     """
     check_q(q)
     if isinstance(mats, (list, tuple)):
         return rref_rows(mats, q)
     mats = np.asarray(mats)
-    if mats.ndim == 2:
-        red, rank = rref_rows(mats.tolist(), q)
-        return np.array(red, dtype=np.uint8).reshape(mats.shape), np.int64(rank)
+    if mats.ndim != 3:
+        raise ValueError(f"a matrix is Python rows and a stack is a 3-D array, got a {mats.ndim}-D array")
     if mats.shape[0] * mats.shape[1] > SCALAR_STACK_ROWS:
         return _rref_stack((mats % q).astype(np.uint8, copy=False), q)  # a fresh array
     reduced = [rref_rows(mat, q) for mat in mats.tolist()]
@@ -241,8 +240,8 @@ def rref_mod(mats, q: int):
 
 
 def rank_mod(mats, q: int):
-    """The rank part of ``rref_mod``: an int for Python rows, an ``np.int64``
-    for a 2-D array, an int64 vector for a stack."""
+    """The rank part of ``rref_mod``: an int for Python rows, an int64
+    vector for a 3-D stack; any other array is refused with ``ValueError``."""
     return rref_mod(mats, q)[1]
 
 

@@ -9,8 +9,10 @@ group action and isotropy of flag points over F_q.
 
 import itertools
 
+import numpy as np
+
 from bruhat_satake import padic, roots, weyl
-from bruhat_satake.flagfq import Subspace, _pairing, subspace_from_rows
+from bruhat_satake.flagfq import Rows, _pairing, subspace_from_rows
 
 # ---------------------------------------------------------------------- weyl
 
@@ -71,14 +73,14 @@ def block_inverse(g: padic.BlockMatrix) -> padic.BlockMatrix:
 # -------------------------------------------------------------------- flagfq
 
 
-def act(g, U: Subspace) -> Subspace:
-    """g . U, i.e. the row span of M g^T, for a group matrix g over F_{U.q}."""
-    return subspace_from_rows(((U.mat @ g.T) % U.q).tolist(), U.q)
+def act(g, U: Rows, q: int) -> Rows:
+    """g . U, i.e. the row span of U g^T, for a group matrix g over F_q."""
+    return subspace_from_rows(((np.array(U, dtype=np.int64) @ g.T) % q).tolist(), q)
 
 
-def is_isotropic(U: Subspace, n: int) -> bool:
+def is_isotropic(U: Rows, n: int, q: int) -> bool:
     """Every pair of rows u, v pairs to zero mod q under the symplectic pairing.
 
     A row always pairs to zero with itself, so only pairs i < j are tested.
     """
-    return not any(_pairing(u, v, n) % U.q for u, v in itertools.combinations(U.rows, 2))
+    return not any(_pairing(u, v, n) % q for u, v in itertools.combinations(U, 2))

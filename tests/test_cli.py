@@ -228,11 +228,11 @@ def _identity_hecke_gamma(genuine):
 
 
 def _tau_one_too_high(genuine):
-    return lambda U: min(genuine(U) + 1, U.dim)
+    return lambda U, q: min(genuine(U, q) + 1, len(U))
 
 
 def _tau_zero_and_one_swapped(genuine):
-    return lambda U: {0: 1, 1: 0}.get(genuine(U), genuine(U))
+    return lambda U, q: {0: 1, 1: 0}.get(genuine(U, q), genuine(U, q))
 
 
 def _two_orbits_of_one_tau_merged(genuine):
@@ -240,7 +240,7 @@ def _two_orbits_of_one_tau_merged(genuine):
 
     def orbits(points, gens, q):
         found = genuine(points, gens, q)
-        taus = [cli.flagfq.tau_of_point(points[orbit[0]]) for orbit in found]
+        taus = [cli.flagfq.tau_of_point(points[orbit[0]], q) for orbit in found]
         i = next(i for i in range(len(found)) if taus.count(taus[i]) > 1)
         j = taus.index(taus[i], i + 1)
         return [sorted(found[i] + found[j]) if k == i else orbit for k, orbit in enumerate(found) if k != j]

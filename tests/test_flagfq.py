@@ -124,11 +124,12 @@ def brute_subspaces(kind, q):
             sub = flagfq.subspace_from_rows(rows, q)
         except ValueError:  # rank-deficient row set
             continue
-        if sub.mat.tobytes() in seen:
+        if sub in seen:
             continue
-        if kind.family is weyl.Family.TYPE_C and (sub.mat @ symplectic(n) @ sub.mat.T % q).any():
+        mat = np.array(sub, dtype=np.int64)
+        if kind.family is weyl.Family.TYPE_C and (mat @ symplectic(n) @ mat.T % q).any():
             continue
-        seen.add(sub.mat.tobytes())
+        seen.add(sub)
         out.append(sub)
     return out
 
@@ -164,12 +165,12 @@ def test_borel_and_parabolic_closures(kind, q):
 def test_enumerate_flag_against_brute_force(kind, q):
     points = flagfq.enumerate_flag(kind, q)
     brute = brute_subspaces(kind, q)
-    assert {p.mat.tobytes() for p in points} == {p.mat.tobytes() for p in brute}
+    assert len(set(points)) == len(points) and set(points) == set(brute)
 
 
 @pytest.mark.parametrize("kind,q", SMALL + [(weyl.type_c(3), 2)])
 def test_enumerate_flag_order(kind, q):
-    assert [U.rows for U in flagfq.enumerate_flag(kind, q)] == reference_flag(kind, q)
+    assert flagfq.enumerate_flag(kind, q) == reference_flag(kind, q)
 
 
 @pytest.mark.parametrize("kind,q", [(weyl.type_c(2), 3), (weyl.type_a(2), 2)])
@@ -178,8 +179,8 @@ def test_is_isotropic_matches_the_gram_matrix(kind, q):
     rng = np.random.default_rng(6)
     for _ in range(200):
         rows = rng.integers(0, q, size=(rng.integers(1, n + 2), 2 * n))
-        U = flagfq.Subspace(q, tuple(map(tuple, rows.tolist())))
-        assert is_isotropic(U, n) == (not (rows @ symplectic(n) @ rows.T % q).any())
+        U = tuple(map(tuple, rows.tolist()))
+        assert is_isotropic(U, n, q) == (not (rows @ symplectic(n) @ rows.T % q).any())
 
 
 @pytest.mark.parametrize(
@@ -319,9 +320,9 @@ def test_action_is_a_group_action(kind, q):
         h = gens[rng.integers(len(gens))]
         gh = (g @ h) % q
         assert flagfq.is_in_group(kind, gh, q)
-        assert act(gh, U) == act(g, act(h, U))
+        assert act(gh, U, q) == act(g, act(h, U, q), q)
         if kind.family is weyl.Family.TYPE_C:
-            assert is_isotropic(act(g, U), kind.n)
+            assert is_isotropic(act(g, U, q), kind.n, q)
 
 
 def test_census_literals():
@@ -340,7 +341,7 @@ def test_census_open_cell_and_total(kind, q):
     points = flagfq.enumerate_flag(kind, q)
     recount = {}
     for U in points:
-        t = flagfq.tau_of_point(U)
+        t = flagfq.tau_of_point(U, q)
         recount[t] = recount.get(t, 0) + 1
     assert recount == census
 
@@ -348,23 +349,45 @@ def test_census_open_cell_and_total(kind, q):
 @pytest.mark.parametrize("kind,q", SMALL)
 def test_tau_of_base_point_and_invariance(kind, q):
     base = flagfq.frame_subspace(weyl.SubsetJ(kind, frozenset(range(1, kind.n + 1))), q)  # U_0
-    assert flagfq.tau_of_point(base) == 0
+    assert flagfq.tau_of_point(base, q) == 0
     par = flagfq._parabolic_matrices(kind, q)
     rng = np.random.default_rng(1)
     points = flagfq.enumerate_flag(kind, q)
     for _ in range(15):
         U = points[rng.integers(len(points))]
         g = par[rng.integers(par.shape[0])]
-        assert flagfq.tau_of_point(act(g, U)) == flagfq.tau_of_point(U)
+        assert flagfq.tau_of_point(act(g, U, q), q) == flagfq.tau_of_point(U, q)
 
 
 ORBIT_CASES = [(weyl.GroupKind(family, n), q) for family in weyl.Family for n in (1, 2) for q in (2, 3)]
 
 
+@pytest.mark.parametrize("kind,q", ORBIT_CASES, ids=str)
+def test_a_point_is_its_rref_row_tuple(kind, q):
+    for U in flagfq.enumerate_flag(kind, q):
+        assert type(U) is tuple and all(type(row) is tuple for row in U)
+        assert all(type(x) is int for row in U for x in row)
+        assert flagfq.subspace_from_rows(U, q) == U
+
+
+def test_enumerated_points_stay_within_their_memory_budget():
+    # the 33,880 points of A 3 over F_3 as row tuples that share the rows of
+    # their pivot pattern: 2.7 MB, against 5.7 MB as objects holding q and rows
+    kind, q = weyl.type_a(3), 3
+    tracemalloc.start()
+    try:
+        points = flagfq.enumerate_flag(kind, q)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(points) == flagfq.flag_size(kind, q)
+    assert size < 4 * 10**6
+
+
 def reference_orbit(U, group, q):
     """{act(g, U) for g in group}, with the row matrices U g^T deduplicated
     before they are reduced."""
-    moved = np.unique(U.mat @ group.transpose(0, 2, 1) % q, axis=0)
+    moved = np.unique(np.array(U, dtype=np.int64) @ group.transpose(0, 2, 1) % q, axis=0)
     return {flagfq.subspace_from_rows(rows.tolist(), q) for rows in moved}
 
 
@@ -464,19 +487,27 @@ def test_weyl_matrices_lift_the_group(kind, q):
         assert flagfq.is_in_group(kind, flagfq.weyl_matrix(w, q), q)
     for w in weyl.all_elements(kind)[:12]:
         for v in weyl.all_elements(kind)[:8]:
-            left = act(flagfq.weyl_matrix(w, q), act(flagfq.weyl_matrix(v, q), base))
-            right = act(flagfq.weyl_matrix(w * v, q), base)
+            left = act(flagfq.weyl_matrix(w, q), act(flagfq.weyl_matrix(v, q), base, q), q)
+            right = act(flagfq.weyl_matrix(w * v, q), base, q)
             assert left == right  # the torus ambiguity of lifts fixes the base point
     for w in weyl.all_elements(kind):
-        fixed = act(flagfq.weyl_matrix(w, q), base)
-        assert flagfq.tau_of_point(fixed) == weyl.tau(w)
+        fixed = act(flagfq.weyl_matrix(w, q), base, q)
+        assert flagfq.tau_of_point(fixed, q) == weyl.tau(w)
 
 
 def test_weyl_matrix_refuses_a_lift_outside_the_group(monkeypatch):
+    # the library builds each lift from a valid WeylElement, so a lift that
+    # fails the membership test is a defect, raised as AssertionError, which
+    # the CLI does not turn into exit 2 as it does a ValueError
     kind, q = weyl.type_a(1), 2
     w = weyl.identity(kind)
+    flagfq.weyl_matrix(w, q)  # the genuine lift passes
+    with monkeypatch.context() as patch:
+        patch.setattr(flagfq, "is_in_group", lambda kind, mat, q: False)
+        with pytest.raises(AssertionError, match="Weyl lift fell outside the group"):
+            flagfq.weyl_matrix(w, q)
     monkeypatch.setattr(flagfq, "_weyl_matrix_table", lambda kind, q: {w.perm: np.zeros((2, 2), dtype=np.int64)})
-    with pytest.raises(ValueError):
+    with pytest.raises(AssertionError, match="Weyl lift fell outside the group"):
         flagfq.weyl_matrix(w, q)
 
 
@@ -576,15 +607,15 @@ def det_mod(mat, q):
     return total % q
 
 
-def plucker(U):
+def plucker(U, q):
     """Maximal minors by column n-subset, scaled so the lex-first nonzero is 1.
 
     For RREF rows the pivot minor is already 1, so the scaling is a no-op;
     it is applied anyway so the output is canonical for any row basis.
     The coordinate at J^c is nonzero iff U meets <e_j : j in J> trivially.
     """
-    n, q = U.dim, U.q
-    mat = U.mat
+    n = len(U)
+    mat = np.array(U, dtype=np.int64)
     coords = {}
     first_nonzero = None
     for cols in itertools.combinations(range(2 * n), n):
@@ -603,17 +634,17 @@ def test_plucker_duality(kind, q):
     # s_{J^c}(U) != 0 exactly when U meets the frame of J trivially
     points = flagfq.enumerate_flag(kind, q)
     for U in points[:: max(1, len(points) // 15)]:
-        coords = plucker(U)
+        coords = plucker(U, q)
         for J in weyl.all_subsets_j(kind):
             comp = tuple(sorted(set(range(1, 2 * kind.n + 1)) - J.members))
-            assert (coords[comp] % q != 0) == flagfq.meets_trivially(U, J)
+            assert (coords[comp] % q != 0) == flagfq.meets_trivially(U, J, q)
 
 
 def test_plucker_three_term_relation():
     # Grassmannian Gr(2, 4) over F_3: s12 s34 - s13 s24 + s14 s23 = 0
     kind, q = weyl.type_a(2), 3
     for U in flagfq.enumerate_flag(kind, q):
-        s = plucker(U)
+        s = plucker(U, q)
         lhs = s[(1, 2)] * s[(3, 4)] - s[(1, 3)] * s[(2, 4)] + s[(1, 4)] * s[(2, 3)]
         assert lhs % q == 0
 
@@ -621,11 +652,12 @@ def test_plucker_three_term_relation():
 # ------------------------------------------------- per-point work, oracles
 
 
-def stacked_tau(U):
-    """tau from the rank of U's rows stacked over e_1, ..., e_n, minus n."""
-    n = U.dim
-    stacked = np.vstack([U.mat, np.eye(n, 2 * n, dtype=np.int64)])
-    return int(flagfq.kernels.rank_mod(stacked, U.q)) - n
+def stacked_tau(U, q):
+    """tau from the rank of U's rows stacked over e_1, ..., e_n, minus n,
+    ranked as a one-matrix stack."""
+    n = len(U)
+    stacked = np.vstack([np.array(U, dtype=np.int64), np.eye(n, 2 * n, dtype=np.int64)])
+    return int(flagfq.kernels.rank_mod(stacked[None], q)[0]) - n
 
 
 def case_id(value):
@@ -639,7 +671,7 @@ TAU_CASES += [(weyl.type_c(2), q) for q in (2, 3, 5)] + [(weyl.type_c(3), 3)]
 @pytest.mark.parametrize("kind,q", TAU_CASES, ids=case_id)
 def test_block_rank_tau_matches_the_stacked_rank(kind, q):
     for U in flagfq.enumerate_flag(kind, q):
-        assert flagfq.tau_of_point(U) == stacked_tau(U)
+        assert flagfq.tau_of_point(U, q) == stacked_tau(U, q)
 
 
 def product_and_filter_flag(kind, q):
@@ -662,10 +694,9 @@ def product_and_filter_flag(kind, q):
                 choices.append(tuple(row))
             row_choices.append(choices)
         for rows in itertools.product(*row_choices):
-            U = flagfq.Subspace(q, rows)
-            if kind.family is weyl.Family.TYPE_C and not is_isotropic(U, n):
+            if kind.family is weyl.Family.TYPE_C and not is_isotropic(rows, n, q):
                 continue
-            points.append(U)
+            points.append(rows)
     return points
 
 
@@ -738,16 +769,16 @@ def test_borel_orbits_are_the_bruhat_cells(kind, q):
     # the multiset of (tau, orbit size) that finding_j_check compares
     points = flagfq.enumerate_flag(kind, q)
     orbits = flagfq._orbits(points, flagfq.borel_generators(kind, q), q)
-    got = sorted((flagfq.tau_of_point(points[orbit[0]]), len(orbit)) for orbit in orbits)
+    got = sorted((flagfq.tau_of_point(points[orbit[0]], q), len(orbit)) for orbit in orbits)
     cells = bruhat_cells(kind)
     assert got == sorted((k, q**ell) for k in cells for ell, count in cells[k].items() for _ in range(count))
     assert flagfq.finding_j_check(kind, q)["orbits_are_bruhat_cells"]
 
 
-def one_point_moved(orbits, points):
+def one_point_moved(orbits, points, q):
     """The last point of the first orbit with more than one point moved into
     the next orbit of its tau: as many orbits, each still of one tau."""
-    taus = [flagfq.tau_of_point(points[orbit[0]]) for orbit in orbits]
+    taus = [flagfq.tau_of_point(points[orbit[0]], q) for orbit in orbits]
     i = next(i for i, orbit in enumerate(orbits) if len(orbit) > 1 and taus.count(taus[i]) > 1)
     j = next(j for j in range(len(orbits)) if j != i and taus[j] == taus[i])
     moved = [list(orbit) for orbit in orbits]
@@ -758,7 +789,7 @@ def one_point_moved(orbits, points):
 @pytest.mark.parametrize("kind,q", [(weyl.type_a(2), 2), (weyl.type_c(2), 3)], ids=case_id)
 def test_finding_j_check_fails_when_the_orbit_sizes_are_not_the_cells(kind, q, monkeypatch):
     genuine = flagfq._orbits
-    monkeypatch.setattr(flagfq, "_orbits", lambda points, gens, q: one_point_moved(genuine(points, gens, q), points))
+    monkeypatch.setattr(flagfq, "_orbits", lambda points, gens, q: one_point_moved(genuine(points, gens, q), points, q))
     res = flagfq.finding_j_check(kind, q)
     assert res["borel_orbits"] == len(genuine(flagfq.enumerate_flag(kind, q), flagfq.borel_generators(kind, q), q))
     assert not res["orbits_are_bruhat_cells"] and not res["ok"]

@@ -46,7 +46,7 @@ def test_rref_matches_naive_oracle(q):
             want, want_rank = naive_rref(mats[i], q)
             assert (red[i] == want).all()
             assert ranks[i] == want_rank
-    # single (2-D) matrices take the scalar path
+    # single matrices, as Python rows and as one-matrix stacks, take the scalar path
     # upper triangular with diagonal q - 1, rows reversed
     full_rank = (np.eye(4, dtype=np.int64) * (q - 1) + np.triu(rng.integers(0, q, size=(4, 4)), 1))[::-1]
     singles = [
@@ -58,14 +58,18 @@ def test_rref_matches_naive_oracle(q):
     ]
     for mat in singles:
         before = mat.copy()
-        red, rank = kernels.rref_mod(mat, q)
-        assert (mat == before).all()  # the input is left alone
         want, want_rank = naive_rref(mat, q)
-        assert red.shape == mat.shape and red.dtype == np.uint8
-        assert (red == want).all()
-        assert isinstance(rank, np.int64) and rank == want_rank
-        assert kernels.rank_mod(mat, q) == want_rank
-    assert kernels.rref_mod(full_rank, q)[1] == 4
+        red, rank = kernels.rref_mod(mat.tolist(), q)
+        assert red == want.tolist()
+        assert type(rank) is int and rank == want_rank
+        assert kernels.rank_mod(mat.tolist(), q) == want_rank
+        red, ranks = kernels.rref_mod(mat[None], q)
+        assert (mat == before).all()  # the input is left alone
+        assert red.shape == (1, *mat.shape) and red.dtype == np.uint8
+        assert (red[0] == want).all()
+        assert ranks.dtype == np.int64 and ranks.tolist() == [want_rank]
+        assert kernels.rank_mod(mat[None], q).tolist() == [want_rank]
+    assert kernels.rref_mod(full_rank.tolist(), q)[1] == 4
 
 
 @Q
@@ -267,6 +271,7 @@ def test_matmul_mod_refuses_a_lane_overflow_before_allocating(q):
 
 @Q
 def test_rref_on_python_rows_matches_the_equal_array(q):
+    # the equal array is the one-matrix stack mat[None]
     rng = np.random.default_rng(7)
     full = np.eye(4, dtype=np.int64) * (q - 1) + np.triu(rng.integers(0, q, size=(4, 4)), 1)
     mats = [
@@ -279,7 +284,8 @@ def test_rref_on_python_rows_matches_the_equal_array(q):
         np.array([[1, 2, 0], [0, 0, 0], [2, 4, 0]]),  # rank 1, dependent and zero rows
     ]
     for mat in mats:
-        want_red, want_rank = kernels.rref_mod(mat, q)
+        want_reds, want_ranks = kernels.rref_mod(mat[None], q)
+        want_red, want_rank = want_reds[0], want_ranks[0]
         assert want_red.dtype == np.uint8 and want_red.shape == mat.shape
         assert isinstance(want_rank, np.int64)
         for rows in (mat.tolist(), tuple(map(tuple, mat.tolist()))):
@@ -335,11 +341,20 @@ def test_an_empty_stack_reduces_to_an_empty_stack():
     assert red.dtype == np.uint8 and ranks.dtype == np.int64
 
 
-def test_single_matrix_round_trips_without_a_stack_axis():
-    red, rank = kernels.rref_mod(np.array([[1, 2], [2, 4]]), 5)
-    assert red.shape == (2, 2)
-    assert red.tolist() == [[1, 2], [0, 0]]
-    assert int(rank) == 1
+@pytest.mark.parametrize("shape", [(6,), (3, 6), (2, 1, 3, 6)], ids=lambda s: f"{len(s)}d")
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+def test_rref_and_rank_refuse_an_array_that_is_not_a_stack(shape, dtype, monkeypatch):
+    # a single matrix is Python rows, and an array must be a 3-D stack;
+    # anything else is refused before any reduction starts
+    def reduction_started(*args):
+        raise AssertionError("reduction started")
+
+    monkeypatch.setattr(kernels, "rref_rows", reduction_started)
+    monkeypatch.setattr(kernels, "_rref_stack", reduction_started)
+    mats = np.ones(shape, dtype=dtype)
+    for fn in (kernels.rref_mod, kernels.rank_mod):
+        with pytest.raises(ValueError, match=f"got a {len(shape)}-D array"):
+            fn(mats, 3)
 
 
 @Q
