@@ -15,7 +15,8 @@ one, so the non-isotropic candidates are never built.
 
 The module provides the orbit census, the orbit-versus-tau partition
 check, the elementwise cover checks for translates of Pbar_I P_I, and the
-existence check for complementary frames J over whole Borel orbits.
+existence check for complementary frames J (each the frozenset of its
+members, from ``weyl.all_subsets_j``) over whole Borel orbits.
 Group elements are enumerated by breadth-first closure over explicit
 generators, with orders certified against the classical formulas.  The
 cover checks hold each set of matrices as a sorted array of distinct
@@ -49,7 +50,6 @@ from .kernels import np
 from .weyl import (
     Family,
     GroupKind,
-    SubsetJ,
     WeylElement,
     all_elements,
     all_subsets_j,
@@ -349,11 +349,6 @@ def subspace_from_rows(rows, q: int) -> Rows:
     return tuple(map(tuple, red))
 
 
-def _coordinate_rows(columns, width: int) -> list[list[int]]:
-    """The unit rows e_c (0-based c) of length ``width``, one per column."""
-    return [[int(j == c) for j in range(width)] for c in columns]
-
-
 def _pairing(u, v, n: int) -> int:
     """The symplectic pairing of two rows, sum_k u_k v_{n+k} - u_{n+k} v_k, as
     an integer; it vanishes in F_q iff it is 0 mod q."""
@@ -607,12 +602,17 @@ def cover_lemma_check(kind: GroupKind, q: int) -> dict:
 # ------------------------------------------------------- complementary frames
 
 
-def frame_subspace(J: SubsetJ, q: int) -> Rows:
-    """U_J = <e_j : j in J>; the base point U_0 is the frame of J = {1..n}."""
-    return subspace_from_rows(_coordinate_rows([j - 1 for j in sorted(J.members)], 2 * J.kind.n), q)
+def frame_subspace(J: frozenset[int], q: int) -> Rows:
+    """U_J = <e_j : j in J> in F_q^(2|J|); the base point U_0 is the frame of
+    J = {1..n}.
+
+    >>> frame_subspace(frozenset({1, 4}), 2)
+    ((1, 0, 0, 0), (0, 0, 0, 1))
+    """
+    return subspace_from_rows([[int(c == j) for c in range(1, 2 * len(J) + 1)] for j in sorted(J)], q)
 
 
-def meets_trivially(U: Rows, J: SubsetJ, q: int) -> bool:
+def meets_trivially(U: Rows, J: frozenset[int], q: int) -> bool:
     """U cap U_J = 0: the stacked rows of U and U_J have full rank, found by
     one ``kernels.rank_mod`` call on Python rows."""
     return kernels.rank_mod(U + frame_subspace(J, q), q) == len(U[0])
@@ -629,12 +629,12 @@ def finding_j_check(kind: GroupKind, q: int) -> dict:
     """
     points = enumerate_flag(kind, q)
     orbits = _orbits(points, borel_generators(kind, q), q)
-    by_lower: dict[int, list[SubsetJ]] = {}
+    full_J = frozenset(range(1, kind.n + 1))
+    by_lower: dict[int, list[frozenset[int]]] = {}
     for J in all_subsets_j(kind):
-        by_lower.setdefault(len(J.lower), []).append(J)
+        by_lower.setdefault(len(J & full_J), []).append(J)
     all_ok = True
     open_cell_ok = True
-    full_J = SubsetJ(kind, frozenset(range(1, kind.n + 1)))
     cells = []
     for members in orbits:
         taus = {tau_of_point(points[i], q) for i in members}

@@ -9,12 +9,14 @@ generated by a delta function; summing over the fiber (corestriction)
 induces multiplication by p^a in degree 0 and by 1 in degree 1.  Kunneth
 then makes the corestriction act on H^i by p^{a(d-i)}, so the Hecke
 operator at gamma (corestriction composed with the trivial translation)
-is ordinary exactly in top degree.
+is ordinary exactly in top degree.  It is held as that one scalar per
+degree (``hecke_gamma``), from which ``cores_kunneth`` builds the matrices.
 
 Projectors onto the ordinary part are computed as idempotent limits of
 matrix powers: any idempotent power U^N is automatically the limit
 projector, and a closed-form exponent certifies termination when small
-factorials miss the multiplicative order.
+factorials miss the multiplicative order; the Hecke operator's scalars
+are taken as 1 x 1 matrices.
 """
 
 from __future__ import annotations
@@ -119,27 +121,31 @@ def koszul_differentials(d: int, lam: Lambda, unit_weights) -> list[np.ndarray]:
 # ------------------------------------------------------------- corestriction
 
 
-def cores_kunneth(d: int, a: int, lam: Lambda) -> list[np.ndarray]:
-    """The corestriction on H^i(Z_p^d) at level p^a, in closed form.
+def hecke_gamma(d: int, a: int, lam: Lambda) -> list[int]:
+    """The Hecke operator at gamma on H^0, ..., H^d at level p^a: in degree i
+    it is the scalar p^{a(d-i)} mod p^r.
 
     In rank one, summing over the fiber of the level-p^a model induces p^a
-    on H^0 and 1 on H^1, so by Kunneth the map on H^i is diagonal with
-    entry p^{a(d-i)} on every subset basis vector.
+    on H^0 and 1 on H^1, so by Kunneth the corestriction acts on H^i by
+    p^{a(d-i)} on every subset basis vector.  Multiplication by gamma is
+    the identity on this model (the coefficients carry no twist), so the
+    operator is the corestriction.
+
+    >>> hecke_gamma(3, 1, Lambda(3, 2))
+    [0, 0, 3, 1]
     """
-    coh = koszul_cohomology(d)
+    koszul_cohomology(d)  # the guard on d
     check_level(a)
-    _check_int64(max(coh.ranks), lam)
-    mod = lam.modulus
-    return [pow(lam.p, a * (d - i), mod) * np.eye(rank, dtype=np.int64) for i, rank in enumerate(coh.ranks)]
+    return [pow(lam.p, a * (d - i), lam.modulus) for i in range(d + 1)]
 
 
-def hecke_gamma(d: int, a: int, lam: Lambda) -> list[np.ndarray]:
-    """The Hecke operator at gamma in every degree.
-
-    Multiplication by gamma is the identity on this model (the
-    coefficients carry no twist), so the operator is the corestriction.
-    """
-    return cores_kunneth(d, a, lam)
+def cores_kunneth(d: int, a: int, lam: Lambda) -> list[np.ndarray]:
+    """The corestriction on H^i(Z_p^d) at level p^a as dense int64 matrices:
+    the scalar of ``hecke_gamma`` times the C(d, i) x C(d, i) identity."""
+    scalars = hecke_gamma(d, a, lam)
+    ranks = koszul_cohomology(d).ranks
+    _check_int64(max(ranks), lam)
+    return [c * np.eye(rank, dtype=np.int64) for c, rank in zip(scalars, ranks)]
 
 
 # ---------------------------------------------------------------- projectors
@@ -200,10 +206,6 @@ def ordinary_limit(U: np.ndarray, lam: Lambda) -> tuple[np.ndarray, int]:
     return e, n
 
 
-def ordinary_projector(U: np.ndarray, lam: Lambda) -> np.ndarray:
-    return ordinary_limit(U, lam)[0]
-
-
 def rank_mod_p(mat: np.ndarray, p: int) -> int:
     """Rank of the mod-p reduction, by the kernels' scalar Gauss-Jordan over F_p."""
     return rref_rows(np.asarray(mat, dtype=np.int64).tolist(), p)[1]
@@ -213,16 +215,11 @@ def ordinary_part_of_hecke_gamma(d: int, lam: Lambda, a: int = 2) -> tuple[int, 
     """Mod-p ranks of the ordinary projectors of the Hecke operator,
     degree by degree: (0, ..., 0, 1).
 
-    In each degree the operator is a scalar c I, checked here, so its
-    projector is e I for the projector e of the 1 x 1 matrix [c], and the
-    rank is the size of U when e is a unit mod p, else 0.  For any other
-    U, ``ordinary_projector`` takes the whole matrix.
+    In degree i the operator is the scalar c of ``hecke_gamma`` on H^i, so
+    its projector is e I for the projector e of the 1 x 1 matrix [c], and
+    the rank is C(d, i) when e is a unit mod p, else 0.
     """
-    ranks = []
-    for U in hecke_gamma(d, a, lam):
-        c = U[0, 0]
-        if not np.array_equal(U, c * np.eye(len(U), dtype=np.int64)):
-            raise AssertionError("the Hecke operator at gamma is not scalar")
-        e = ordinary_projector(np.array([[c]]), lam)
-        ranks.append(len(U) if e[0, 0] % lam.p else 0)
-    return tuple(ranks)
+    scalars = hecke_gamma(d, a, lam)
+    _check_int64(1, lam)  # before any scalar is held as an int64 [c]
+    limits = [ordinary_limit(np.array([[c]], dtype=np.int64), lam)[0].item() for c in scalars]
+    return tuple(rank if e % lam.p else 0 for e, rank in zip(limits, koszul_cohomology(d).ranks))

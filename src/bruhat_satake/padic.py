@@ -441,7 +441,7 @@ def anticanonical_radius(kind: GroupKind, vals: dict):
     n = kind.n
     if any(v != math.inf and not isinstance(v, int) for v in vals.values()):
         raise ValueError("valuations must be integers or +infinity")
-    if set(vals) != {frozenset(s.members) for s in all_subsets_j(kind)}:
+    if set(vals) != set(all_subsets_j(kind)):
         raise ValueError("valuations must be keyed by the frozensets of members of all coordinate subsets")
     j0 = frozenset(range(n + 1, 2 * n + 1))
     v0 = vals[j0]

@@ -9,7 +9,8 @@ the double cosets W_I \\ W / W_I are represented by the involutions
     sigma_k = (1, n+1)(2, n+2) ... (k, n+k),    k = 0, ..., n,
 
 with sigma_0 the identity.  The statistic ``tau`` reads off which double
-coset an element lies in.
+coset an element lies in.  A coordinate frame J is the frozenset of its n
+members in {1, ..., 2n}, as listed by ``all_subsets_j``.
 
 >>> w = from_cycles(type_a(2), [(1, 3), (2, 4)])
 >>> tau(w)
@@ -337,57 +338,27 @@ def double_coset_partition(kind: GroupKind) -> list[frozenset[tuple[int, ...]]]:
     images = lambda frontier: ([frozenset([s[x] for x in X]) for X in frontier] for s in padded)
     orbit_of, blocks = {}, []  # {w(T): its block's index}, the blocks
     for J in all_subsets_j(kind):
-        if J.members not in orbit_of:
-            orbit_of |= dict.fromkeys(walk(J.members, images), len(blocks))
+        if J not in orbit_of:
+            orbit_of |= dict.fromkeys(walk(J, images), len(blocks))
             blocks.append([])
     for perm in table:
         blocks[orbit_of[frozenset(perm[: kind.n])]].append(perm)
     return [frozenset(block) for block in blocks]
 
 
-@dataclass(frozen=True)
-class SubsetJ:
-    """An n-element subset of {1, ..., 2n} indexing a complementary frame.
+def all_subsets_j(kind: GroupKind) -> list[frozenset[int]]:
+    """Every admissible frame J, the frozenset of its n members in
+    {1, ..., 2n}, ordered by sorted member tuple.
 
-    Type A admits every n-subset.  Type C requires the lower part to
-    determine the upper part: writing J_1 = J cap {1..n}, the admissible J
-    are exactly those with J cap {n+1..2n} = {j : j - n not in J_1}.
-    """
+    Type A admits every n-subset, C(2n, n) of them.  Type C admits those
+    with one member of each pair {i, i+n}, so the lower part J_1 = J cap
+    {1..n} fixes the upper part {j > n : j - n not in J_1}: 2^n of them.
 
-    kind: GroupKind
-    members: frozenset[int]
-
-    def __post_init__(self):
-        n = self.kind.n
-        if not self.members <= set(range(1, 2 * n + 1)):
-            raise ValueError("members must lie in {1,...,2n}")
-        if len(self.members) != n:
-            raise ValueError("J must have exactly n members")
-        if self.kind.family is Family.TYPE_C:
-            lower = {j for j in self.members if j <= n}
-            expected_upper = {j for j in range(n + 1, 2 * n + 1) if j - n not in lower}
-            if {j for j in self.members if j > n} != expected_upper:
-                raise ValueError("type C subset must pair off with its lower part")
-
-    @property
-    def lower(self) -> frozenset[int]:
-        return frozenset(j for j in self.members if j <= self.kind.n)
-
-
-def all_subsets_j(kind: GroupKind) -> list[SubsetJ]:
-    """Every admissible J, ordered by sorted member tuple.
-
-    Type A has C(2n, n) of them, type C has 2^n.
+    >>> [sorted(J) for J in all_subsets_j(type_c(2))]
+    [[1, 2], [1, 4], [2, 3], [3, 4]]
     """
     n = kind.n
-    if kind.family is Family.TYPE_A:
-        pool = [frozenset(c) for c in itertools.combinations(range(1, 2 * n + 1), n)]
-    else:
-        pool = []
-        for lower in itertools.chain.from_iterable(
-            itertools.combinations(range(1, n + 1), k) for k in range(n + 1)
-        ):
-            upper = [j for j in range(n + 1, 2 * n + 1) if j - n not in lower]
-            pool.append(frozenset(lower) | frozenset(upper))
-    return [SubsetJ(kind, members) for members in sorted(pool, key=sorted)]
-
+    frames = map(frozenset, itertools.combinations(range(1, 2 * n + 1), n))  # in sorted-tuple order
+    if kind.family is Family.TYPE_C:
+        frames = (J for J in frames if all((i in J) != (i + n in J) for i in range(1, n + 1)))
+    return list(frames)

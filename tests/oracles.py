@@ -61,19 +61,19 @@ def double_coset_partition(kind: weyl.GroupKind) -> list[frozenset[tuple[int, ..
     return blocks
 
 
-def w_j(J: weyl.SubsetJ) -> weyl.WeylElement:
-    """The involution sending {1, ..., n} onto J.
+def w_j(kind: weyl.GroupKind, J: frozenset[int]) -> weyl.WeylElement:
+    """The involution sending {1, ..., n} onto the frame J.
 
     Members of J below n stay put; the rest of {1..n} is swapped, in
     order, with the members of J above n; everything else is fixed.
     """
-    n = J.kind.n
-    moving = [i for i in range(1, n + 1) if i not in J.lower]
-    targets = sorted(j for j in J.members if j > n)
+    n = kind.n
+    moving = [i for i in range(1, n + 1) if i not in J]
+    targets = sorted(j for j in J if j > n)
     perm = list(range(1, 2 * n + 1))
     for a, b in zip(moving, targets):
         perm[a - 1], perm[b - 1] = b, a
-    return weyl.WeylElement(J.kind, tuple(perm))
+    return weyl.WeylElement(kind, tuple(perm))
 
 
 # --------------------------------------------------------------------- roots

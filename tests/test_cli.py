@@ -221,10 +221,9 @@ def _identity_weyl_matrix(genuine):
     return lambda w, q: np.eye(w.kind.ambient, dtype=np.int64)
 
 
-def _identity_hecke_gamma(genuine):
-    import numpy as np
-
-    return lambda d, a, lam: [np.eye(math.comb(d, i), dtype=np.int64) for i in range(d + 1)]
+def _unit_hecke_gamma(genuine):
+    """The scalar 1 in every degree: each degree is then all ordinary."""
+    return lambda d, a, lam: [1] * (d + 1)
 
 
 def _tau_one_too_high(genuine):
@@ -274,7 +273,7 @@ BROKEN_STEPS = [
     ("flag check-cover --kind A --n 1 --q 2", "flagfq", "_borel_matrices",
      lambda genuine: lambda kind, q: cli.flagfq._group_matrices(kind, q)),
     ("flag check-finding-j --kind A --n 2 --q 2", "flagfq", "frame_subspace",
-     lambda genuine: lambda J, q: genuine(cli.weyl.SubsetJ(J.kind, frozenset(range(1, J.kind.n + 1))), q)),
+     lambda genuine: lambda J, q: genuine(frozenset(range(1, len(J) + 1)), q)),
     # an orbit of tau n - 1 read as the open cell: it meets the full frame
     ("flag check-finding-j --kind A --n 2 --q 2", "flagfq", "tau_of_point", _tau_one_too_high),
     # Borel orbits merged or split: tau stays constant on every orbit, but the orbits are not the Bruhat cells
@@ -288,7 +287,7 @@ BROKEN_STEPS = [
     # |W| counted twice: the double cosets of the right sigma_k no longer fill it
     ("weyl cosets --kind C --n 3", "weyl", "order", lambda genuine: lambda kind: 2 * genuine(kind)),
     ("cells dims --kind A --n 2", "roots", "cell_dim_formula", lambda genuine: lambda kind, t: t),
-    ("ordcoh ordinary --d 3", "ordcoh", "hecke_gamma", _identity_hecke_gamma),
+    ("ordcoh ordinary --d 3", "ordcoh", "hecke_gamma", _unit_hecke_gamma),
 ]
 
 
@@ -712,13 +711,30 @@ def test_ordcoh_ranks_with_a_large_prime_finishes():
     [
         "--d 2 --p 3 --r 39 --a 1",  # was an AssertionError traceback
         "--d 2 --p 2 --r 70",  # was an OverflowError traceback
-        "--d 3 --p 46337 --r 2 --a 1",  # was a 16 GiB allocation
+        "--d 3 --p 65537 --r 2 --a 1",  # (p^r - 1)^2 >= 2^63 for its 1 x 1 products
         "--d 2 --p 65537 --r 2",  # p^a x p^a model too big; now the int64 bound
+        "--d 2 --p 2 --r 1023 --a 100",  # refused before the degree-0 scalar 2^200 meets int64
     ],
 )
 def test_ordcoh_ordinary_refuses_int64_overflow(runner, args):
     result = invoke(runner, ["ordcoh", "ordinary", *args.split()])
     refused(result, "overflow")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        "--d 3 --p 46337 --r 2 --a 1",  # was a 16 GiB allocation, then refused for 3 x 3 matrices
+        "--d 12 --p 2 --r 31",  # was refused for 924 x 924 matrices
+    ],
+)
+def test_ordcoh_ordinary_reports_every_modulus_whose_scalar_products_fit_int64(runner, args):
+    # the operator is one scalar per degree, so only (p^r - 1)^2 < 2^63 is needed
+    started = time.perf_counter()
+    result = invoke(runner, ["ordcoh", "ordinary", *args.split()])
+    assert time.perf_counter() - started < 1.0
+    assert result.exit_code == 0
+    assert body(result)["ok"] is True
 
 
 @pytest.mark.parametrize("command", ["ranks --d 2", "ordinary --d 1"])

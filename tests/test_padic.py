@@ -588,7 +588,7 @@ def radius_by_scan(kind, table):
 @pytest.mark.parametrize("kind", KINDS)
 def test_radius_matches_linear_scan(kind):
     rng = random.Random(kind.n * 17 + (0 if kind.family is Family.TYPE_A else 1))
-    subsets = [frozenset(s.members) for s in all_subsets_j(kind)]
+    subsets = all_subsets_j(kind)
     for _ in range(120):
         table = {}
         for s in subsets:
@@ -610,12 +610,12 @@ def test_radius_literals_and_edges():
 
 
 def test_radius_keys_are_member_frozensets():
-    keys = list(all_subsets_j(C1))
-    vals = {frozenset(k.members): 1 for k in keys}
+    keys = all_subsets_j(C1)
+    vals = dict.fromkeys(keys, 1)
     vals[frozenset({2})] = 4
     assert anticanonical_radius(C1, vals) == 3
     with pytest.raises(ValueError):
-        anticanonical_radius(C1, {k: 1 for k in keys})  # SubsetJ keys are not coordinate subsets here
+        anticanonical_radius(C1, {tuple(sorted(k)): 1 for k in keys})  # sorted-tuple keys are not frames here
 
 
 def test_radius_key_hygiene():

@@ -255,7 +255,7 @@ def assert_counts_match_the_oracle(kind, elements, subsets, w0=None):
         assert roots.standard_unipotent_intersection_dim(w) == per_pair_count(oracle, w, "upper_pairs", "n_hits")
         if w0 is not None:
             assert roots.schubert_cell_dim(w) == size - per_pair_count(oracle, w * w0, "lower_pairs", "upper_hits")
-    for w in map(w_j, subsets):
+    for w in (w_j(kind, J) for J in subsets):
         assert roots.standard_unipotent_intersection_dim(w) == per_pair_count(oracle, w, "upper_pairs", "n_hits")
 
 
@@ -319,9 +319,9 @@ def test_frame_pairing_rank_identity(kind):
     # the rank of the J-frame pairing, #( roots(N_I) cap w_J(roots(P_I)) )
     w0 = weyl.longest_element(kind)
     for J in weyl.all_subsets_j(kind):
-        w = w_j(J)
+        w = w_j(kind, J)
         assert roots.standard_unipotent_intersection_dim(w) == roots.schubert_cell_dim(w * w0)
     # J = {1..n} gives w_J = identity and the full rank dim N_I
-    base = w_j(weyl.SubsetJ(kind, frozenset(range(1, kind.n + 1))))
+    base = w_j(kind, frozenset(range(1, kind.n + 1)))
     assert base.is_identity()
     assert roots.standard_unipotent_intersection_dim(base) == roots.cell_dim_formula(kind, kind.n)

@@ -152,32 +152,38 @@ def test_subsets_j(kind):
     subs = weyl.all_subsets_j(kind)
     expected = math.comb(2 * n, n) if kind.family is weyl.Family.TYPE_A else 2**n
     assert len(subs) == expected
-    assert len({s.members for s in subs}) == expected
+    assert len(set(subs)) == expected
     for J in subs:
-        w = w_j(J)
+        w = w_j(kind, J)
         assert (w * w).is_identity()
-        assert frozenset(map(w, range(1, n + 1))) == J.members
+        assert frozenset(map(w, range(1, n + 1))) == J
 
 
 def test_w_j_literal():
     # the moved docstring example: {1, 2} is swapped, in order, with {3, 4}
-    assert w_j(weyl.SubsetJ(weyl.type_a(2), frozenset({3, 4}))).perm == (3, 4, 1, 2)
+    assert w_j(weyl.type_a(2), frozenset({3, 4})).perm == (3, 4, 1, 2)
 
 
-def test_subset_j_type_c_validation():
-    with pytest.raises(ValueError):
-        weyl.SubsetJ(weyl.type_c(2), frozenset({1, 3}))  # 3 pairs with 1, cannot take both
-    weyl.SubsetJ(weyl.type_c(2), frozenset({1, 4}))  # picking one of each pair is fine
+FRAME_KINDS = [weyl.GroupKind(family, n) for family in weyl.Family for n in range(1, 6)]
 
 
-@pytest.mark.parametrize("kind", [weyl.type_a(2), weyl.type_c(2)])
-def test_subset_j_refuses_outside_members_and_wrong_counts(kind):
-    for members in ({0, 1}, {1, 5}, {-1, 2}):  # a member outside {1..4}
-        with pytest.raises(ValueError, match=r"^members must lie in \{1,...,2n\}$"):
-            weyl.SubsetJ(kind, frozenset(members))
-    for members in (set(), {1}, {1, 2, 3}):  # n = 2 members are needed
-        with pytest.raises(ValueError, match="^J must have exactly n members$"):
-            weyl.SubsetJ(kind, frozenset(members))
+@pytest.mark.parametrize("kind", FRAME_KINDS, ids=lambda k: f"{k.family.value}{k.n}")
+def test_every_frame_is_an_admissible_n_subset(kind):
+    n = kind.n
+    for J in weyl.all_subsets_j(kind):
+        assert isinstance(J, frozenset) and len(J) == n and J <= set(range(1, 2 * n + 1))
+        if kind.family is weyl.Family.TYPE_C:  # the lower part fixes the upper part
+            lower = J & set(range(1, n + 1))
+            assert J - lower == {j for j in range(n + 1, 2 * n + 1) if j - n not in lower}
+
+
+@pytest.mark.parametrize("kind", FRAME_KINDS, ids=lambda k: f"{k.family.value}{k.n}")
+def test_frames_strictly_increase_by_sorted_tuple_and_are_all_there(kind):
+    n = kind.n
+    keys = [tuple(sorted(J)) for J in weyl.all_subsets_j(kind)]
+    assert all(x < y for x, y in zip(keys, keys[1:]))
+    # as many as there are admissible n-subsets: with the strict order, every one of them
+    assert len(keys) == (math.comb(2 * n, n) if kind.family is weyl.Family.TYPE_A else 2**n)
 
 
 def test_tau_literal_values():
