@@ -45,10 +45,10 @@ column at a time.
 
 numpy is bound lazily, through the package's ``_lazy_module`` like the
 package's own modules: it is imported on the first attribute access of
-``np``, so a process that never runs an array kernel (the Weyl, root, padic
-and Satake reports, and the flag census, whose ranks are on Python rows)
-never pays for importing it.  ``flagfq`` and ``ordcoh`` take
-their ``np`` from here.
+``np``, so a process that never runs an array kernel (the Weyl, root,
+padic, Satake and ordcoh reports, and the flag census, whose ranks are on
+Python rows) never pays for importing it.  ``flagfq``, the only other
+numpy user, takes its ``np`` from here.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def rref_rows(rows: list[list[int]], q: int) -> tuple[list[list[int]], int]:
     """Gauss-Jordan on one matrix given as Python rows; returns (rows, rank).
 
     Python ints throughout, so q may be any prime (``ordcoh.rank_mod_p``
-    uses it for p < 2^31); ``rref_mod`` checks q before calling it.
+    feeds it rows directly); ``rref_mod`` checks q before calling it.
     """
     rows = [[x % q for x in row] for row in rows]
     n_rows = len(rows)

@@ -12,11 +12,11 @@ operator at gamma (corestriction composed with the trivial translation)
 is ordinary exactly in top degree.  It is held as that one scalar per
 degree (``hecke_gamma``), from which ``cores_kunneth`` builds the matrices.
 
-Projectors onto the ordinary part are computed as idempotent limits of
-matrix powers: any idempotent power U^N is automatically the limit
-projector, and a closed-form exponent certifies termination when small
-factorials miss the multiplicative order; the Hecke operator's scalars
-are taken as 1 x 1 matrices.
+A matrix over Z/p^r is Python rows of Python ints, multiplied exactly by
+``padic._mat_mul`` and reduced mod p^r, so no modulus overflows.  Ordinary
+projectors are idempotent limits of matrix powers: any idempotent power
+U^N is the limit, and a closed-form exponent certifies termination when
+small factorials miss the multiplicative order.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
-from .kernels import np, rref_rows
-from .padic import check_level, check_modulus, is_prime
+from .kernels import rref_rows
+from .padic import _mat_mul, check_level, check_modulus, is_prime
 
 KOSZUL_DEGREE_GUARD = 12
 
@@ -53,44 +53,30 @@ class Lambda:
         return self.p**self.r
 
 
-def _check_int64(size: int, lam: Lambda) -> None:
-    """Refuse size x size int64 work over Z/p^r that could overflow: a
-    product entry is a sum of size terms, each below (p^r - 1)^2."""
-    if size * (lam.modulus - 1) ** 2 >= 2**63:
-        raise ValueError(f"{size} x {size} matrices over Z/{lam.p}^{lam.r} overflow int64 arithmetic")
+def koszul_cohomology(d: int) -> tuple[int, ...]:
+    """The ranks of H^0, ..., H^d: H^i is free of rank C(d, i) with basis the
+    i-subsets of {1..d}, over any coefficient ring Z/p^r.  The one check of
+    the guard on d.
 
-
-@dataclass(frozen=True)
-class GradedCohomology:
-    """Ranks and subset bases of H^*(Z_p^d, Lambda)."""
-
-    ranks: tuple[int, ...]
-    bases: tuple[tuple[tuple[int, ...], ...], ...]
-
-
-def koszul_cohomology(d: int) -> GradedCohomology:
-    """H^i free of rank C(d, i) with basis the i-subsets of {1..d}, over any
-    coefficient ring Z/p^r.
-
-    >>> koszul_cohomology(3).ranks
+    >>> koszul_cohomology(3)
     (1, 3, 3, 1)
     """
     if not 0 <= d <= KOSZUL_DEGREE_GUARD:
         raise ValueError(f"degree {d} outside the guarded range")
-    ranks = tuple(math.comb(d, i) for i in range(d + 1))
-    bases = tuple(tuple(itertools.combinations(range(1, d + 1), i)) for i in range(d + 1))
-    return GradedCohomology(ranks, bases)
+    return tuple(math.comb(d, i) for i in range(d + 1))
 
 
-def koszul_differentials(d: int, lam: Lambda, unit_weights) -> list[np.ndarray]:
-    """The Koszul differentials for the action where generator j scales by u_j.
+def koszul_differentials(d: int, lam: Lambda, unit_weights) -> list[list[list[int]]]:
+    """The Koszul differentials, as Python rows, where generator j scales by u_j.
 
     d(e_S) = sum over j not in S of (-1)^{#{s in S : s < j}} (u_j - 1) e_{S + j}.
     Trivial weights give identically zero maps; the maps square to zero
-    for any weights.  The subset bases, and the guard on d, are those of
-    ``koszul_cohomology``.
+    for any weights.  Rows and columns follow the i-subsets of {1..d} in
+    ``itertools.combinations`` order, built here; the guard on d is that
+    of ``koszul_cohomology``.
     """
-    bases = koszul_cohomology(d).bases
+    koszul_cohomology(d)  # the guard on d
+    bases = [list(itertools.combinations(range(1, d + 1), i)) for i in range(d + 1)]
     units = list(unit_weights)
     if any(isinstance(u, bool) or not isinstance(u, numbers.Integral) for u in units):
         raise ValueError("unit weights must be integers")
@@ -100,20 +86,16 @@ def koszul_differentials(d: int, lam: Lambda, unit_weights) -> list[np.ndarray]:
     if any(u % lam.p == 0 for u in units):
         raise ValueError("weights must be units")
     out = []
-    for i in range(d):
-        src, dst = bases[i], bases[i + 1]
+    for src, dst in zip(bases, bases[1:]):
         index = {T: row for row, T in enumerate(dst)}
-        mat = np.zeros((len(dst), len(src)), dtype=np.int64)
+        mat = [[0] * len(src) for _ in dst]
         for col, S in enumerate(src):
             for j in range(1, d + 1):
                 if j in S:
                     continue
                 sign = -1 if sum(1 for s in S if s < j) % 2 else 1
                 T = tuple(sorted(S + (j,)))
-                entry = sign * (units[j - 1] - 1) % lam.modulus
-                if entry >= 2**63:
-                    raise ValueError(f"Koszul entry {entry} over Z/{lam.modulus} does not fit int64")
-                mat[index[T], col] = entry
+                mat[index[T]][col] = sign * (units[j - 1] - 1) % lam.modulus
         out.append(mat)
     return out
 
@@ -139,25 +121,31 @@ def hecke_gamma(d: int, a: int, lam: Lambda) -> list[int]:
     return [pow(lam.p, a * (d - i), lam.modulus) for i in range(d + 1)]
 
 
-def cores_kunneth(d: int, a: int, lam: Lambda) -> list[np.ndarray]:
-    """The corestriction on H^i(Z_p^d) at level p^a as dense int64 matrices:
+def _scalar_rows(size: int, c: int) -> list[list[int]]:
+    """c times the size x size identity, as Python rows."""
+    return [[c if i == j else 0 for j in range(size)] for i in range(size)]
+
+
+def cores_kunneth(d: int, a: int, lam: Lambda) -> list[list[list[int]]]:
+    """The corestriction on H^i(Z_p^d) at level p^a as dense Python rows:
     the scalar of ``hecke_gamma`` times the C(d, i) x C(d, i) identity."""
-    scalars = hecke_gamma(d, a, lam)
-    ranks = koszul_cohomology(d).ranks
-    _check_int64(max(ranks), lam)
-    return [c * np.eye(rank, dtype=np.int64) for c, rank in zip(scalars, ranks)]
+    return [_scalar_rows(rank, c) for c, rank in zip(hecke_gamma(d, a, lam), koszul_cohomology(d))]
 
 
 # ---------------------------------------------------------------- projectors
 
 
-def _matpow_mod(U: np.ndarray, n: int, mod: int) -> np.ndarray:
-    out = np.eye(U.shape[0], dtype=np.int64) % mod
-    base = U % mod
+def _mul_mod(a: list[list[int]], b: list[list[int]], mod: int) -> list[list[int]]:
+    return [[x % mod for x in row] for row in _mat_mul(a, b)]
+
+
+def _matpow_mod(U: list[list[int]], n: int, mod: int) -> list[list[int]]:
+    out = _scalar_rows(len(U), 1 % mod)
+    base = [[x % mod for x in row] for row in U]
     while n:
         if n & 1:
-            out = (out @ base) % mod
-        base = (base @ base) % mod
+            out = _mul_mod(out, base, mod)
+        base = _mul_mod(base, base, mod)
         n >>= 1
     return out
 
@@ -175,40 +163,43 @@ def _stable_exponent(size: int, lam: Lambda) -> int:
     return period * max(1, -(reach // -period))
 
 
-def ordinary_limit(U: np.ndarray, lam: Lambda) -> tuple[np.ndarray, int]:
-    """(e, N) with e = U^N the idempotent limit projector.
+def ordinary_limit(U, lam: Lambda) -> tuple[list[list[int]], int]:
+    """(e, N) with e = U^N the idempotent limit projector, as Python rows.
 
-    Small factorial powers are tried first; an idempotent power is always
-    the limit (it lies in the eventual cycle, whose only idempotent is
-    its identity).  If no factorial up to 20! works, a closed-form
-    exponent does.
+    U is the rows of a non-empty square matrix of integers of any size
+    (any ``numbers.Integral`` but bool, so array rows too); floats and
+    bools are refused.  Small factorial powers are tried first; an
+    idempotent power is always the limit (it lies in the eventual cycle,
+    whose only idempotent is its identity).  If no factorial up to 20!
+    works, a closed-form exponent does.
     """
     mod = lam.modulus
-    U = np.asarray(U)
-    if U.ndim != 2 or U.shape[0] != U.shape[1]:
+    try:
+        rows = [list(row) for row in U]
+    except TypeError:  # a scalar or a vector
+        rows = []
+    if not rows or any(len(row) != len(rows) for row in rows):
         raise ValueError("expected a square matrix")
-    if U.dtype.kind not in "iu":
-        raise ValueError(f"expected an integer matrix, got dtype {U.dtype}")
-    _check_int64(U.shape[0], lam)
-    U = (U % mod).astype(np.int64)
-    a = U.copy()
+    if any(isinstance(x, bool) or not isinstance(x, numbers.Integral) for row in rows for x in row):
+        raise ValueError("expected an integer matrix")
+    a = U = [[int(x) % mod for x in row] for row in rows]
     n = 1
     for k in range(1, 21):
         if k > 1:
             a = _matpow_mod(a, k, mod)
             n *= k
-        if ((a @ a) % mod == a).all():
+        if _mul_mod(a, a, mod) == a:
             return a, n
-    n = _stable_exponent(U.shape[0], lam)
+    n = _stable_exponent(len(U), lam)
     e = _matpow_mod(U, n, mod)
-    if ((e @ e) % mod != e).any():
+    if _mul_mod(e, e, mod) != e:
         raise AssertionError("stable exponent failed to produce an idempotent")
     return e, n
 
 
-def rank_mod_p(mat: np.ndarray, p: int) -> int:
-    """Rank of the mod-p reduction, by the kernels' scalar Gauss-Jordan over F_p."""
-    return rref_rows(np.asarray(mat, dtype=np.int64).tolist(), p)[1]
+def rank_mod_p(rows: list[list[int]], p: int) -> int:
+    """Rank mod p of integer rows, by the kernels' scalar Gauss-Jordan."""
+    return rref_rows(rows, p)[1]
 
 
 def ordinary_part_of_hecke_gamma(d: int, lam: Lambda, a: int = 2) -> tuple[int, ...]:
@@ -219,7 +210,5 @@ def ordinary_part_of_hecke_gamma(d: int, lam: Lambda, a: int = 2) -> tuple[int, 
     its projector is e I for the projector e of the 1 x 1 matrix [c], and
     the rank is C(d, i) when e is a unit mod p, else 0.
     """
-    scalars = hecke_gamma(d, a, lam)
-    _check_int64(1, lam)  # before any scalar is held as an int64 [c]
-    limits = [ordinary_limit(np.array([[c]], dtype=np.int64), lam)[0].item() for c in scalars]
-    return tuple(rank if e % lam.p else 0 for e, rank in zip(limits, koszul_cohomology(d).ranks))
+    limits = [ordinary_limit([[c]], lam)[0][0][0] for c in hecke_gamma(d, a, lam)]
+    return tuple(rank if e % lam.p else 0 for e, rank in zip(limits, koszul_cohomology(d)))

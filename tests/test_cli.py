@@ -709,27 +709,20 @@ def test_ordcoh_ranks_with_a_large_prime_finishes():
 @pytest.mark.parametrize(
     "args",
     [
-        "--d 2 --p 3 --r 39 --a 1",  # was an AssertionError traceback
-        "--d 2 --p 2 --r 70",  # was an OverflowError traceback
-        "--d 3 --p 65537 --r 2 --a 1",  # (p^r - 1)^2 >= 2^63 for its 1 x 1 products
-        "--d 2 --p 65537 --r 2",  # p^a x p^a model too big; now the int64 bound
-        "--d 2 --p 2 --r 1023 --a 100",  # refused before the degree-0 scalar 2^200 meets int64
-    ],
-)
-def test_ordcoh_ordinary_refuses_int64_overflow(runner, args):
-    result = invoke(runner, ["ordcoh", "ordinary", *args.split()])
-    refused(result, "overflow")
-
-
-@pytest.mark.parametrize(
-    "args",
-    [
         "--d 3 --p 46337 --r 2 --a 1",  # was a 16 GiB allocation, then refused for 3 x 3 matrices
         "--d 12 --p 2 --r 31",  # was refused for 924 x 924 matrices
+        # each refused while the arithmetic was int64: (p^r - 1)^2 >= 2^63
+        "--d 2 --p 3 --r 39 --a 1",  # was an AssertionError traceback
+        "--d 2 --p 2 --r 70",  # was an OverflowError traceback
+        "--d 3 --p 65537 --r 2 --a 1",
+        "--d 2 --p 65537 --r 2",  # its p^a x p^a model was too big
+        "--d 2 --p 2 --r 1023 --a 100",  # the degree-0 scalar 2^200
+        "--d 1 --p 2 --r 1023",  # the longest modulus CONGRUENCE_BITS_GUARD allows
     ],
 )
-def test_ordcoh_ordinary_reports_every_modulus_whose_scalar_products_fit_int64(runner, args):
-    # the operator is one scalar per degree, so only (p^r - 1)^2 < 2^63 is needed
+def test_ordcoh_ordinary_reports_every_modulus_the_guard_allows(runner, args):
+    # the arithmetic over Z/p^r is exact on Python ints, so no modulus the
+    # coefficient ring accepts overflows
     started = time.perf_counter()
     result = invoke(runner, ["ordcoh", "ordinary", *args.split()])
     assert time.perf_counter() - started < 1.0
@@ -763,16 +756,18 @@ def test_padic_factor_checks_a_deep_level_without_computing_p_to_the_m(runner):
 
 
 def test_ordcoh_takes_the_longest_modulus_the_guard_allows(runner):
-    # 2^1023 has 1024 bits: ranks reports on it, and ordinary passes the
-    # modulus guard to meet its int64 bound
-    assert invoke(runner, ["ordcoh", "ranks", "--d", "2", "--p", "2", "--r", "1023"]).exit_code == 0
-    refused(invoke(runner, ["ordcoh", "ordinary", "--d", "1", "--p", "2", "--r", "1023"]), "overflow")
+    # 2^1023 has 1024 bits: both reports take it, one more bit is refused
+    for command in (["ranks", "--d", "2"], ["ordinary", "--d", "1"]):
+        result = invoke(runner, ["ordcoh", *command, "--p", "2", "--r", "1023"])
+        assert result.exit_code == 0 and body(result)["ok"] is True
+        refused(invoke(runner, ["ordcoh", *command, "--p", "2", "--r", "1024"]), "CONGRUENCE_BITS_GUARD")
 
 
 # ------------------------------------------------------------------ start-up
-# numpy is bound lazily in kernels: the exact reports and flag census (its
-# ranks are scalar, on Python rows) never import it, and the other flag
-# reports and the ordcoh reports load it on first use with unchanged bytes.
+# numpy is bound lazily in kernels: the exact reports, the ordcoh reports
+# (Python rows over Z/p^r) and flag census (its ranks are scalar, on Python
+# rows) never import it, and the other flag reports load it on first use
+# with unchanged bytes.
 # The package's own modules are lazy too: each command runs only the ones
 # it uses.
 
@@ -782,8 +777,10 @@ NUMPY_FREE = [
     "satake verify --kind A --n 2 --twist",
     "padic h --kind C --n 2 --p 3 --m 2 --seed 7 --count 20",
     "flag census --kind C --n 2 --q 2",
+    "ordcoh ranks --d 5",
+    "ordcoh ordinary --d 3 --p 3 --r 2",
 ]
-NUMPY_USERS = ["flag check-cover --kind A --n 1 --q 2", "ordcoh ranks --d 2"]
+NUMPY_USERS = ["flag check-cover --kind A --n 1 --q 2"]
 
 STARTUP_SCRIPT = """
 import io, json, sys
@@ -844,8 +841,8 @@ MODULES_RUN = {
     "satake verify --kind A --n 2 --twist": (["satake"], False),
     "padic h --kind C --n 2 --p 3 --m 2 --seed 7 --count 20": (["padic", "weyl"], False),
     "padic factor --kind A --n 1 --p 2 --matrix '[[1,0],[2,1]]'": (["padic", "weyl"], False),
-    "ordcoh ranks --d 2": (["kernels", "ordcoh", "padic", "weyl"], True),
-    "ordcoh ordinary --d 2": (["kernels", "ordcoh", "padic", "weyl"], True),
+    "ordcoh ranks --d 2": (["kernels", "ordcoh", "padic", "weyl"], False),
+    "ordcoh ordinary --d 2": (["kernels", "ordcoh", "padic", "weyl"], False),
     "flag census --kind A --n 1 --q 2": (["flagfq", "kernels", "roots", "weyl"], False),
     "flag census --kind A --n 3 --q 3": (["flagfq", "kernels", "roots", "weyl"], False),
     "flag check-cover --kind A --n 1 --q 2": (["flagfq", "kernels", "weyl"], True),
@@ -893,7 +890,7 @@ from bruhat_satake import cli
 before = os.environ.get("OPENBLAS_NUM_THREADS")
 real, sys.stdout = sys.stdout, io.TextIOWrapper(io.BytesIO())
 try:
-    cli.main.main(["ordcoh", "ranks", "--d", "2"], prog_name="bruhat-satake")
+    cli.main.main(["flag", "check-cover", "--kind", "A", "--n", "1", "--q", "2"], prog_name="bruhat-satake")
 except SystemExit as stop:
     code = stop.code
 finally:

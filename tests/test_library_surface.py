@@ -253,3 +253,40 @@ def test_a_method_the_acceptance_test_names_only_by_its_bare_name_is_flagged(tmp
     assert satake.count(fields) == 1
     (tmp_path / "satake.py").write_text(satake.replace(fields, fields + "\n    def rows(self):\n        return self.terms\n"))
     assert uncalled(tmp_path) == ["satake.LaurentPoly.rows"]
+
+
+def _uses_numpy(tree: ast.AST) -> bool:
+    """Whether a module imports numpy (by statement or by the module name as a
+    string, as ``_lazy_module("numpy")`` does) or names ``np``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(alias.name.partition(".")[0] == "numpy" for alias in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and (
+            (node.module or "").partition(".")[0] == "numpy" or any(alias.name == "np" for alias in node.names)
+        ):
+            return True
+        if isinstance(node, ast.Name) and node.id == "np" or isinstance(node, ast.Attribute) and node.attr == "np":
+            return True
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.partition(".")[0] == "numpy":
+            return True
+    return False
+
+
+def test_only_the_f_q_stack_modules_use_numpy():
+    # matrices over Z/p^r (ordcoh) and over Q (padic) are Python rows
+    users = {path.stem for path in SRC.glob("*.py") if _uses_numpy(ast.parse(path.read_text()))}
+    assert users == {"flagfq", "kernels"}
+
+
+def test_a_numpy_use_is_seen():
+    for source in [
+        "from .kernels import np, rref_rows",
+        "import numpy",
+        "import numpy.linalg as la",
+        "from numpy import zeros",
+        "x = kernels.np.zeros(2)",
+        "def f(a: np.ndarray): pass",
+        "m = _lazy_module('numpy')",
+    ]:
+        assert _uses_numpy(ast.parse(source)), source
+    assert not _uses_numpy(ast.parse("from .kernels import rref_rows\nnumbers = 1  # numpy"))
