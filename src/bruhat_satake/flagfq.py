@@ -30,13 +30,14 @@ A stack of matrices over F_q is a uint8 array, one byte per entry in
 parabolic, the chunk operands of the product sets, the decoded product
 sets and the translate operands.  Here such a stack is only reduced
 (``% q``), transposed, tiled, repeated, indexed and compared; every
-product of bytes is a ``kernels.matmul_mod`` call.  The generator
-matrices, the Weyl lifts and the symplectic form stay int64, because they
-are multiplied here with ``@``.  The group G itself is held only as its
-sorted codes (``_group_keys``), a product set collects its codes in a
-buffer that is compacted as it fills, and the translates of the cover are
-kept as one running sorted union of their codes.  The closures walk int64
-code arrays, with no Python int per element.
+product of bytes is a ``kernels.matmul_mod`` call.  A single matrix (a
+generator, a Weyl lift, J) is ``kernels.Rows`` with entries in [0, q),
+multiplied by ``kernels._mul_mod``, so numpy here holds only uint8 stacks
+and int64 code arrays.  The group G itself is held only as its sorted
+codes (``_group_keys``), a product set collects its codes in a buffer that
+is compacted as it fills, and the translates of the cover are kept as one
+running sorted union of their codes.  The closures walk int64 code arrays,
+with no Python int per element.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import math
 from functools import lru_cache
 
 from . import kernels
-from .kernels import np
+from .kernels import Rows, _mat_mul, _mul_mod, _scalar, _symplectic_form_q, _transpose, np
 from .weyl import (
     Family,
     GroupKind,
@@ -150,97 +151,67 @@ def flag_size(kind: GroupKind, q: int) -> int:
 # ------------------------------------------------------------- group elements
 
 
-def symplectic_form(n: int) -> np.ndarray:
-    J = np.zeros((2 * n, 2 * n), dtype=np.int64)
-    J[:n, n:] = np.eye(n, dtype=np.int64)
-    J[n:, :n] = -np.eye(n, dtype=np.int64)
-    return J
-
-
-def is_in_group(kind: GroupKind, mat: np.ndarray, q: int) -> bool:
-    mat = np.asarray(mat, dtype=np.int64) % q
-    if kernels.rank_mod(mat.tolist(), q) != 2 * kind.n:
+def is_in_group(kind: GroupKind, mat: Rows, q: int) -> bool:
+    """Whether ``mat`` is invertible mod q, and in type C has g^T J g = J."""
+    if kernels.rank_mod(mat, q) != 2 * kind.n:
         return False
     if kind.family is Family.TYPE_C:
-        J = symplectic_form(kind.n) % q
-        return bool(((mat.T @ J @ mat) % q == J).all())
+        J = tuple(tuple(x % q for x in row) for row in _symplectic_form_q(kind.n))
+        return _mul_mod(_mat_mul(_transpose(mat), J), mat, q) == J
     return True
 
 
-def _unit(m: int, i: int, j: int) -> np.ndarray:
-    out = np.eye(m, dtype=np.int64)
-    out[i, j] += 1
-    return out
+def _from_entries(kind: GroupKind, entries: list[dict[tuple[int, int], int]], q: int, what: str) -> list[Rows]:
+    """The matrix of each {(row, column): value} dict, zero elsewhere and
+    reduced mod q, each checked to lie in the group."""
+    m = kind.ambient
+    mats = [tuple(tuple(e.get((i, j), 0) % q for j in range(m)) for i in range(m)) for e in entries]
+    if not all(is_in_group(kind, mat, q) for mat in mats):
+        raise AssertionError(f"{what} fell outside the group")
+    return mats
 
 
-def borel_generators(kind: GroupKind, q: int) -> list[np.ndarray]:
+def borel_generators(kind: GroupKind, q: int) -> list[Rows]:
     """Torus generators plus every positive root subgroup at parameter 1."""
     kernels.check_q(q)
     n, m = kind.n, kind.ambient
     g = kernels.PRIMITIVE_ROOT[q]
-    gens = []
+    entries = []
     if kind.family is Family.TYPE_A:
         if g != 1:
-            for i in range(m):
-                t = np.eye(m, dtype=np.int64)
-                t[i, i] = g
-                gens.append(t)
-        for i in range(m - 1):
-            gens.append(_unit(m, i, i + 1))
+            entries += [{(i, i): g} for i in range(m)]
+        entries += [{(i, i + 1): 1} for i in range(m - 1)]
     else:
         if g != 1:
-            for i in range(n):
-                t = np.eye(m, dtype=np.int64)
-                t[i, i] = g
-                t[n + i, n + i] = pow(g, q - 2, q)
-                gens.append(t)
-        for i in range(n - 1):  # chi_{i,i+1}: x(t) = I + t(E_{i,i+1} - E_{n+i+1,n+i})
-            x = np.eye(m, dtype=np.int64)
-            x[i, i + 1] = 1
-            x[n + i + 1, n + i] = -1
-            gens.append(x % q)
-        for i, j in itertools.combinations(range(n), 2):  # psi_{i,j}
-            x = np.eye(m, dtype=np.int64)
-            x[i, n + j] = 1
-            x[j, n + i] = 1
-            gens.append(x)
-        for i in range(n):  # psi_{i,i}
-            gens.append(_unit(m, i, n + i))
-    gens = [gen % q for gen in gens]
-    for gen in gens:
-        if not is_in_group(kind, gen, q):
-            raise AssertionError("generator fell outside the group")
-    return gens
+            entries += [{(i, i): g, (n + i, n + i): pow(g, q - 2, q)} for i in range(n)]
+        # chi_{i,i+1}: x(t) = I + t(E_{i,i+1} - E_{n+i+1,n+i})
+        entries += [{(i, i + 1): 1, (n + i + 1, n + i): -1} for i in range(n - 1)]
+        entries += [{(i, n + j): 1, (j, n + i): 1} for i, j in itertools.combinations(range(n), 2)]  # psi_{i,j}
+        entries += [{(i, n + i): 1} for i in range(n)]  # psi_{i,i}
+    eye = {(i, i): 1 for i in range(m)}
+    return _from_entries(kind, [eye | e for e in entries], q, "generator")
 
 
-def simple_reflection_matrices(kind: GroupKind, q: int) -> list[np.ndarray]:
+def simple_reflection_matrices(kind: GroupKind, q: int) -> list[Rows]:
     """Matrix lifts of the simple reflections (type C's s_n needs a sign)."""
     n, m = kind.n, kind.ambient
-    out = []
-    for idx, s in enumerate(simple_reflections(kind), start=1):
-        mat = np.zeros((m, m), dtype=np.int64)
-        for j in range(1, m + 1):
-            mat[s(j) - 1, j - 1] = 1
-        if kind.family is Family.TYPE_C and idx == n:
-            mat[m - 1, n - 1] = -1  # e_n -> -e_{2n}, e_{2n} -> e_n
-        mat %= q
-        if not is_in_group(kind, mat, q):
-            raise AssertionError("reflection lift fell outside the group")
-        out.append(mat)
-    return out
+    entries = [{(s(j) - 1, j - 1): 1 for j in range(1, m + 1)} for s in simple_reflections(kind)]
+    if kind.family is Family.TYPE_C:
+        entries[n - 1][m - 1, n - 1] = -1  # s_n: e_n -> -e_{2n}, e_{2n} -> e_n
+    return _from_entries(kind, entries, q, "reflection lift")
 
 
-def parabolic_generators(kind: GroupKind, q: int) -> list[np.ndarray]:
+def parabolic_generators(kind: GroupKind, q: int) -> list[Rows]:
     refl = simple_reflection_matrices(kind, q)
     keep = list(range(kind.n - 1)) + (list(range(kind.n, len(refl))) if kind.family is Family.TYPE_A else [])
     return borel_generators(kind, q) + [refl[i] for i in keep]
 
 
-def group_generators(kind: GroupKind, q: int) -> list[np.ndarray]:
+def group_generators(kind: GroupKind, q: int) -> list[Rows]:
     return borel_generators(kind, q) + simple_reflection_matrices(kind, q)
 
 
-def _closure(gens: list[np.ndarray], q: int, expected: int) -> np.ndarray:
+def _closure(gens: list[Rows], q: int, expected: int) -> np.ndarray:
     """Breadth-first closure of a generating set, as a deterministic uint8
     stack, certified to have ``expected`` elements.
 
@@ -252,9 +223,9 @@ def _closure(gens: list[np.ndarray], q: int, expected: int) -> np.ndarray:
     are then inserted.  So the stack is in ``walk``'s discovery order, with
     its level sizes and kernel calls, and no Python int is held per element.
     """
-    m = gens[0].shape[0]
-    gen_stack = np.stack([g % q for g in gens])
-    frontier = kernels.mat_keys(np.eye(m, dtype=np.int64)[None] % q, q)
+    m = len(gens[0])
+    gen_stack = np.array(gens, dtype=np.uint8)
+    frontier = kernels.mat_keys(np.array([_scalar(m, 1)], dtype=np.uint8), q)
     seen, order = frontier, [frontier]
     while len(frontier):
         stack = kernels.mats_from_keys(frontier, (m, m), q)
@@ -304,24 +275,24 @@ def _group_keys(kind: GroupKind, q: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _weyl_matrix_table(kind: GroupKind, q: int) -> dict[tuple[int, ...], np.ndarray]:
+def _weyl_matrix_table(kind: GroupKind, q: int) -> dict[tuple[int, ...], Rows]:
     """One matrix lift per Weyl element, in the order of ``length_table``: the
     lift of w is lift(w s) R_s for the first simple reflection s with
     l(w s) < l(w), so each lift is one product along a reduced word."""
     lengths = length_table(kind)  # refuses a W over the guard before any lift is built
     refl = list(zip([s.perm for s in simple_reflections(kind)], simple_reflection_matrices(kind, q)))
     perms = iter(lengths)  # the identity first, then each w after its right descents
-    table = {next(perms): np.eye(kind.ambient, dtype=np.int64) % q}
+    table = {next(perms): _scalar(kind.ambient, 1)}
     for perm in perms:
         for s, mat in refl:
             shorter = compose(perm, s)
             if lengths[shorter] < lengths[perm]:
-                table[perm] = (table[shorter] @ mat) % q
+                table[perm] = _mul_mod(table[shorter], mat, q)
                 break
     return table
 
 
-def weyl_matrix(w: WeylElement, q: int) -> np.ndarray:
+def weyl_matrix(w: WeylElement, q: int) -> Rows:
     """A lift of w to G(F_q); coset statements are insensitive to the torus part.
 
     Each lift is checked for group membership on every call.  The lift is
@@ -331,13 +302,10 @@ def weyl_matrix(w: WeylElement, q: int) -> np.ndarray:
     mat = _weyl_matrix_table(w.kind, q)[w.perm]
     if not is_in_group(w.kind, mat, q):
         raise AssertionError("Weyl lift fell outside the group")
-    return mat.copy()
+    return mat
 
 
 # --------------------------------------------------------------------- points
-
-
-Rows = tuple[tuple[int, ...], ...]  # a point or frame: its RREF rows, each a tuple of Python ints
 
 
 def subspace_from_rows(rows, q: int) -> Rows:
@@ -435,7 +403,7 @@ def cell_census(kind: GroupKind, q: int) -> dict[int, int]:
     return census
 
 
-def _orbits(points: list[Rows], gens: list[np.ndarray], q: int) -> list[list[int]]:
+def _orbits(points: list[Rows], gens: list[Rows], q: int) -> list[list[int]]:
     """The orbits of the group generated by ``gens``, g taking U to the row
     span of U g^T: each as ascending point indices, ordered by their first
     point.  The points are stacked in bytes once, and each is keyed by its
@@ -447,7 +415,7 @@ def _orbits(points: list[Rows], gens: list[np.ndarray], q: int) -> list[list[int
     def images(frontier):
         batch = stack[frontier]
         for g in gens:
-            moved, _ = kernels.rref_mod(kernels.matmul_mod(batch, g.T % q, q), q)
+            moved, _ = kernels.rref_mod(kernels.matmul_mod(batch, _transpose(g), q), q)
             yield [index[key] for key in kernels.mat_keys(moved, q).tolist()]
 
     orbits: list[list[int]] = []
@@ -554,10 +522,10 @@ def _products_within(left: np.ndarray, right: np.ndarray, q: int, target: np.nda
     return all([_keys_within(keys, target) for keys in _product_keys(left, right, q)])
 
 
-def _translate_keys(g: np.ndarray, stack: np.ndarray, q: int) -> np.ndarray:
+def _translate_keys(g: Rows, stack: np.ndarray, q: int) -> np.ndarray:
     """The keys of g x for x in ``stack``, as a sorted array of distinct codes.
     g is copied once per matrix, in bytes, as the left operand."""
-    moved = kernels.matmul_mod(np.broadcast_to(g % q, stack.shape).astype(np.uint8), stack, q)
+    moved = kernels.matmul_mod(np.broadcast_to(np.array(g, dtype=np.uint8), stack.shape), stack, q)
     return _sorted_unique(kernels.mat_keys(moved, q))
 
 
@@ -586,7 +554,7 @@ def cover_lemma_check(kind: GroupKind, q: int) -> dict:
         covered = _distinct(_merged(covered, target_lower))
         if not _products_within(kernels.matmul_mod(Bbar, wm, q), P, q, target_lower):
             lower_ok = False
-        target_upper = _translate_keys((wm @ w0_mat) % q, p_w0_p, q)
+        target_upper = _translate_keys(_mul_mod(wm, w0_mat, q), p_w0_p, q)
         if not _products_within(kernels.matmul_mod(B, wm, q), P, q, target_upper):
             upper_ok = False
     covers = np.array_equal(covered, g_keys)

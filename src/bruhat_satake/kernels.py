@@ -1,4 +1,4 @@
-"""Batched dense linear algebra over small prime fields.
+"""Dense linear algebra over small prime fields, and single matrices as rows.
 
 The finite flag sweeps reduce to three bulk operations on stacks of small
 integer matrices mod q: stack matmul, stack reduced row echelon form, and
@@ -43,6 +43,12 @@ equal matrices have equal codes, a set of matrices is a sorted array of
 codes and ``mats_from_keys`` decodes them into a byte stack, one digit
 column at a time.
 
+Every single matrix of the library (``Rows``: a flag generator, Weyl lift or
+point, J, a ``padic`` block, an ``ordcoh`` operator) is a tuple of tuples of
+Python ints (Fractions in ``padic``), and its helpers live here, with no
+numpy: ``_scalar``, ``_mat_mul``, ``_transpose``, ``_mul_mod`` and
+``_symplectic_form_q``.
+
 numpy is bound lazily, through the package's ``_lazy_module`` like the
 package's own modules: it is imported on the first attribute access of
 ``np``, so a process that never runs an array kernel (the Weyl, root,
@@ -54,11 +60,14 @@ numpy user, takes its ``np`` from here.
 from __future__ import annotations
 
 import math
+import operator
+from functools import lru_cache
 
 from . import _lazy_module
 
 np = _lazy_module("numpy")
 
+Rows = tuple[tuple[int, ...], ...]  # one matrix, or a flag point: tuple rows of Python ints
 PRIMITIVE_ROOT = {2: 1, 3: 2, 5: 2}  # the supported fields F_q, each with a generator of F_q^x
 LANES = 4  # lanes per word in matmul_mod: bytes in a uint32, or 16 bits in a uint64
 BLOCK = 1 << 14  # left-operand matrices per word product in matmul_mod; bounds its temporaries
@@ -147,6 +156,43 @@ def rref_rows(rows: list[list[int]], q: int) -> tuple[list[list[int]], int]:
                 rows[r] = [(x - f * y) % q for x, y in zip(rows[r], pivot)]
         rank += 1
     return rows, rank
+
+
+# ------------------------------------------------- single matrices as rows
+# Products and transposes take integer or Fraction entries alike (padic's).
+
+
+def _scalar(n: int, s: int) -> Rows:
+    """s times the n x n identity."""
+    return tuple(tuple(s if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def _mat_mul(a, b) -> Rows:
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in bt) for row in a)
+
+
+def _transpose(a) -> Rows:
+    return tuple(zip(*a))
+
+
+def _mul_mod(a, b, q: int) -> Rows:
+    """The product of integer rows reduced mod q, for any modulus q.
+
+    >>> _mul_mod(((1, 2), (0, 1)), ((1, 2), (0, 1)), 3)
+    ((1, 1), (0, 1))
+    """
+    return tuple(tuple(x % q for x in row) for row in _mat_mul(a, b))
+
+
+@lru_cache(maxsize=None)
+def _symplectic_form_q(n: int) -> Rows:
+    """J = [[0, I], [-I, 0]]; its integer entries compare equal to Fractions.
+
+    >>> _mul_mod(_symplectic_form_q(1), _scalar(2, 1), 3)  # J for n = 1, mod 3
+    ((0, 1), (2, 0))
+    """
+    return tuple(tuple(int(j == n + i) - int(i == n + j) for j in range(2 * n)) for i in range(2 * n))
 
 
 def _reduced(a: np.ndarray, q: int) -> np.ndarray:

@@ -12,11 +12,12 @@ operator at gamma (corestriction composed with the trivial translation)
 is ordinary exactly in top degree.  It is held as that one scalar per
 degree (``hecke_gamma``), from which ``cores_kunneth`` builds the matrices.
 
-A matrix over Z/p^r is Python rows of Python ints, multiplied exactly by
-``padic._mat_mul`` and reduced mod p^r, so no modulus overflows.  Ordinary
-projectors are idempotent limits of matrix powers: any idempotent power
-U^N is the limit, and a closed-form exponent certifies termination when
-small factorials miss the multiplicative order.
+A matrix over Z/p^r is a tuple of tuples of Python ints, multiplied
+exactly and reduced mod p^r by ``kernels._mul_mod``, so no modulus
+overflows.  Ordinary projectors are idempotent limits of matrix powers:
+any idempotent power U^N is the limit, and a closed-form exponent
+certifies termination when small factorials miss the multiplicative
+order.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
-from .kernels import rref_rows
-from .padic import _mat_mul, check_level, check_modulus, is_prime
+from .kernels import Rows, _mul_mod, _scalar, rref_rows
+from .padic import check_level, check_modulus, is_prime
 
 KOSZUL_DEGREE_GUARD = 12
 
@@ -66,8 +67,8 @@ def koszul_cohomology(d: int) -> tuple[int, ...]:
     return tuple(math.comb(d, i) for i in range(d + 1))
 
 
-def koszul_differentials(d: int, lam: Lambda, unit_weights) -> list[list[list[int]]]:
-    """The Koszul differentials, as Python rows, where generator j scales by u_j.
+def koszul_differentials(d: int, lam: Lambda, unit_weights) -> list[Rows]:
+    """The Koszul differentials, as tuple rows, where generator j scales by u_j.
 
     d(e_S) = sum over j not in S of (-1)^{#{s in S : s < j}} (u_j - 1) e_{S + j}.
     Trivial weights give identically zero maps; the maps square to zero
@@ -87,16 +88,14 @@ def koszul_differentials(d: int, lam: Lambda, unit_weights) -> list[list[list[in
         raise ValueError("weights must be units")
     out = []
     for src, dst in zip(bases, bases[1:]):
-        index = {T: row for row, T in enumerate(dst)}
-        mat = [[0] * len(src) for _ in dst]
-        for col, S in enumerate(src):
-            for j in range(1, d + 1):
-                if j in S:
-                    continue
-                sign = -1 if sum(1 for s in S if s < j) % 2 else 1
-                T = tuple(sorted(S + (j,)))
-                mat[index[T]][col] = sign * (units[j - 1] - 1) % lam.modulus
-        out.append(mat)
+        index = {S: col for col, S in enumerate(src)}
+        mat = []
+        for T in dst:  # row T: S = T minus its k-th member j, so k members of S lie below j
+            row = [0] * len(src)
+            for k, j in enumerate(T):
+                row[index[T[:k] + T[k + 1 :]]] = (-1) ** k * (units[j - 1] - 1) % lam.modulus
+            mat.append(tuple(row))
+        out.append(tuple(mat))
     return out
 
 
@@ -121,27 +120,18 @@ def hecke_gamma(d: int, a: int, lam: Lambda) -> list[int]:
     return [pow(lam.p, a * (d - i), lam.modulus) for i in range(d + 1)]
 
 
-def _scalar_rows(size: int, c: int) -> list[list[int]]:
-    """c times the size x size identity, as Python rows."""
-    return [[c if i == j else 0 for j in range(size)] for i in range(size)]
-
-
-def cores_kunneth(d: int, a: int, lam: Lambda) -> list[list[list[int]]]:
-    """The corestriction on H^i(Z_p^d) at level p^a as dense Python rows:
+def cores_kunneth(d: int, a: int, lam: Lambda) -> list[Rows]:
+    """The corestriction on H^i(Z_p^d) at level p^a as dense tuple rows:
     the scalar of ``hecke_gamma`` times the C(d, i) x C(d, i) identity."""
-    return [_scalar_rows(rank, c) for c, rank in zip(hecke_gamma(d, a, lam), koszul_cohomology(d))]
+    return [_scalar(rank, c) for c, rank in zip(hecke_gamma(d, a, lam), koszul_cohomology(d))]
 
 
 # ---------------------------------------------------------------- projectors
 
 
-def _mul_mod(a: list[list[int]], b: list[list[int]], mod: int) -> list[list[int]]:
-    return [[x % mod for x in row] for row in _mat_mul(a, b)]
-
-
-def _matpow_mod(U: list[list[int]], n: int, mod: int) -> list[list[int]]:
-    out = _scalar_rows(len(U), 1 % mod)
-    base = [[x % mod for x in row] for row in U]
+def _matpow_mod(U: Rows, n: int, mod: int) -> Rows:
+    out = _scalar(len(U), 1 % mod)
+    base = tuple(tuple(x % mod for x in row) for row in U)
     while n:
         if n & 1:
             out = _mul_mod(out, base, mod)
@@ -163,8 +153,8 @@ def _stable_exponent(size: int, lam: Lambda) -> int:
     return period * max(1, -(reach // -period))
 
 
-def ordinary_limit(U, lam: Lambda) -> tuple[list[list[int]], int]:
-    """(e, N) with e = U^N the idempotent limit projector, as Python rows.
+def ordinary_limit(U, lam: Lambda) -> tuple[Rows, int]:
+    """(e, N) with e = U^N the idempotent limit projector, as tuple rows.
 
     U is the rows of a non-empty square matrix of integers of any size
     (any ``numbers.Integral`` but bool, so array rows too); floats and
@@ -182,7 +172,7 @@ def ordinary_limit(U, lam: Lambda) -> tuple[list[list[int]], int]:
         raise ValueError("expected a square matrix")
     if any(isinstance(x, bool) or not isinstance(x, numbers.Integral) for row in rows for x in row):
         raise ValueError("expected an integer matrix")
-    a = U = [[int(x) % mod for x in row] for row in rows]
+    a = U = tuple(tuple(int(x) % mod for x in row) for row in rows)  # tuple rows, as every product is
     n = 1
     for k in range(1, 21):
         if k > 1:

@@ -24,13 +24,13 @@ or 2k (type C) under right multiplication by gamma^k.
 from __future__ import annotations
 
 import math
-import operator
 import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .kernels import _mat_mul, _scalar, _symplectic_form_q, _transpose
 from .weyl import Family, GroupKind, all_subsets_j
 
 Mat = tuple[tuple[Fraction, ...], ...]
@@ -147,13 +147,6 @@ def exact(x) -> Fraction:
 
 
 # -------------------------------------------------------- exact matrix core
-# Products and transposes take integer or Fraction entries alike; the
-# acceptance tests apply them to Fraction rows.
-
-
-def _scalar(n: int, s: int) -> IntMat:
-    """s times the n x n identity."""
-    return tuple(tuple(s if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def _scaled(a: IntMat, s: int) -> IntMat:
@@ -162,21 +155,6 @@ def _scaled(a: IntMat, s: int) -> IntMat:
 
 def _mat_add(a: IntMat, b: IntMat) -> IntMat:
     return tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(a, b))
-
-
-def _mat_mul(a: Mat, b: Mat) -> Mat:
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(map(operator.mul, row, col)) for col in bt) for row in a)
-
-
-def _transpose(a: Mat) -> Mat:
-    return tuple(zip(*a))
-
-
-@lru_cache(maxsize=None)
-def _symplectic_form_q(n: int) -> IntMat:
-    """J = [[0, I], [-I, 0]]; its integer entries compare equal to Fractions."""
-    return tuple(tuple(int(j == n + i) - int(i == n + j) for j in range(2 * n)) for i in range(2 * n))
 
 
 def _bareiss_solve(d: IntMat, c: IntMat) -> tuple[int, IntMat | None]:

@@ -13,8 +13,9 @@ from operator import itemgetter
 
 import numpy as np
 
-from bruhat_satake import padic, roots, weyl
-from bruhat_satake.flagfq import Rows, _pairing, subspace_from_rows
+from bruhat_satake import kernels, padic, roots, weyl
+from bruhat_satake.flagfq import _pairing, subspace_from_rows
+from bruhat_satake.kernels import Rows
 
 # ---------------------------------------------------------------------- weyl
 
@@ -89,12 +90,12 @@ def weyl_action(w: weyl.WeylElement, r: roots.Pair) -> roots.Pair:
 
 
 def block_transpose(g: padic.BlockMatrix) -> padic.BlockMatrix:
-    return padic.BlockMatrix(g.kind, g.p, padic._transpose(g.num), g.den)
+    return padic.BlockMatrix(g.kind, g.p, kernels._transpose(g.num), g.den)
 
 
 def block_inverse(g: padic.BlockMatrix) -> padic.BlockMatrix:
     # the constructor proved g nonsingular, so the solve cannot fail
-    det, solved = padic._bareiss_solve(g.num, padic._scalar(len(g.num), 1))
+    det, solved = padic._bareiss_solve(g.num, kernels._scalar(len(g.num), 1))
     assert solved is not None, "a group element has no inverse"
     return padic.BlockMatrix(g.kind, g.p, padic._scaled(solved, g.den), det)
 
@@ -103,8 +104,9 @@ def block_inverse(g: padic.BlockMatrix) -> padic.BlockMatrix:
 
 
 def act(g, U: Rows, q: int) -> Rows:
-    """g . U, i.e. the row span of U g^T, for a group matrix g over F_q."""
-    return subspace_from_rows(((np.array(U, dtype=np.int64) @ g.T) % q).tolist(), q)
+    """g . U, i.e. the row span of U g^T, for a group matrix g over F_q
+    given as rows or as an array."""
+    return subspace_from_rows(((np.array(U, dtype=np.int64) @ np.array(g, dtype=np.int64).T) % q).tolist(), q)
 
 
 def is_isotropic(U: Rows, n: int, q: int) -> bool:

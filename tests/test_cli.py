@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruhat_satake import cli, padic
+from bruhat_satake import cli, kernels, padic
 from oracles import block_inverse
 
 
@@ -216,9 +216,9 @@ def test_satake_verify_fails_when_a_library_step_is_wrong(runner, monkeypatch, a
 
 
 def _identity_weyl_matrix(genuine):
-    import numpy as np
-
-    return lambda w, q: np.eye(w.kind.ambient, dtype=np.int64)
+    """The identity rows for every w: a lift of the same type, so it still
+    goes through ``_mul_mod`` and ``_translate_keys``."""
+    return lambda w, q: kernels._scalar(w.kind.ambient, 1)
 
 
 def _unit_hecke_gamma(genuine):
@@ -839,8 +839,8 @@ MODULES_RUN = {
     "weyl cosets --kind A --n 3": (["weyl"], False),
     "cells dims --kind C --n 2": (["roots", "weyl"], False),
     "satake verify --kind A --n 2 --twist": (["satake"], False),
-    "padic h --kind C --n 2 --p 3 --m 2 --seed 7 --count 20": (["padic", "weyl"], False),
-    "padic factor --kind A --n 1 --p 2 --matrix '[[1,0],[2,1]]'": (["padic", "weyl"], False),
+    "padic h --kind C --n 2 --p 3 --m 2 --seed 7 --count 20": (["kernels", "padic", "weyl"], False),
+    "padic factor --kind A --n 1 --p 2 --matrix '[[1,0],[2,1]]'": (["kernels", "padic", "weyl"], False),
     "ordcoh ranks --d 2": (["kernels", "ordcoh", "padic", "weyl"], False),
     "ordcoh ordinary --d 2": (["kernels", "ordcoh", "padic", "weyl"], False),
     "flag census --kind A --n 1 --q 2": (["flagfq", "kernels", "roots", "weyl"], False),

@@ -45,7 +45,8 @@ def reference_flag(kind, q):
 def reference_closure(gens, q):
     """Breadth-first closure, one matrix at a time: for each generator, the
     frontier's products in frontier order, keeping first occurrences."""
-    start = np.eye(gens[0].shape[0], dtype=np.int64)
+    gens = [np.array(g, dtype=np.int64) for g in gens]  # tuple rows to arrays for numpy's @
+    start = np.eye(len(gens[0]), dtype=np.int64)
     order, seen, frontier = [start], {start.tobytes()}, [start]
     while frontier:
         new = []
@@ -87,12 +88,12 @@ def reference_cover_lemma_check(kind, q):
         return all(target.issuperset(keys) for keys in product_keys(left))
 
     pbar_p = product_stack(Pbar)
-    w0 = flagfq.weyl_matrix(weyl.longest_element(kind), q)
+    w0 = np.array(flagfq.weyl_matrix(weyl.longest_element(kind), q), dtype=np.int64)
     p_w0_p = product_stack((P @ w0) % q)
     covered = set()
     lower = upper = True
     for w in weyl.all_elements(kind):
-        wm = flagfq.weyl_matrix(w, q)
+        wm = np.array(flagfq.weyl_matrix(w, q), dtype=np.int64)
         target_lower = set(int8_keys((wm @ pbar_p) % q))
         covered |= target_lower
         lower = within((Bbar @ wm) % q, target_lower) and lower
@@ -152,7 +153,7 @@ def test_group_closure_matches_order(kind, q):
     mats = flagfq._group_matrices(kind, q)
     assert mats.shape[0] == flagfq.group_order(kind, q)
     for mat in mats[:25]:
-        assert flagfq.is_in_group(kind, mat, q)
+        assert flagfq.is_in_group(kind, mat.tolist(), q)
 
 
 @pytest.mark.parametrize("kind,q", SMALL)
@@ -202,13 +203,13 @@ def walk_frontier_sizes(gens, q):
     """The frontier sizes of the closure as a ``weyl.walk`` over Python int
     codes, with one decode per level and one product and one keying per
     generator."""
-    m = gens[0].shape[0]
+    m = len(gens[0])
     sizes = []
 
     def images(frontier):
         sizes.append(len(frontier))
         stack = kernels.mats_from_keys(frontier, (m, m), q)
-        return (kernels.mat_keys(kernels.matmul_mod(stack, g % q, q), q).tolist() for g in gens)
+        return (kernels.mat_keys(kernels.matmul_mod(stack, g, q), q).tolist() for g in gens)
 
     weyl.walk(kernels.mat_keys(np.eye(m, dtype=np.int64)[None] % q, q).item(), images)
     return sizes
@@ -226,7 +227,7 @@ def test_closure_makes_the_kernel_calls_of_a_walk(gens, q, monkeypatch):
     # the counted kernel calls and their left-operand shapes are those of the
     # walk: one keying of the identity, then per level and generator one
     # product and one keying of the whole frontier
-    m = gens[0].shape[0]
+    m = len(gens[0])
     sizes = walk_frontier_sizes(gens, q)
     calls = []
     for name in ("matmul_mod", "mat_keys"):
@@ -267,7 +268,7 @@ def test_chunked_inclusion_matches_the_product_set(kind, q):
         left = kernels.matmul_mod(Bbar, wm, q)
         products = flagfq._product_set(left, P, q)
         target = flagfq._translate_keys(wm, pbar_p, q)
-        assert target.tolist() == sorted(set(codes((wm @ pbar_p) % q, q)))
+        assert target.tolist() == sorted(set(codes((np.array(wm, dtype=np.int64) @ pbar_p) % q, q)))
         short = target[target != products[len(products) // 2]]
         assert len(short) == len(target) - 1
         cut = target[target < products[-1]]
@@ -316,10 +317,10 @@ def test_action_is_a_group_action(kind, q):
     rng = np.random.default_rng(0)
     for _ in range(20):
         U = points[rng.integers(len(points))]
-        g = gens[rng.integers(len(gens))]
-        h = gens[rng.integers(len(gens))]
+        g = np.array(gens[rng.integers(len(gens))], dtype=np.int64)
+        h = np.array(gens[rng.integers(len(gens))], dtype=np.int64)
         gh = (g @ h) % q
-        assert flagfq.is_in_group(kind, gh, q)
+        assert flagfq.is_in_group(kind, gh.tolist(), q)
         assert act(gh, U, q) == act(g, act(h, U, q), q)
         if kind.family is weyl.Family.TYPE_C:
             assert is_isotropic(act(g, U, q), kind.n, q)
@@ -368,6 +369,18 @@ def test_a_point_is_its_rref_row_tuple(kind, q):
         assert type(U) is tuple and all(type(row) is tuple for row in U)
         assert all(type(x) is int for row in U for x in row)
         assert flagfq.subspace_from_rows(U, q) == U
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("kind", [weyl.type_a(1), weyl.type_a(2), weyl.type_c(1), weyl.type_c(2)], ids=str)
+def test_single_matrices_are_tuple_rows_of_residues(kind, q):
+    m = kind.ambient
+    mats = flagfq.borel_generators(kind, q) + flagfq.simple_reflection_matrices(kind, q)
+    mats += [flagfq.weyl_matrix(w, q) for w in weyl.all_elements(kind)]
+    for mat in mats:
+        assert type(mat) is tuple and len(mat) == m
+        assert all(type(row) is tuple and len(row) == m for row in mat)
+        assert all(type(x) is int and 0 <= x < q for row in mat for x in row)
 
 
 def test_enumerated_points_stay_within_their_memory_budget():
@@ -506,7 +519,7 @@ def test_weyl_matrix_refuses_a_lift_outside_the_group(monkeypatch):
         patch.setattr(flagfq, "is_in_group", lambda kind, mat, q: False)
         with pytest.raises(AssertionError, match="Weyl lift fell outside the group"):
             flagfq.weyl_matrix(w, q)
-    monkeypatch.setattr(flagfq, "_weyl_matrix_table", lambda kind, q: {w.perm: np.zeros((2, 2), dtype=np.int64)})
+    monkeypatch.setattr(flagfq, "_weyl_matrix_table", lambda kind, q: {w.perm: ((0, 0), (0, 0))})
     with pytest.raises(AssertionError, match="Weyl lift fell outside the group"):
         flagfq.weyl_matrix(w, q)
 
@@ -531,7 +544,7 @@ def reference_weyl_lifts(kind, q):
     each element's (parent, generator), generator-major, and take
     lift(parent) R_gen."""
     refl = weyl.simple_reflections(kind)
-    mats = flagfq.simple_reflection_matrices(kind, q)
+    mats = [np.array(mat, dtype=np.int64) for mat in flagfq.simple_reflection_matrices(kind, q)]
     start = weyl.identity(kind).perm
     tree, frontier = {start: None}, [start]
     while frontier:
@@ -560,7 +573,7 @@ def test_weyl_lifts_match_the_breadth_first_tree_oracle(kind, q):
     got = flagfq._weyl_matrix_table(kind, q)
     assert list(got) == list(want)
     for perm, mat in want.items():
-        assert got[perm].dtype == np.int64 and (got[perm] == mat).all()
+        assert got[perm] == tuple(map(tuple, mat.tolist()))
 
 
 def test_weyl_lifts_run_no_walk_of_their_own(monkeypatch):

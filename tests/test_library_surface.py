@@ -290,3 +290,45 @@ def test_a_numpy_use_is_seen():
     ]:
         assert _uses_numpy(ast.parse(source)), source
     assert not _uses_numpy(ast.parse("from .kernels import rref_rows\nnumbers = 1  # numpy"))
+
+
+def _matmul_sites(tree: ast.Module, module: str) -> list[str]:
+    """``module.name`` for each ``@`` or ``@=`` in a module, named by the
+    top-level function or class around it (``<module>`` outside any)."""
+    sites = []
+    for top in tree.body:
+        name = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        sites += [
+            f"{module}.{name}"
+            for node in ast.walk(top)
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+        ]
+    return sites
+
+
+def test_only_the_stack_kernel_multiplies_with_matmul():
+    # a single matrix is tuple rows, multiplied by kernels._mat_mul or _mul_mod
+    sites = [site for path in sorted(SRC.glob("*.py")) for site in _matmul_sites(ast.parse(path.read_text()), path.stem)]
+    assert sites == ["kernels.matmul_mod"]
+
+
+def test_a_matmul_is_seen():
+    assert _matmul_sites(ast.parse("def f(a, b):\n    return (a @ b) % 2"), "m") == ["m.f"]
+    assert _matmul_sites(ast.parse("class C:\n    def g(self, b):\n        self.a @= b"), "m") == ["m.C"]
+    assert _matmul_sites(ast.parse("x = a @ b"), "m") == ["m.<module>"]
+    assert _matmul_sites(ast.parse("def f(a, b):\n    return a * b"), "m") == []
+
+
+def test_flagfq_builds_no_single_matrix_in_numpy():
+    # the generators, Weyl lifts and J are tuple rows; numpy holds only stacks and codes there
+    tree = ast.parse((SRC / "flagfq.py").read_text())
+    calls = [
+        node.func.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "np"
+        and node.func.attr in {"eye", "zeros", "stack"}
+    ]
+    assert calls == []
