@@ -212,8 +212,8 @@ def flag_census(kind, n, q):
 def flag_check_cover(kind, n, q):
     """Closure order and translated big-cell cover, exhaustively."""
     gk = _group_kind(kind, n)
+    cover = flagfq.cover_lemma_check(gk, q)  # first, so its group guard refuses before the closure sweep
     closure = flagfq.closure_order_check(gk, q)
-    cover = flagfq.cover_lemma_check(gk, q)
     rows = _check_rows(closure, "tau_constant_on_orbits", "orbits_match_tau_fibers")
     rows += _check_rows(cover, "lower_inclusions", "upper_inclusions", "translates_cover_group")
     ok = closure["ok"] and cover["ok"]

@@ -4,38 +4,36 @@ The finite flag sweeps reduce to three bulk operations on stacks of small
 integer matrices mod q: stack matmul, stack reduced row echelon form, and
 stack rank.  A matrix over F_q is stored in bytes: every array a kernel
 returns for matrices is uint8, one byte per entry, each in [0, q).  Ranks
-and ``mat_keys`` codes are int64.  An operand of any integer dtype is
-accepted; a uint8 one already in [0, q) is used as it is, after one max,
-and anything else is reduced mod q and copied into bytes.  ``rref_mod`` and
-``rank_mod`` take two forms and return the one they are given: a single
-matrix is Python rows (a list or tuple of rows), which gives Python rows
-and an int, with no array built; a 3-D stack gives a uint8 stack and an
-int64 rank vector.  Any other array is refused with ``ValueError``.
-A single matrix is row reduced in scalar Python (``rref_rows``), where
-numpy's per-operation cost would dominate the few arithmetic steps, and so
-is a stack of at most ``SCALAR_STACK_ROWS`` = 64 rows in all, matrix by
-matrix: the whole-stack routine ``_rref_stack``, whose Python loops run
-only over the shape of one matrix, pays about 20 numpy calls per column and
-overtakes the scalar path only past roughly that many rows.  Entries are
-reduced mod q on entry, and q must be a key of ``PRIMITIVE_ROOT``;
-``rref_rows`` itself takes any prime.
+and ``mat_keys`` codes are int64.  An array operand of any integer dtype
+is accepted, and any other dtype (float, complex, bool, object) is refused
+with ``ValueError`` before anything is allocated; a uint8 one already in
+[0, q) is used as it is, after one max, and anything else is reduced mod q
+and copied into bytes.  ``rref_mod`` and ``rank_mod`` take two forms and
+return the one they are given: a single matrix is Python rows (a list or
+tuple of rows), which gives Python rows and an int, with no array built; a
+3-D stack gives a uint8 stack and an int64 rank vector.  Any other array is
+refused with ``ValueError``.  A single matrix is row reduced in scalar
+Python (``rref_rows``), where numpy's per-operation cost would dominate the
+few arithmetic steps, and so is a stack of at most ``SCALAR_STACK_ROWS`` =
+64 rows in all, matrix by matrix: the whole-stack routine ``_rref_stack``,
+whose Python loops run only over the shape of one matrix, pays about 20
+numpy calls per column and overtakes the scalar path only past roughly that
+many rows.  Entries are reduced mod q on entry, and q must be a key of
+``PRIMITIVE_ROOT``; ``rref_rows`` itself takes any prime.
 
 A stack product is lane packed (Kronecker substitution on the rows of the
-right operand): each row of ``b`` is written as ``LANES`` = 4 lanes per
-word, the left operand is widened to words, one batched unsigned integer
-matmul forms four products per multiply-add, and the lanes are read back
-and reduced mod q into the result's bytes.  A lane sum is at most
-s (q-1)^2 for inner dimension s, and the lane is the narrowest that holds
-it: a byte in a uint32 word below 2^8 (every flag shape at q <= 5), 16
-bits in a uint64 word below 2^16.  An inner dimension with
-s (q-1)^2 >= 2^16, where a lane could carry into the next, is refused
-with ``ValueError`` before anything is allocated.  A byte right operand
-whose width is a multiple of ``LANES`` is its own packing, read as words
-in place.  The left operand is widened ``BLOCK`` = 2^14 matrices at a
-time into one preallocated result, so the temporaries are bounded by a
-block, not by the stack.  Byte lanes are reduced by ``bytes.translate``
-through a 256-byte residue table, with no index array; 16-bit lanes by a
-lookup in a uint8 table.
+right operand): each row of ``b`` is written as ``LANES`` = 4 byte lanes per
+uint32 word, the left operand is widened to uint32, one batched unsigned
+integer matmul forms four products per multiply-add, and the lanes are
+reduced mod q into the result's bytes by ``bytes.translate`` through a
+256-byte residue table.  A lane sum is at most s (q-1)^2 for inner
+dimension s, which a byte holds below 2^8: s <= 255, 63 and 15 at q = 2, 3
+and 5, past every flag shape the guards accept.  A wider s, whose lanes
+could carry, is refused with ``ValueError`` before anything is allocated.
+A byte right operand whose width is a multiple of ``LANES`` is its own
+packing, read as words in place.  The left operand is widened ``BLOCK`` =
+2^14 matrices at a time into one preallocated result, so the temporaries
+are bounded by a block, not by the stack.
 
 A matrix is keyed by ``mat_keys``: one exact int64 code, its row-major
 entries read as base-q digits (in place: a byte stack is not widened), so
@@ -69,7 +67,7 @@ np = _lazy_module("numpy")
 
 Rows = tuple[tuple[int, ...], ...]  # one matrix, or a flag point: tuple rows of Python ints
 PRIMITIVE_ROOT = {2: 1, 3: 2, 5: 2}  # the supported fields F_q, each with a generator of F_q^x
-LANES = 4  # lanes per word in matmul_mod: bytes in a uint32, or 16 bits in a uint64
+LANES = 4  # byte lanes per uint32 word in matmul_mod
 BLOCK = 1 << 14  # left-operand matrices per word product in matmul_mod; bounds its temporaries
 # A stack with at most this many rows in all is row reduced matrix by matrix
 # by rref_rows: below it the ~20 whole-stack numpy calls per column of
@@ -195,11 +193,19 @@ def _symplectic_form_q(n: int) -> Rows:
     return tuple(tuple(int(j == n + i) - int(i == n + j) for j in range(2 * n)) for i in range(2 * n))
 
 
-def _reduced(a: np.ndarray, q: int) -> np.ndarray:
-    """``a`` as a C-contiguous uint8 array with entries in [0, q).  A uint8
-    array already in range is used as it is, after one max; any other array
-    is reduced mod q, only if some entry needs it, and copied into bytes."""
+def _integer_array(a) -> np.ndarray:
     a = np.asarray(a)
+    if a.dtype.kind not in "iu":
+        raise ValueError(f"a matrix stack must have an integer dtype, got {a.dtype}")
+    return a
+
+
+def _reduced(a, q: int) -> np.ndarray:
+    """The integer array ``a`` as a C-contiguous uint8 array with entries in
+    [0, q).  A uint8 array already in range is returned as it is, after one
+    max; any other is reduced mod q, only if some entry needs it, and copied
+    into bytes."""
+    a = _integer_array(a)
     # read as unsigned a negative entry is past q too, so one max finds any entry outside [0, q)
     unsigned = a.view(f"u{a.itemsize}") if a.dtype.kind == "i" else a
     if a.size and unsigned.max() >= q:
@@ -215,48 +221,38 @@ def backend_name() -> str:
 def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """Stack matmul mod q.  a: (N, r, s), b: (N, s, t) or (s, t).
 
-    Exact in unsigned integers: the rows of ``b`` are packed ``LANES`` to a
-    word, so one product word holds ``LANES`` entries of a @ b, each a lane
-    sum of at most s (q-1)^2 that never carries into the next lane.  The
-    lane is a byte (a uint32 word) when s (q-1)^2 < 2^8, and 16 bits (a
-    uint64 word) below 2^16; a shape whose lane sum could reach 2^16 is
-    refused with ``ValueError`` before anything is allocated.  A byte right
-    operand whose width t is a multiple of ``LANES`` is already packed and
-    is read as words in place.  The left operand is widened to words
-    ``BLOCK`` matrices at a time, and each block's lanes are reduced mod q
-    into one preallocated result: byte lanes by ``bytes.translate`` through
-    a 256-byte residue table, 16-bit lanes by a lookup in a uint8 one.  The
-    result is a fresh C-contiguous uint8 stack; the operands are not
-    changed.
+    Exact in unsigned integers: the rows of ``b`` are packed ``LANES`` bytes
+    to a uint32 word, so one product word holds ``LANES`` entries of a @ b,
+    each a byte lane sum of at most s (q-1)^2.  A shape whose lane sum could
+    reach 2^8 (s past 255, 63, 15 at q = 2, 3, 5) is refused with
+    ``ValueError`` before anything is allocated, as is a non-integer
+    operand.  A byte right operand whose width t is a multiple of ``LANES``
+    is already packed and is read as words in place.  The left operand is
+    widened to words ``BLOCK`` matrices at a time, and each block's lanes
+    are reduced mod q by ``bytes.translate`` through a 256-byte residue
+    table into one preallocated result.  The result is a fresh C-contiguous
+    uint8 stack; the operands are not changed.
     """
     check_q(q)
     s, t = np.shape(b)[-2:]
-    top = s * (q - 1) ** 2  # the largest lane sum
-    if top >= 1 << 16:
-        raise ValueError(f"inner dimension {s} over F_{q} overflows a 16-bit lane: {s} * {q - 1}^2 >= 2^16")
+    if s * (q - 1) ** 2 >= 1 << 8:
+        raise ValueError(f"inner dimension {s} over F_{q} overflows a byte lane: {s} * {q - 1}^2 >= 2^8")
     a, b = _reduced(a, q), _reduced(b, q)
-    lane, word = (np.uint8, np.uint32) if top < 1 << 8 else (np.uint16, np.uint64)
     width = -(-t // LANES) * LANES
-    if lane is np.uint8 and width == t:
+    if width == t:
         packed = b
     else:
-        packed = np.zeros((*b.shape[:-1], width), dtype=lane)
+        packed = np.zeros((*b.shape[:-1], width), dtype=np.uint8)
         packed[..., :t] = b
-    words = packed.view(word)
+    words = packed.view(np.uint32)
     out = np.empty((len(a), a.shape[1], t), dtype=np.uint8)
-    if lane is np.uint8:
-        residues = (bytes(range(q)) * (256 // q + 1))[:256]  # x -> x mod q
-    else:
-        residues = (np.arange(top + 1) % q).astype(np.uint8)
+    residues = (bytes(range(q)) * (256 // q + 1))[:256]  # x -> x mod q
     for start in range(0, len(a), BLOCK):
         stop = start + BLOCK
         right = words if words.ndim == 2 else words[start:stop]
-        lanes = (a[start:stop].astype(word) @ right).view(lane)
-        if lane is np.uint8:
-            reduced = np.frombuffer(lanes.tobytes().translate(residues), dtype=np.uint8)
-            out[start:stop] = reduced.reshape(lanes.shape)[..., :t]
-        else:
-            np.take(residues, lanes[..., :t], out=out[start:stop])
+        lanes = (a[start:stop].astype(np.uint32) @ right).view(np.uint8)
+        reduced = np.frombuffer(lanes.tobytes().translate(residues), dtype=np.uint8)
+        out[start:stop] = reduced.reshape(lanes.shape)[..., :t]
     return out
 
 
@@ -270,7 +266,8 @@ def rref_mod(mats, q: int):
     uint8 RREF stack and the int64 rank vector: a stack of at most
     ``SCALAR_STACK_ROWS`` rows in all is reduced matrix by matrix through
     ``rref_rows``, a larger one by ``_rref_stack``.  An array of any other
-    dimension is refused with ``ValueError`` before any reduction.
+    dimension or of a non-integer dtype is refused with ``ValueError``
+    before any reduction.
     """
     check_q(q)
     if isinstance(mats, (list, tuple)):
@@ -278,9 +275,10 @@ def rref_mod(mats, q: int):
     mats = np.asarray(mats)
     if mats.ndim != 3:
         raise ValueError(f"a matrix is Python rows and a stack is a 3-D array, got a {mats.ndim}-D array")
+    stack = _reduced(mats, q)
     if mats.shape[0] * mats.shape[1] > SCALAR_STACK_ROWS:
-        return _rref_stack((mats % q).astype(np.uint8, copy=False), q)  # a fresh array
-    reduced = [rref_rows(mat, q) for mat in mats.tolist()]
+        return _rref_stack(stack.copy() if stack is mats else stack, q)  # it writes in place
+    reduced = [rref_rows(mat, q) for mat in stack.tolist()]
     red = np.array([rows for rows, _ in reduced], dtype=np.uint8).reshape(mats.shape)
     return red, np.array([rank for _, rank in reduced], dtype=np.int64)
 
@@ -299,14 +297,14 @@ def mat_keys(mats: np.ndarray, q: int) -> np.ndarray:
     Codes are exact and injective on one shape, so equal matrices have equal
     codes, whatever the integer dtype of the stack, and a set of matrices is
     a sorted array of codes.  The digits are read in place: a uint8 stack is
-    not widened to an int64 copy.  A shape with q**entries >= 2**63 would
-    wrap, and is refused with ``ValueError`` before anything is allocated.
+    not widened to an int64 copy.  A non-integer stack, and a shape with
+    q**entries >= 2**63, whose codes would wrap, are refused with
+    ``ValueError`` before anything is allocated.
     """
-    shape = np.shape(mats)
-    width = math.prod(shape[1:])
+    arr = _integer_array(mats)
+    width = math.prod(arr.shape[1:])
     if q**width >= 1 << 63:
-        raise ValueError(f"{q}^{width} matrices of shape {shape[1:]} do not fit int64 keys")
-    arr = np.asarray(mats)
+        raise ValueError(f"{q}^{width} matrices of shape {arr.shape[1:]} do not fit int64 keys")
     # einsum casts the digits to int64 a buffer at a time
     return np.einsum("ij,j->i", arr.reshape(len(arr), width), q ** np.arange(width, dtype=np.int64))
 

@@ -150,7 +150,7 @@ def test_guards_exit_2(runner):
         ("weyl cosets --kind A --n 900", "WEYL_ORDER_GUARD"),
         ("cells dims --kind A --n 900", "WEYL_ORDER_GUARD"),
         ("flag census --kind A --n 300 --q 2", "FLAG_POINT_GUARD"),
-        ("flag check-cover --kind C --n 300 --q 2", "FLAG_POINT_GUARD"),
+        ("flag check-cover --kind C --n 300 --q 2", "GROUP_ORDER_GUARD"),
     ):
         refused(invoke(runner, args.split()), guard, "type " + args.split()[3])
     # flag commands take only the fields they have generators for
@@ -161,6 +161,30 @@ def test_guards_exit_2(runner):
         assert result.exit_code == 2
         assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1
         assert result.stdout_bytes == b""
+
+
+def test_check_cover_refuses_a_large_group_before_the_closure_sweep(runner, monkeypatch):
+    # the closure sweep of A 3 3 enumerates 33,880 points (about 2 s) before
+    # the group guard would be reached
+    swept = []
+    genuine = cli.flagfq.enumerate_flag
+    monkeypatch.setattr(cli.flagfq, "enumerate_flag", lambda *args: swept.append(args) or genuine(*args))
+    refused(invoke(runner, "flag check-cover --kind A --n 3 --q 3".split()), "GROUP_ORDER_GUARD")
+    assert swept == []
+
+
+@pytest.mark.parametrize("q", sorted(kernels.PRIMITIVE_ROOT))
+@pytest.mark.parametrize("kind", ["A", "C"])
+def test_guards_keep_every_flag_shape_in_one_byte_lane(runner, monkeypatch, kind, q):
+    # a flag point or group element has 2n columns, the inner dimension of
+    # every matmul_mod call; take the smallest n that would overflow a byte lane
+    n = -(-(1 << 8) // (2 * (q - 1) ** 2))
+    assert 2 * (n - 1) * (q - 1) ** 2 < 1 << 8 <= 2 * n * (q - 1) ** 2
+    calls = []
+    monkeypatch.setattr(kernels, "matmul_mod", lambda *args: calls.append(args))
+    for command in ("check-cover", "check-finding-j"):
+        refused(invoke(runner, ["flag", command, "--kind", kind, "--n", str(n), "--q", str(q)]), "_GUARD")
+    assert calls == []
 
 
 def test_unusable_output_dir_exits_2_before_the_report(runner, tmp_path, monkeypatch):

@@ -144,16 +144,31 @@ def test_matmul_mod_reduces_unreduced_operands(q):
         assert_matmul_matches_the_oracle(x, y, q)
 
 
+def widest_byte_lane(q):
+    """The widest inner dimension s whose lane sums s (q-1)^2 fit a byte."""
+    s = 255 // (q - 1) ** 2
+    assert s * (q - 1) ** 2 < 1 << 8 <= (s + 1) * (q - 1) ** 2
+    return s
+
+
+def assert_one_step_past_is_refused(a, b, q):
+    """``a`` and ``b`` with the inner dimension one wider are refused."""
+    s = a.shape[-1] + 1
+    wider = np.zeros((*a.shape[:-1], s), dtype=a.dtype), np.zeros((*b.shape[:-2], s, b.shape[-1]), dtype=b.dtype)
+    with pytest.raises(ValueError, match=f"^inner dimension {s} over F_{q} overflows a byte lane"):
+        kernels.matmul_mod(*wider, q)
+
+
 @Q
 def test_matmul_mod_at_the_widest_inner_dimension(q):
-    # every lane sum is s (q-1)^2, the most a lane can hold: 65535, 65532, 65520
-    s = ((1 << 16) - 1) // (q - 1) ** 2
-    assert s * (q - 1) ** 2 < 1 << 16 <= (s + 1) * (q - 1) ** 2
+    # every lane sum is s (q-1)^2, the most a byte lane can hold: 255, 252, 240
+    s = widest_byte_lane(q)
     for a, b in (
         (np.full((2, 2, s), q - 1), np.full((2, s, 5), q - 1)),
         (np.full((1, 1, s), -1), np.full((s, 3), 2 * q - 1)),  # q - 1 once reduced
     ):
         assert_matmul_matches_the_oracle(a, b, q)
+        assert_one_step_past_is_refused(a, b, q)
 
 
 def largest_byte(q):
@@ -194,7 +209,7 @@ def test_mixed_byte_and_int64_operands(q):
 
 @Q
 def test_matmul_mod_at_the_widest_inner_dimension_with_byte_operands(q):
-    s = ((1 << 16) - 1) // (q - 1) ** 2
+    s = widest_byte_lane(q)
     top = largest_byte(q)  # q - 1 once reduced
     for a, b in (
         (np.full((2, 2, s), q - 1, dtype=np.uint8), np.full((2, s, 5), q - 1, dtype=np.uint8)),
@@ -202,6 +217,7 @@ def test_matmul_mod_at_the_widest_inner_dimension_with_byte_operands(q):
         (np.full((1, 2, s), top, dtype=np.uint8), np.full((1, s, 2), -1)),  # an int64 right operand
     ):
         assert_matmul_matches_the_oracle(a, b, q)
+        assert_one_step_past_is_refused(a, b, q)
 
 
 @Q
@@ -210,7 +226,7 @@ def test_byte_operands_are_used_without_an_int64_copy(q):
     stack = rng.integers(0, q, size=(4096, 4, 4), dtype=np.uint8)
     assert kernels._reduced(stack, q) is stack  # in range: one max, no copy
     assert (kernels._reduced(stack + q, q) == stack).all()
-    # only the left operand is widened, to uint64; an int64 copy of the right
+    # only the left operand is widened, to uint32; an int64 copy of the right
     # operand alone would take 2 MB
     a = rng.integers(0, q, size=(4096, 1, 8), dtype=np.uint8)
     b = rng.integers(0, q, size=(4096, 8, 8), dtype=np.uint8)
@@ -222,15 +238,13 @@ def test_byte_operands_are_used_without_an_int64_copy(q):
 
 
 @Q
-@pytest.mark.parametrize("lane", ["byte", "16-bit"])
-def test_matmul_mod_keeps_its_contract_at_the_lane_edges_and_across_blocks(q, lane, monkeypatch):
+@pytest.mark.parametrize("edge", ["widest", "one-past"])
+def test_matmul_mod_keeps_its_contract_at_the_lane_edges_and_across_blocks(q, edge, monkeypatch):
     # the widest inner dimension with byte lanes, s (q-1)^2 <= 255, and the
-    # narrowest with 16-bit lanes, s (q-1)^2 >= 256; stacks of one block less
-    # one, one block and one block and one, with BLOCK made small
+    # next, refused; stacks of one block less one, one block and one block
+    # and one, with BLOCK made small
     monkeypatch.setattr(kernels, "BLOCK", 4)
-    widest_byte = 255 // (q - 1) ** 2
-    s = widest_byte if lane == "byte" else widest_byte + 1
-    assert (s * (q - 1) ** 2 < 1 << 8) == (lane == "byte")
+    s = widest_byte_lane(q) + (edge == "one-past")
     rng = np.random.default_rng(13)
     for t in range(1, 10):
         for count in (kernels.BLOCK - 1, kernels.BLOCK, kernels.BLOCK + 1):
@@ -239,12 +253,16 @@ def test_matmul_mod_keeps_its_contract_at_the_lane_edges_and_across_blocks(q, la
             for b in (rng.integers(0, q, size=(count, s, t), dtype=np.uint8), rng.integers(0, q, size=(s, t))):
                 b[..., -1] = q - 1
                 before = a.copy(), b.copy()
-                got = kernels.matmul_mod(a, b, q)
-                assert got.dtype == np.uint8 and got.shape == (count, 2, t)
-                assert got.flags.c_contiguous and got.flags.writeable
-                assert got.tolist() == naive_matmul(a, b, q)
+                if edge == "widest":
+                    got = kernels.matmul_mod(a, b, q)
+                    assert got.dtype == np.uint8 and got.shape == (count, 2, t)
+                    assert got.flags.c_contiguous and got.flags.writeable
+                    assert got.tolist() == naive_matmul(a, b, q)
+                    got[...] = 0  # the result is the caller's own
+                else:
+                    with pytest.raises(ValueError, match="overflows a byte lane"):
+                        kernels.matmul_mod(a, b, q)
                 assert (a == before[0]).all() and (b == before[1]).all()  # the operands are left alone
-                got[...] = 0  # the result is the caller's own
 
 
 @Q
@@ -260,10 +278,11 @@ def test_matmul_mod_on_a_large_byte_stack_stays_within_its_block(q):
 
 @Q
 def test_matmul_mod_refuses_a_lane_overflow_before_allocating(q):
-    s = ((1 << 16) - 1) // (q - 1) ** 2 + 1  # one step past the widest
-    message = f"^inner dimension {s} over F_{q} overflows a 16-bit lane"
-    # int32 operands, so reducing them first would allocate int64 copies of both
-    a, b = np.full((4, 2, s), q - 1, dtype=np.int32), np.full((s, 1), q - 1, dtype=np.int32)
+    s = widest_byte_lane(q) + 1  # one step past the widest
+    message = f"^inner dimension {s} over F_{q} overflows a byte lane"
+    # int32 operands, so reducing them first would allocate int64 copies of
+    # both; 2^17 entries on the left at every q
+    a, b = np.full(((1 << 16) // s, 2, s), q - 1, dtype=np.int32), np.full((s, 1), q - 1, dtype=np.int32)
     assert refusal_peak_bytes(lambda: kernels.matmul_mod(a, b, q), message) < a.size * 8 // 4
     with pytest.raises(ValueError, match=message):
         kernels.matmul_mod(np.zeros((0, 1, s), dtype=np.int64), np.zeros((0, s, 4), dtype=np.int64), q)
@@ -317,21 +336,25 @@ def test_stacks_on_either_side_of_the_scalar_bound_match_the_oracle(q, shape, mo
     widest = kernels.SCALAR_STACK_ROWS // r  # the most matrices at or below the bound
     rng = np.random.default_rng(5)
     for count, stacked in ((1, False), (widest, False), (widest + 1, True)):
-        mats = rng.integers(-7, 9, size=(count, r, c))  # entries outside [0, q)
-        mats[0, 0] = 0  # a zero row
-        mats[-1, -1] = 2 * mats[-1, 0] - q * mats[-1, 1]  # twice the first row mod q
-        before = mats.copy()
-        stack_calls.clear()
-        red, ranks = kernels.rref_mod(mats, q)
-        assert stack_calls == ([(count, r, c)] if stacked else [])
-        assert (mats == before).all()  # the input stack is left alone
-        assert red.dtype == np.uint8 and ranks.dtype == np.int64
-        assert red.shape == mats.shape and ranks.shape == (count,)
-        for i in range(count):
-            want, want_rank = naive_rref(mats[i], q)
-            assert (red[i] == want).all()
-            assert ranks[i] == want_rank
-        assert (kernels.rank_mod(mats, q) == ranks).all()
+        wide = rng.integers(-7, 9, size=(count, r, c))  # entries outside [0, q)
+        wide[0, 0] = 0  # a zero row
+        wide[-1, -1] = 2 * wide[-1, 0] - q * wide[-1, 1]  # twice the first row mod q
+        in_range = (wide % q).astype(np.uint8)
+        # an in-range byte stack is not copied on entry, and _rref_stack works in place
+        assert kernels._reduced(in_range, q) is in_range
+        for mats in (wide, in_range):
+            before = mats.copy()
+            stack_calls.clear()
+            red, ranks = kernels.rref_mod(mats, q)
+            assert stack_calls == ([(count, r, c)] if stacked else [])
+            assert (mats == before).all()  # the input stack is left alone
+            assert red.dtype == np.uint8 and ranks.dtype == np.int64
+            assert red.shape == mats.shape and ranks.shape == (count,)
+            for i in range(count):
+                want, want_rank = naive_rref(mats[i], q)
+                assert (red[i] == want).all()
+                assert ranks[i] == want_rank
+            assert (kernels.rank_mod(mats, q) == ranks).all()
     assert widest * r <= kernels.SCALAR_STACK_ROWS < (widest + 1) * r
 
 
@@ -355,6 +378,32 @@ def test_rref_and_rank_refuse_an_array_that_is_not_a_stack(shape, dtype, monkeyp
     for fn in (kernels.rref_mod, kernels.rank_mod):
         with pytest.raises(ValueError, match=f"got a {len(shape)}-D array"):
             fn(mats, 3)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.bool_, object], ids=lambda d: np.dtype(d).name)
+def test_every_kernel_refuses_a_stack_that_is_not_of_integers(dtype):
+    # a float entry would be truncated (0.5 to 0), and a bool, complex or
+    # object one is not a residue; stacks of 4x4 matrices on both sides of
+    # SCALAR_STACK_ROWS, as either operand of matmul_mod
+    message = f"must have an integer dtype, got {np.dtype(dtype).name}"
+    ints = np.eye(4, dtype=np.int64)
+    for count in (kernels.SCALAR_STACK_ROWS // 4, kernels.SCALAR_STACK_ROWS // 4 + 1):
+        mats = np.ones((count, 4, 4), dtype=dtype)
+        for call in (
+            lambda: kernels.matmul_mod(mats, ints, 3),
+            lambda: kernels.matmul_mod(ints[None].repeat(count, axis=0), mats, 3),
+            lambda: kernels.rref_mod(mats, 3),
+            lambda: kernels.rank_mod(mats, 3),
+            lambda: kernels.mat_keys(mats, 3),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
+    # a dtype test only: a uint8 copy of this stack would take 64 KB
+    big = np.ones((4096, 4, 4), dtype=dtype)
+    for call in (lambda: kernels.matmul_mod(big, ints, 3), lambda: kernels.rref_mod(big, 3), lambda: kernels.mat_keys(big, 3)):
+        assert refusal_peak_bytes(call, message) < big.size // 2
+    with pytest.raises(ValueError, match="got float64"):
+        kernels.matmul_mod(np.array([[[0.5, 1.0], [1.0, 0.0]]]), np.eye(2, dtype=np.int64), 2)
 
 
 @Q
