@@ -36,8 +36,8 @@ multiplied by ``kernels._mul_mod``, so numpy here holds only uint8 stacks
 and int64 code arrays.  The group G itself is held only as its sorted
 codes (``_group_keys``), a product set collects its codes in a buffer that
 is compacted as it fills, and the translates of the cover are kept as one
-running sorted union of their codes.  The closures walk int64 code arrays,
-with no Python int per element.
+running sorted union of their codes.  The closures walk byte stacks and
+keep sorted codes only for membership, with no Python int per element.
 """
 
 from __future__ import annotations
@@ -98,14 +98,6 @@ def parabolic_order(kind: GroupKind, q: int) -> int:
     return gl_order(n, q) * q ** (n * (n + 1) // 2)
 
 
-def gaussian_binomial(m: int, k: int, q: int) -> int:
-    num = den = 1
-    for i in range(k):
-        num *= q ** (m - i) - 1
-        den *= q ** (i + 1) - 1
-    return num // den
-
-
 def _binomial_coefficients(m: int, k: int) -> list[int]:
     """The coefficients of C(m, k)_q as a polynomial in q, lowest degree
     first, by the q-Pascal rule C(i, j) = C(i-1, j-1) + q^j C(i-1, j)."""
@@ -115,6 +107,11 @@ def _binomial_coefficients(m: int, k: int) -> list[int]:
             shifted = [0] * j + row[j] if row[j] else []
             row[j] = [x + y for x, y in itertools.zip_longest(row[j - 1], shifted, fillvalue=0)]
     return row[k]
+
+
+def gaussian_binomial(m: int, k: int, q: int) -> int:
+    """C(m, k)_q: the polynomial ``_binomial_coefficients(m, k)`` at q."""
+    return sum(c * q**i for i, c in enumerate(_binomial_coefficients(m, k)))
 
 
 def stratum_cells(kind: GroupKind, k: int) -> list[int]:
@@ -138,14 +135,9 @@ def stratum_size(kind: GroupKind, k: int, q: int) -> int:
 
 
 def flag_size(kind: GroupKind, q: int) -> int:
-    """Number of points: the Gaussian binomial C(2n, n)_q, or prod (q^i + 1)."""
-    n = kind.n
-    if kind.family is Family.TYPE_A:
-        return gaussian_binomial(2 * n, n, q)
-    out = 1
-    for i in range(1, n + 1):
-        out *= q**i + 1
-    return out
+    """Number of points, |G| / |P_I| (G is transitive with stabilizer P_I):
+    C(2n, n)_q in type A, prod (q^i + 1) in type C."""
+    return group_order(kind, q) // parabolic_order(kind, q)
 
 
 # ------------------------------------------------------------- group elements
@@ -215,31 +207,31 @@ def _closure(gens: list[Rows], q: int, expected: int) -> np.ndarray:
     """Breadth-first closure of a generating set, as a deterministic uint8
     stack, certified to have ``expected`` elements.
 
-    The walk is ``weyl.walk``'s, on int64 ``mat_keys`` code arrays: each
-    level's frontier is decoded once and multiplied by one generator at a
-    time, and an image is new when it is the first occurrence of its code
-    in that generator's images (``np.unique``) and is missing from the
-    sorted codes seen so far (``searchsorted``), into which the new codes
-    are then inserted.  So the stack is in ``walk``'s discovery order, with
-    its level sizes and kernel calls, and no Python int is held per element.
+    The walk is ``weyl.walk``'s, on byte stacks: each level's frontier is
+    multiplied by one generator at a time and the product keyed once.  An
+    image is new when it is the first occurrence of its code there
+    (``np.unique``) and is missing from the sorted codes seen so far
+    (``searchsorted``), which keep codes only for membership; the new rows
+    form the next frontier, and the levels are concatenated at the end.  So
+    the stack is in ``walk``'s discovery order, with its level sizes and
+    kernel calls, and no Python int is held per element.
     """
     m = len(gens[0])
     gen_stack = np.array(gens, dtype=np.uint8)
-    frontier = kernels.mat_keys(np.array([_scalar(m, 1)], dtype=np.uint8), q)
-    seen, order = frontier, [frontier]
+    frontier = np.array([_scalar(m, 1)], dtype=np.uint8)
+    seen, order = kernels.mat_keys(frontier, q), [frontier]
     while len(frontier):
-        stack = kernels.mats_from_keys(frontier, (m, m), q)
         fresh = []
         for g in gen_stack:
-            images = kernels.mat_keys(kernels.matmul_mod(stack, g, q), q)
-            codes, first = np.unique(images, return_index=True)
+            images = kernels.matmul_mod(frontier, g, q)
+            codes, first = np.unique(kernels.mat_keys(images, q), return_index=True)
             at = np.searchsorted(seen, codes)
             new = seen[np.minimum(at, len(seen) - 1)] != codes
             seen = np.insert(seen, at[new], codes[new])
             fresh.append(images[np.sort(first[new])])
         frontier = np.concatenate(fresh)
         order.append(frontier)
-    out = kernels.mats_from_keys(np.concatenate(order), (m, m), q)
+    out = np.concatenate(order)
     if out.shape[0] != expected:
         raise AssertionError(f"closure reached {out.shape[0]} elements, expected {expected}")
     return out

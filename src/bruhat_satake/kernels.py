@@ -4,9 +4,9 @@ The finite flag sweeps reduce to three bulk operations on stacks of small
 integer matrices mod q: stack matmul, stack reduced row echelon form, and
 stack rank.  A matrix over F_q is stored in bytes: every array a kernel
 returns for matrices is uint8, one byte per entry, each in [0, q).  Ranks
-and ``mat_keys`` codes are int64.  An array operand of any integer dtype
-is accepted, and any other dtype (float, complex, bool, object) is refused
-with ``ValueError`` before anything is allocated; a uint8 one already in
+and ``mat_keys`` codes are int64.  Every array operand passes one gate,
+``_reduced``: a non-integer dtype (float, complex, bool, object) is refused
+with ``ValueError`` before anything is allocated, a uint8 one already in
 [0, q) is used as it is, after one max, and anything else is reduced mod q
 and copied into bytes.  ``rref_mod`` and ``rank_mod`` take two forms and
 return the one they are given: a single matrix is Python rows (a list or
@@ -35,11 +35,11 @@ packing, read as words in place.  The left operand is widened ``BLOCK`` =
 2^14 matrices at a time into one preallocated result, so the temporaries
 are bounded by a block, not by the stack.
 
-A matrix is keyed by ``mat_keys``: one exact int64 code, its row-major
-entries read as base-q digits (in place: a byte stack is not widened), so
-equal matrices have equal codes, a set of matrices is a sorted array of
-codes and ``mats_from_keys`` decodes them into a byte stack, one digit
-column at a time.
+A matrix is keyed by ``mat_keys``: one int64 code, its row-major entries
+reduced mod q by the gate and read as base-q digits, exact and injective
+for every integer input, so a set of matrices is a sorted array of codes
+and ``mats_from_keys`` decodes them into a byte stack, one digit column at
+a time.
 
 Every single matrix of the library (``Rows``: a flag generator, Weyl lift or
 point, J, a ``padic`` block, an ``ordcoh`` operator) is a tuple of tuples of
@@ -128,8 +128,8 @@ def _rref_stack(m: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
 def rref_rows(rows: list[list[int]], q: int) -> tuple[list[list[int]], int]:
     """Gauss-Jordan on one matrix given as Python rows; returns (rows, rank).
 
-    Python ints throughout, so q may be any prime (``ordcoh.rank_mod_p``
-    feeds it rows directly); ``rref_mod`` checks q before calling it.
+    Python ints throughout, so q may be any prime: its rank is the rank over
+    any prime field, ``rank_mod`` the one over F_q, which checks q.
     """
     rows = [[x % q for x in row] for row in rows]
     n_rows = len(rows)
@@ -193,19 +193,14 @@ def _symplectic_form_q(n: int) -> Rows:
     return tuple(tuple(int(j == n + i) - int(i == n + j) for j in range(2 * n)) for i in range(2 * n))
 
 
-def _integer_array(a) -> np.ndarray:
+def _reduced(a, q: int) -> np.ndarray:
+    """The one gate of array operands: the integer array ``a`` as a
+    C-contiguous uint8 array with entries in [0, q), any other dtype refused.
+    A uint8 array already in range is returned as it is, after one max; any
+    other is reduced mod q, only if some entry needs it, and copied."""
     a = np.asarray(a)
     if a.dtype.kind not in "iu":
         raise ValueError(f"a matrix stack must have an integer dtype, got {a.dtype}")
-    return a
-
-
-def _reduced(a, q: int) -> np.ndarray:
-    """The integer array ``a`` as a C-contiguous uint8 array with entries in
-    [0, q).  A uint8 array already in range is returned as it is, after one
-    max; any other is reduced mod q, only if some entry needs it, and copied
-    into bytes."""
-    a = _integer_array(a)
     # read as unsigned a negative entry is past q too, so one max finds any entry outside [0, q)
     unsigned = a.view(f"u{a.itemsize}") if a.dtype.kind == "i" else a
     if a.size and unsigned.max() >= q:
@@ -225,15 +220,18 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     to a uint32 word, so one product word holds ``LANES`` entries of a @ b,
     each a byte lane sum of at most s (q-1)^2.  A shape whose lane sum could
     reach 2^8 (s past 255, 63, 15 at q = 2, 3, 5) is refused with
-    ``ValueError`` before anything is allocated, as is a non-integer
-    operand.  A byte right operand whose width t is a multiple of ``LANES``
-    is already packed and is read as words in place.  The left operand is
-    widened to words ``BLOCK`` matrices at a time, and each block's lanes
-    are reduced mod q by ``bytes.translate`` through a 256-byte residue
-    table into one preallocated result.  The result is a fresh C-contiguous
-    uint8 stack; the operands are not changed.
+    ``ValueError`` before anything is allocated, as are a non-integer
+    operand, a left operand that is not 3-D and a right one that is neither
+    2-D nor 3-D.  A byte right operand whose width t is a multiple of
+    ``LANES`` is already packed and is read as words in place.  The left
+    operand is widened to words ``BLOCK`` matrices at a time, and each
+    block's lanes are reduced mod q by ``bytes.translate`` through a
+    256-byte residue table into one preallocated result.  The result is a
+    fresh C-contiguous uint8 stack; the operands are not changed.
     """
     check_q(q)
+    if np.ndim(a) != 3 or np.ndim(b) not in (2, 3):
+        raise ValueError(f"a must be a 3-D stack and b 2-D or 3-D, got {np.ndim(a)}-D and {np.ndim(b)}-D")
     s, t = np.shape(b)[-2:]
     if s * (q - 1) ** 2 >= 1 << 8:
         raise ValueError(f"inner dimension {s} over F_{q} overflows a byte lane: {s} * {q - 1}^2 >= 2^8")
@@ -290,23 +288,23 @@ def rank_mod(mats, q: int):
 
 
 def mat_keys(mats: np.ndarray, q: int) -> np.ndarray:
-    """Canonical keys for a stack of matrices with entries in [0, q): the
-    int64 code of each matrix, its row-major entries read as base-q digits
-    with the first entry least significant.
+    """Canonical keys for a stack of integer matrices: the int64 code of
+    each, its row-major entries reduced mod q and read as base-q digits with
+    the first entry least significant.
 
-    Codes are exact and injective on one shape, so equal matrices have equal
-    codes, whatever the integer dtype of the stack, and a set of matrices is
-    a sorted array of codes.  The digits are read in place: a uint8 stack is
-    not widened to an int64 copy.  A non-integer stack, and a shape with
-    q**entries >= 2**63, whose codes would wrap, are refused with
-    ``ValueError`` before anything is allocated.
+    Read through the one gate ``_reduced``, the codes are exact and injective
+    on one shape for every integer input, and an in-range uint8 stack is read
+    in place, not widened.  A q outside ``PRIMITIVE_ROOT``, a shape with
+    q**entries >= 2**63, whose codes would wrap, and a non-integer stack are
+    refused with ``ValueError`` before anything is allocated.
     """
-    arr = _integer_array(mats)
+    check_q(q)
+    arr = np.asarray(mats)
     width = math.prod(arr.shape[1:])
     if q**width >= 1 << 63:
         raise ValueError(f"{q}^{width} matrices of shape {arr.shape[1:]} do not fit int64 keys")
     # einsum casts the digits to int64 a buffer at a time
-    return np.einsum("ij,j->i", arr.reshape(len(arr), width), q ** np.arange(width, dtype=np.int64))
+    return np.einsum("ij,j->i", _reduced(arr, q).reshape(len(arr), width), q ** np.arange(width, dtype=np.int64))
 
 
 def mats_from_keys(keys, shape: tuple[int, ...], q: int) -> np.ndarray:

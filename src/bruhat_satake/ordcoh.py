@@ -28,7 +28,7 @@ import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
-from .kernels import Rows, _mul_mod, _scalar, rref_rows
+from .kernels import Rows, _mul_mod, _scalar
 from .padic import check_level, check_modulus, is_prime
 
 KOSZUL_DEGREE_GUARD = 12
@@ -185,11 +185,6 @@ def ordinary_limit(U, lam: Lambda) -> tuple[Rows, int]:
     if _mul_mod(e, e, mod) != e:
         raise AssertionError("stable exponent failed to produce an idempotent")
     return e, n
-
-
-def rank_mod_p(rows: list[list[int]], p: int) -> int:
-    """Rank mod p of integer rows, by the kernels' scalar Gauss-Jordan."""
-    return rref_rows(rows, p)[1]
 
 
 def ordinary_part_of_hecke_gamma(d: int, lam: Lambda, a: int = 2) -> tuple[int, ...]:

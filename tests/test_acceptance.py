@@ -181,7 +181,7 @@ def test_criterion_7_cohomology_and_projectors():
             ok = ok and ((e @ U) % mod == (U @ e) % mod).all()
             eye = np.eye(size, dtype=np.int64)
             mixed = (e @ U @ e + (eye - e)) % mod
-            ok = ok and ordcoh.rank_mod_p(mixed.tolist(), lam.p) == size
+            ok = ok and kernels.rref_rows(mixed.tolist(), lam.p)[1] == size
             if not ok:
                 break
     conclude("criterion 7 (cohomology and projectors)", 60.0, started, ok)

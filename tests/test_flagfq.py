@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -143,6 +144,13 @@ def test_order_formulas(q):
     assert flagfq.flag_size(weyl.type_a(1), q) == q + 1
     assert flagfq.flag_size(weyl.type_c(1), q) == q + 1
     assert flagfq.flag_size(weyl.type_a(2), q) == flagfq.gaussian_binomial(4, 2, q)
+    # |G| / |P_I| against the per-family closed forms, with no enumeration
+    for n in range(1, 9):
+        assert flagfq.flag_size(weyl.type_a(n), q) == q_binomial(2 * n, n, q)
+        assert flagfq.flag_size(weyl.type_c(n), q) == math.prod(q**i + 1 for i in range(1, n + 1))
+    for m in range(13):
+        for k in range(m + 1):
+            assert flagfq.gaussian_binomial(m, k, q) == q_binomial(m, k, q)
 
 
 @pytest.mark.parametrize(

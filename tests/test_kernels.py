@@ -288,6 +288,24 @@ def test_matmul_mod_refuses_a_lane_overflow_before_allocating(q):
         kernels.matmul_mod(np.zeros((0, 1, s), dtype=np.int64), np.zeros((0, s, 4), dtype=np.int64), q)
 
 
+def test_matmul_mod_refuses_operands_of_a_wrong_dimension_before_allocating():
+    # read as a stack of rows, a 2-D left operand would give a (2, 2, 2)
+    # result, every "matrix" of it the whole product
+    with pytest.raises(ValueError, match="got 2-D and 2-D"):
+        kernels.matmul_mod(np.array([[1, 1], [0, 1]]), np.array([[1, 0], [1, 1]]), 3)
+    # int64 operands of 2^16 entries, whose byte copies would take 64 KB
+    stack, square = np.ones((4096, 4, 4), dtype=np.int64), np.ones((4, 4), dtype=np.int64)
+    for a, b in (
+        (stack.reshape(-1, 4), square),
+        (stack.reshape(-1), square),
+        (stack[None], square),
+        (stack, square[0]),
+        (stack, stack[None]),
+    ):
+        message = f"^a must be a 3-D stack and b 2-D or 3-D, got {a.ndim}-D and {b.ndim}-D$"
+        assert refusal_peak_bytes(lambda: kernels.matmul_mod(a, b, 3), message) < stack.size // 2
+
+
 @Q
 def test_rref_on_python_rows_matches_the_equal_array(q):
     # the equal array is the one-matrix stack mat[None]
@@ -432,6 +450,26 @@ def test_mat_keys_agree_on_every_integer_form_of_a_stack_and_round_trip_in_bytes
     assert back.dtype == np.uint8 and back.shape == mats.shape and (back == mats).all()
     assert kernels.mat_keys(back, q).tolist() == want.tolist()
     assert kernels.mats_from_keys([], (3, 5), q).shape == (0, 3, 5)
+
+
+def test_mat_keys_reduce_every_integer_stack_mod_q():
+    # unreduced, [[3, 0]] and [[0, 1]] would share the code 3 and [[-1, 0]]
+    # get -1; in uint16 a -1 is 2^16 - 1 = 0 mod 3, so it is 2^16 - 2 = 2 mod 3
+    for dtype, last in ((np.int8, -1), (np.int64, -1), (np.uint16, (1 << 16) - 2)):
+        stack = np.array([[[3, 0]], [[0, 1]], [[last, 0]]]).astype(dtype)
+        keys = kernels.mat_keys(stack, 3).tolist()
+        assert keys == kernels.mat_keys(stack % 3, 3).tolist() == [0, 3, 2]
+        assert len(set(keys)) == 3
+    # the digits are bytes, so a q outside the fields is refused
+    with pytest.raises(ValueError, match="^q must be one of 2, 3, 5, got 257$"):
+        kernels.mat_keys(np.zeros((1, 1, 2), dtype=np.int64), 257)
+
+
+@Q
+def test_mat_keys_read_an_in_range_byte_stack_in_place(q):
+    stack = np.random.default_rng(13).integers(0, q, size=(10**5, 4, 4), dtype=np.uint8)
+    # the int64 codes take 8 bytes a matrix, and a byte copy of the stack would add 16
+    assert traced_peak_bytes(lambda: kernels.mat_keys(stack, q)) < 8 * len(stack) + stack.nbytes // 2
 
 
 def test_mat_keys_distinguish_every_2x2_matrix_over_f3():
