@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -222,27 +223,71 @@ def walk(start, images) -> dict:
     return levels
 
 
-def right_images(gens: list[tuple[int, ...]]):
-    """The ``images`` of ``walk`` for right multiplication of one-line
-    permutations by each of ``gens``: (w s)(i) = w(s(i)), one
-    ``compose(w, s)`` per frontier element."""
-    getters = [itemgetter(*[i - 1 for i in g]) for g in gens]
-    return lambda frontier: (list(map(get, frontier)) for get in getters)
+def _factor_words(kind: GroupKind) -> list[list[int]]:
+    """The reduced words, as 0-based indices into ``simple_reflections``,
+    whose prefixes are the minimal coset representatives D^J of each step of
+    ``length_table``: s_i s_{i-1} ... s_1 adds s_i to <s_1..s_{i-1}> for
+    i = 1..2n-1 (type A); s_i ... s_{n-1} s_n s_{n-1} ... s_i adds s_i to
+    <s_{i+1}..s_n> for i = n..1 (type C).
+
+    >>> _factor_words(type_c(2))
+    [[1], [0, 1, 0]]
+    """
+    n = kind.n
+    if kind.family is Family.TYPE_A:
+        return [list(range(i, -1, -1)) for i in range(2 * n - 1)]
+    return [[*range(i, n), *range(n - 2, i - 1, -1)] for i in reversed(range(n))]
+
+
+def _products_by_length(levels: list[list[tuple[int, ...]]], prefixes: list[tuple[int, ...]]):
+    """For each length L in increasing order, L and the perms u d with u in
+    ``levels[l(u)]``, d = ``prefixes[l(d)]`` and l(u) + l(d) = L, each built
+    once by an ``itemgetter`` (the identity prefix keeps u itself)."""
+    getters = [None] + [itemgetter(*[i - 1 for i in d]) for d in prefixes[1:]]
+    for total in range(len(levels) + len(prefixes) - 1):
+        yield total, itertools.chain.from_iterable(
+            map(get, levels[total - ell]) if get else levels[total - ell]
+            for ell, get in enumerate(getters)
+            if 0 <= total - ell < len(levels)
+        )
 
 
 @lru_cache(maxsize=None)
 def length_table(kind: GroupKind) -> MappingProxyType:
-    """``{perm: Coxeter length}`` for all of W in breadth-first order, so each w
-    comes after every shorter w s: the one enumeration of W.  It is built once
-    per kind (racing first calls install equal tables, safe under CPython) and
-    shared read-only, as ``flagfq`` builds its Weyl lifts over it."""
+    """``{perm: Coxeter length}`` for all of W, in order of length with the
+    identity first, so each w comes after every shorter w s: the one
+    enumeration of W.
+
+    W grows one simple reflection s at a time by the parabolic factorization
+    W_{J+s} = W_J D^J with l(u d) = l(u) + l(d) for u in W_J and d in D^J
+    (Björner–Brenti, Prop. 2.4.4), D^J being the prefixes of one reduced word
+    (``_factor_words``); so every element is built once, with no dedupe, and
+    the last step writes its products straight into the table, length by
+    length.  The table is built once per kind (racing first calls install
+    equal tables, safe under CPython) and shared read-only, as ``flagfq``
+    builds its Weyl lifts over it.
+
+    >>> list(Counter(length_table(type_c(2)).values()).values())
+    [1, 2, 2, 2, 1]
+    >>> list(Counter(length_table(type_a(2)).values()).values())
+    [1, 3, 5, 6, 5, 3, 1]
+    """
     check_order(kind)
     gens = [s.perm for s in simple_reflections(kind)]
-    return MappingProxyType(walk(identity(kind).perm, right_images(gens)))
+    e = identity(kind).perm
+    prefixes = lambda word: list(itertools.accumulate([gens[j] for j in word], compose, initial=e))
+    *steps, last = _factor_words(kind)
+    levels = [[e]]  # W_J by length, J empty
+    for word in steps:
+        levels = [list(perms) for _, perms in _products_by_length(levels, prefixes(word))]
+    table = {}
+    for ell, perms in _products_by_length(levels, prefixes(last)):
+        table.update(zip(perms, itertools.repeat(ell)))
+    return MappingProxyType(table)
 
 
 def length(w: WeylElement) -> int:
-    """Coxeter length, read off the Cayley graph of the simple reflections.
+    """Coxeter length, read off ``length_table``.
 
     >>> length(from_cycles(type_a(1), [(1, 2)]))
     1
@@ -252,9 +297,11 @@ def length(w: WeylElement) -> int:
 
 @lru_cache(maxsize=None)
 def _sorted_perms(kind: GroupKind) -> tuple[tuple[int, ...], ...]:
-    """The perms of ``length_table`` sorted by perm, then stably by length."""
+    """The perms of ``length_table`` sorted by (length, perm): each length's
+    run of the table, which is in order of length, sorted on its own."""
     table = length_table(kind)
-    return tuple(sorted(sorted(table), key=table.__getitem__))
+    perms, sizes = iter(table), Counter(table.values()).values()
+    return tuple(itertools.chain.from_iterable(sorted(itertools.islice(perms, size)) for size in sizes))
 
 
 def all_elements(kind: GroupKind) -> list[WeylElement]:

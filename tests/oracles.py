@@ -1,11 +1,12 @@
 """Oracles and helpers that only the tests use.
 
 Each is a direct construction that the tests compare with the library's own
-path to the same object: Weyl group inverses, the parabolic subgroup W_I
-by a walk and the double cosets by a two-sided walk, the frame involutions
-w_J, the Weyl action on roots, block matrix inverses and transposes built
-through the checking constructor, and the group action and isotropy of flag
-points over F_q.
+path to the same object: Weyl group inverses, the length table by a
+breadth-first walk over W, the parabolic subgroup W_I by a walk and the
+double cosets by a two-sided walk, the frame involutions w_J, the Weyl
+action on roots, block matrix inverses and transposes built through the
+checking constructor, and the group action and isotropy of flag points
+over F_q.
 """
 
 import itertools
@@ -27,18 +28,34 @@ def weyl_inverse(w: weyl.WeylElement) -> weyl.WeylElement:
     return weyl.WeylElement(w.kind, tuple(inv))
 
 
+def right_images(gens: list[tuple[int, ...]]):
+    """The ``images`` of ``weyl.walk`` for right multiplication of one-line
+    permutations by each of ``gens``: (w s)(i) = w(s(i)), one
+    ``weyl.compose(w, s)`` per frontier element."""
+    getters = [itemgetter(*[i - 1 for i in g]) for g in gens]
+    return lambda frontier: (list(map(get, frontier)) for get in getters)
+
+
+def length_table(kind: weyl.GroupKind) -> dict[tuple[int, ...], int]:
+    """``{perm: Coxeter length}`` for all of W by a breadth-first walk over
+    the Cayley graph of the simple reflections, in discovery order."""
+    weyl.check_order(kind)
+    gens = [s.perm for s in weyl.simple_reflections(kind)]
+    return weyl.walk(weyl.identity(kind).perm, right_images(gens))
+
+
 def parabolic_elements(kind: weyl.GroupKind) -> list[weyl.WeylElement]:
     """Every element of W_I, by a walk over the generators of the mark, sorted."""
     weyl.check_order(kind)
     gens = [s.perm for s in weyl.parabolic_mark(kind)]
-    perms = weyl.walk(weyl.identity(kind).perm, weyl.right_images(gens))
+    perms = weyl.walk(weyl.identity(kind).perm, right_images(gens))
     return [weyl.WeylElement(kind, perm) for perm in sorted(perms)]
 
 
 def two_sided_images(gens: list[tuple[int, ...]]):
     """The ``images`` of ``weyl.walk`` for multiplication by each of ``gens``
     on both sides: w s, then s w, generator by generator."""
-    right = weyl.right_images(gens)
+    right = right_images(gens)
     padded = [(0,) + g for g in gens]  # padded[i] = s(i), as in ``weyl.compose``
 
     def images(frontier):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bruhat_satake import roots, weyl
 import oracles
-from oracles import parabolic_elements, two_sided_images, w_j, weyl_inverse
+from oracles import parabolic_elements, right_images, two_sided_images, w_j, weyl_inverse
 
 KINDS = [weyl.type_a(1), weyl.type_a(2), weyl.type_a(3), weyl.type_c(1), weyl.type_c(2), weyl.type_c(3)]
 
@@ -194,9 +194,16 @@ def test_tau_literal_values():
     assert weyl.tau(weyl.identity(kind)) == 0
 
 
-def test_enumeration_guard_refuses_before_any_bfs():
+def test_enumeration_guard_refuses_before_any_bfs(monkeypatch):
+    def built(self):
+        raise AssertionError("an element was built before the guard")
+
     for kind in (weyl.type_a(5), weyl.type_c(8)):
         assert weyl.order(kind) > weyl.WEYL_ORDER_GUARD
+        with monkeypatch.context() as patch:
+            patch.setattr(weyl.WeylElement, "__post_init__", built)
+            with pytest.raises(ValueError, match="WEYL_ORDER_GUARD"):
+                weyl.length_table(kind)
         with pytest.raises(ValueError):
             weyl.all_elements(kind)
         with pytest.raises(ValueError):
@@ -246,7 +253,7 @@ def test_walk_keeps_first_discoveries_in_generator_major_order():
 @pytest.mark.parametrize("kind", UP_TO_4)
 def test_walk_is_a_breadth_first_tree_of_w(kind):
     refl = weyl.simple_reflections(kind)
-    levels = weyl.walk(weyl.identity(kind).perm, weyl.right_images([s.perm for s in refl]))
+    levels = weyl.walk(weyl.identity(kind).perm, right_images([s.perm for s in refl]))
     # every element of W appears, once
     assert len(levels) == weyl.order(kind) and set(levels) == set(every_element(kind))
     # levels never decrease in discovery order
@@ -295,6 +302,41 @@ def test_length_table_is_read_only():
     assert table[weyl.identity(kind).perm] == 0
 
 
+TABLE_KINDS = [weyl.type_a(n) for n in range(1, 5)] + [weyl.type_c(n) for n in range(1, 7)]
+
+
+@pytest.mark.parametrize("kind", TABLE_KINDS, ids=lambda k: f"{k.family.value}{k.n}")
+def test_length_table_equals_the_breadth_first_walk(kind, monkeypatch):
+    want = oracles.length_table(kind)
+    # a cold table (the uncached builder) runs no walk and builds no element
+    # but the identity and the simple reflections it starts from
+    built, post_init = [], weyl.WeylElement.__post_init__
+
+    def counting_post_init(self):
+        built.append(self.perm)
+        post_init(self)
+
+    def forbidden(*args):
+        raise AssertionError("length_table walked W")
+
+    monkeypatch.setattr(weyl, "walk", forbidden)
+    monkeypatch.setattr(weyl.WeylElement, "__post_init__", counting_post_init)
+    table = weyl.length_table.__wrapped__(kind)
+    monkeypatch.undo()
+    gens = [s.perm for s in weyl.simple_reflections(kind)]
+    assert sorted(built) == sorted([weyl.identity(kind).perm, *gens])
+    assert table == want and weyl.length_table(kind) == want
+    # the identity first, lengths never decrease, and each w != e comes after
+    # some w s one shorter
+    perms = list(table)
+    assert perms[0] == weyl.identity(kind).perm
+    assert list(table.values()) == sorted(table.values())
+    position = {perm: i for i, perm in enumerate(perms)}
+    for i, perm in enumerate(perms[1:], start=1):
+        shorter = [weyl.compose(perm, s) for s in gens]
+        assert any(table[ws] == table[perm] - 1 and position[ws] < i for ws in shorter)
+
+
 # ------------------------------------------------------- permutation kernels
 # Oracles: the per-entry definitions i -> u(v(i)) and WeylElement products
 
@@ -330,7 +372,7 @@ def test_walk_images_are_weyl_element_products(kind):
     elements = [weyl.WeylElement(kind, perm) for perm in frontier]
     for gens in (weyl.simple_reflections(kind), weyl.parabolic_mark(kind)):
         perms_of = [s.perm for s in gens]
-        right = list(weyl.right_images(perms_of)(frontier))
+        right = list(right_images(perms_of)(frontier))
         assert right == [[(w * s).perm for w in elements] for s in gens]
         both = list(two_sided_images(perms_of)(frontier))
         assert both[0::2] == right
