@@ -3,41 +3,20 @@
 A point is an n-dimensional subspace of F_q^{2n} (an isotropic one in type
 C), held as the tuple of its reduced row echelon rows, each a tuple of
 Python ints.  The RREF is canonical for row span, so equal points are equal
-tuples; q is an argument of the flag's functions, not part of a point, and
-the points of one pivot pattern share their row tuples.  The ambient group
-acts on the right of row matrices through g^T, the parabolic P_I is the
-stabilizer of the base point U_0 = <e_1, ..., e_n>, and the statistic
-``tau_of_point`` (codimension of the meet with U_0) reads off the
-P_I-orbit.  It is the rank of the right n x n block of a point's rows,
-found by one scalar rank per point.  Type C points are walked row by row,
-and a prefix is pruned at its first row that pairs nonzero with an earlier
-one, so the non-isotropic candidates are never built.
+tuples; q is an argument of the flag's functions, not part of a point.  The
+ambient group acts on the right of row matrices through g^T, the parabolic
+P_I is the stabilizer of the base point U_0 = <e_1, ..., e_n>, and
+``tau_of_point`` reads off the P_I-orbit.
 
 The module provides the orbit census, the orbit-versus-tau partition
-check, the elementwise cover checks for translates of Pbar_I P_I, and the
-existence check for complementary frames J (each the frozenset of its
-members, from ``weyl.all_subsets_j``) over whole Borel orbits.
-Group elements are enumerated by breadth-first closure over explicit
-generators, with orders certified against the classical formulas.  The
-cover checks hold each set of matrices as a sorted array of distinct
-``kernels.mat_keys`` codes.  A chunk of products lies in a target set
-when merging its sorted codes into the target adds no distinct value, and
-the cover is one array comparison.  Bulk matrix work runs through
-:mod:`.kernels`.
-
-A stack of matrices over F_q is a uint8 array, one byte per entry in
-[0, q), as the kernels return it: the closures, the transposed Borel and
-parabolic, the chunk operands of the product sets, the decoded product
-sets and the translate operands.  Here such a stack is only reduced
-(``% q``), transposed, tiled, repeated, indexed and compared; every
-product of bytes is a ``kernels.matmul_mod`` call.  A single matrix (a
-generator, a Weyl lift, J) is ``kernels.Rows`` with entries in [0, q),
-multiplied by ``kernels._mul_mod``, so numpy here holds only uint8 stacks
-and int64 code arrays.  The group G itself is held only as its sorted
-codes (``_group_keys``), a product set collects its codes in a buffer that
-is compacted as it fills, and the translates of the cover are kept as one
-running sorted union of their codes.  The closures walk byte stacks and
-keep sorted codes only for membership, with no Python int per element.
+check, the cover checks for translates of Pbar_I P_I, and the check for
+complementary frames J over whole Borel orbits.  Group elements are
+enumerated by breadth-first closure over explicit generators, with orders
+certified against the classical formulas.  A stack of matrices is a uint8
+array, as :mod:`.kernels` returns it, and a set of them is a sorted array of
+``kernels.mat_keys`` codes; every product of a stack is a
+``kernels.matmul_mod`` call.  A single matrix (a generator, a Weyl lift, J)
+is ``kernels.Rows``.
 """
 
 from __future__ import annotations
@@ -145,7 +124,7 @@ def flag_size(kind: GroupKind, q: int) -> int:
 
 def is_in_group(kind: GroupKind, mat: Rows, q: int) -> bool:
     """Whether ``mat`` is invertible mod q, and in type C has g^T J g = J."""
-    if kernels.rank_mod(mat, q) != 2 * kind.n:
+    if kernels.rref_mod(mat, q)[1] != 2 * kind.n:
         return False
     if kind.family is Family.TYPE_C:
         J = tuple(tuple(x % q for x in row) for row in _symplectic_form_q(kind.n))
@@ -195,8 +174,7 @@ def simple_reflection_matrices(kind: GroupKind, q: int) -> list[Rows]:
 
 def parabolic_generators(kind: GroupKind, q: int) -> list[Rows]:
     refl = simple_reflection_matrices(kind, q)
-    keep = list(range(kind.n - 1)) + (list(range(kind.n, len(refl))) if kind.family is Family.TYPE_A else [])
-    return borel_generators(kind, q) + [refl[i] for i in keep]
+    return borel_generators(kind, q) + refl[: kind.n - 1] + refl[kind.n :]
 
 
 def group_generators(kind: GroupKind, q: int) -> list[Rows]:
@@ -380,10 +358,10 @@ def tau_of_point(U: Rows, q: int) -> int:
 
     With U's rows written [A | B] in n-column blocks, rank [[A, B], [I, 0]]
     = n + rank(B), so tau is the rank of the n x n block B: one
-    ``kernels.rank_mod`` call on Python rows, which returns an int.
+    ``kernels.rref_mod`` call on Python rows, whose rank is an int.
     """
     n = len(U)
-    return kernels.rank_mod([row[n:] for row in U], q)
+    return kernels.rref_mod([row[n:] for row in U], q)[1]
 
 
 def cell_census(kind: GroupKind, q: int) -> dict[int, int]:
@@ -574,8 +552,8 @@ def frame_subspace(J: frozenset[int], q: int) -> Rows:
 
 def meets_trivially(U: Rows, J: frozenset[int], q: int) -> bool:
     """U cap U_J = 0: the stacked rows of U and U_J have full rank, found by
-    one ``kernels.rank_mod`` call on Python rows."""
-    return kernels.rank_mod(U + frame_subspace(J, q), q) == len(U[0])
+    one ``kernels.rref_mod`` call on Python rows."""
+    return kernels.rref_mod(U + frame_subspace(J, q), q)[1] == len(U[0])
 
 
 def finding_j_check(kind: GroupKind, q: int) -> dict:

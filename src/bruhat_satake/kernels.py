@@ -1,58 +1,21 @@
 """Dense linear algebra over small prime fields, and single matrices as rows.
 
 The finite flag sweeps reduce to three bulk operations on stacks of small
-integer matrices mod q: stack matmul, stack reduced row echelon form, and
-stack rank.  A matrix over F_q is stored in bytes: every array a kernel
-returns for matrices is uint8, one byte per entry, each in [0, q).  Ranks
-and ``mat_keys`` codes are int64.  Every array operand passes one gate,
-``_reduced``: a non-integer dtype (float, complex, bool, object) is refused
-with ``ValueError`` before anything is allocated, a uint8 one already in
-[0, q) is used as it is, after one max, and anything else is reduced mod q
-and copied into bytes.  ``rref_mod`` and ``rank_mod`` take two forms and
-return the one they are given: a single matrix is Python rows (a list or
-tuple of rows), which gives Python rows and an int, with no array built; a
-3-D stack gives a uint8 stack and an int64 rank vector.  Any other array is
-refused with ``ValueError``.  A single matrix is row reduced in scalar
-Python (``rref_rows``), where numpy's per-operation cost would dominate the
-few arithmetic steps, and so is a stack of at most ``SCALAR_STACK_ROWS`` =
-64 rows in all, matrix by matrix: the whole-stack routine ``_rref_stack``,
-whose Python loops run only over the shape of one matrix, pays about 20
-numpy calls per column and overtakes the scalar path only past roughly that
-many rows.  Entries are reduced mod q on entry, and q must be a key of
-``PRIMITIVE_ROOT``; ``rref_rows`` itself takes any prime.
-
-A stack product is lane packed (Kronecker substitution on the rows of the
-right operand): each row of ``b`` is written as ``LANES`` = 4 byte lanes per
-uint32 word, the left operand is widened to uint32, one batched unsigned
-integer matmul forms four products per multiply-add, and the lanes are
-reduced mod q into the result's bytes by ``bytes.translate`` through a
-256-byte residue table.  A lane sum is at most s (q-1)^2 for inner
-dimension s, which a byte holds below 2^8: s <= 255, 63 and 15 at q = 2, 3
-and 5, past every flag shape the guards accept.  A wider s, whose lanes
-could carry, is refused with ``ValueError`` before anything is allocated.
-A byte right operand whose width is a multiple of ``LANES`` is its own
-packing, read as words in place.  The left operand is widened ``BLOCK`` =
-2^14 matrices at a time into one preallocated result, so the temporaries
-are bounded by a block, not by the stack.
-
-A matrix is keyed by ``mat_keys``: one int64 code, its row-major entries
-reduced mod q by the gate and read as base-q digits, exact and injective
-for every integer input, so a set of matrices is a sorted array of codes
-and ``mats_from_keys`` decodes them into a byte stack, one digit column at
-a time.
+integer matrices mod q: ``matmul_mod``, ``rref_mod`` (whose second part is
+the rank) and ``mat_keys``.  A stack over F_q is a uint8 array, one byte per
+entry in [0, q); ranks and codes are int64.  Every array operand passes one
+gate, ``_reduced``, and q must be a key of ``PRIMITIVE_ROOT``.  Each
+function's docstring states what it accepts and what it refuses.
 
 Every single matrix of the library (``Rows``: a flag generator, Weyl lift or
 point, J, a ``padic`` block, an ``ordcoh`` operator) is a tuple of tuples of
 Python ints (Fractions in ``padic``), and its helpers live here, with no
-numpy: ``_scalar``, ``_mat_mul``, ``_transpose``, ``_mul_mod`` and
-``_symplectic_form_q``.
+numpy.
 
-numpy is bound lazily, through the package's ``_lazy_module`` like the
-package's own modules: it is imported on the first attribute access of
-``np``, so a process that never runs an array kernel (the Weyl, root,
-padic, Satake and ordcoh reports, and the flag census, whose ranks are on
-Python rows) never pays for importing it.  ``flagfq``, the only other
-numpy user, takes its ``np`` from here.
+numpy is bound lazily through the package's ``_lazy_module``: it is
+imported on the first attribute access of ``np``, so a process that never
+runs an array kernel never pays for importing it.  ``flagfq``, the only
+other numpy user, takes its ``np`` from here.
 """
 
 from __future__ import annotations
@@ -83,11 +46,6 @@ def check_q(q: int) -> None:
         raise ValueError(f"q must be one of {', '.join(map(str, PRIMITIVE_ROOT))}, got {q}")
 
 
-def _inverse_table(q: int) -> np.ndarray:
-    # x^(q-2) = x^(-1) in F_q; index 0 unused
-    return np.array([0] + [pow(x, q - 2, q) for x in range(1, q)], dtype=np.int64)
-
-
 def _rref_stack(m: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Reduced row echelon form of every matrix in the stack, in place.
 
@@ -98,7 +56,7 @@ def _rref_stack(m: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     and written back, reduced mod q, into the bytes of ``m``.
     """
     count, rows, cols = m.shape
-    inv = _inverse_table(q)
+    inv = np.array([0] + [pow(x, q - 2, q) for x in range(1, q)], dtype=np.int64)  # x^(q-2) = 1/x; index 0 unused
     pivot_row = np.zeros(count, dtype=np.int64)
     ar = np.arange(count)
     for col in range(cols):
@@ -128,8 +86,8 @@ def _rref_stack(m: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
 def rref_rows(rows: list[list[int]], q: int) -> tuple[list[list[int]], int]:
     """Gauss-Jordan on one matrix given as Python rows; returns (rows, rank).
 
-    Python ints throughout, so q may be any prime: its rank is the rank over
-    any prime field, ``rank_mod`` the one over F_q, which checks q.
+    Python ints throughout, so q may be any prime; ``rref_mod`` is the one
+    over F_q, which checks q.
     """
     rows = [[x % q for x in row] for row in rows]
     n_rows = len(rows)
@@ -221,11 +179,12 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     each a byte lane sum of at most s (q-1)^2.  A shape whose lane sum could
     reach 2^8 (s past 255, 63, 15 at q = 2, 3, 5) is refused with
     ``ValueError`` before anything is allocated, as are a non-integer
-    operand, a left operand that is not 3-D and a right one that is neither
-    2-D nor 3-D.  A byte right operand whose width t is a multiple of
-    ``LANES`` is already packed and is read as words in place.  The left
-    operand is widened to words ``BLOCK`` matrices at a time, and each
-    block's lanes are reduced mod q by ``bytes.translate`` through a
+    operand, a left operand that is not 3-D, a right one that is neither
+    2-D nor 3-D, a 3-D right one whose length is not ``len(a)`` and an inner
+    dimension that is not ``a``'s.  A byte right operand whose width t is a
+    multiple of ``LANES`` is already packed and is read as words in place.
+    The left operand is widened to words ``BLOCK`` matrices at a time, and
+    each block's lanes are reduced mod q by ``bytes.translate`` through a
     256-byte residue table into one preallocated result.  The result is a
     fresh C-contiguous uint8 stack; the operands are not changed.
     """
@@ -233,6 +192,8 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     if np.ndim(a) != 3 or np.ndim(b) not in (2, 3):
         raise ValueError(f"a must be a 3-D stack and b 2-D or 3-D, got {np.ndim(a)}-D and {np.ndim(b)}-D")
     s, t = np.shape(b)[-2:]
+    if np.ndim(b) == 3 and len(b) != len(a) or s != np.shape(a)[2]:
+        raise ValueError(f"b of shape {np.shape(b)} does not match a of shape {np.shape(a)}")
     if s * (q - 1) ** 2 >= 1 << 8:
         raise ValueError(f"inner dimension {s} over F_{q} overflows a byte lane: {s} * {q - 1}^2 >= 2^8")
     a, b = _reduced(a, q), _reduced(b, q)
@@ -279,12 +240,6 @@ def rref_mod(mats, q: int):
     reduced = [rref_rows(mat, q) for mat in stack.tolist()]
     red = np.array([rows for rows, _ in reduced], dtype=np.uint8).reshape(mats.shape)
     return red, np.array([rank for _, rank in reduced], dtype=np.int64)
-
-
-def rank_mod(mats, q: int):
-    """The rank part of ``rref_mod``: an int for Python rows, an int64
-    vector for a 3-D stack; any other array is refused with ``ValueError``."""
-    return rref_mod(mats, q)[1]
 
 
 def mat_keys(mats: np.ndarray, q: int) -> np.ndarray:

@@ -30,11 +30,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .kernels import _mat_mul, _scalar, _symplectic_form_q, _transpose
+from .kernels import Rows, _mat_mul, _scalar, _symplectic_form_q, _transpose
 from .weyl import Family, GroupKind, all_subsets_j
 
 Mat = tuple[tuple[Fraction, ...], ...]
-IntMat = tuple[tuple[int, ...], ...]
 
 # A modulus p^e longer than this many bits is refused (``check_modulus``): the
 # sampler's entries mod p^m pass through every product and elimination, whose
@@ -149,15 +148,15 @@ def exact(x) -> Fraction:
 # -------------------------------------------------------- exact matrix core
 
 
-def _scaled(a: IntMat, s: int) -> IntMat:
+def _scaled(a: Rows, s: int) -> Rows:
     return tuple(tuple(s * x for x in row) for row in a)
 
 
-def _mat_add(a: IntMat, b: IntMat) -> IntMat:
+def _mat_add(a: Rows, b: Rows) -> Rows:
     return tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(a, b))
 
 
-def _bareiss_solve(d: IntMat, c: IntMat) -> tuple[int, IntMat | None]:
+def _bareiss_solve(d: Rows, c: Rows) -> tuple[int, Rows | None]:
     """(D, D d^{-1} c) for a square integer d, with D = +-det d; (0, None)
     when d is singular.  ``c`` may have no columns, which leaves only D.
 
@@ -194,14 +193,14 @@ def _bareiss_solve(d: IntMat, c: IntMat) -> tuple[int, IntMat | None]:
     return prev, tuple(solved)
 
 
-def _nonsingular(d: IntMat) -> bool:
+def _nonsingular(d: Rows) -> bool:
     return _bareiss_solve(d, ((),) * len(d))[0] != 0
 
 
 # ------------------------------------------------------------- block matrix
 
 
-def _canonical(num: IntMat, den: int) -> tuple[IntMat, int]:
+def _canonical(num: Rows, den: int) -> tuple[Rows, int]:
     """(num, den) divided by the gcd of den and every entry, signed so that den > 0."""
     common = math.gcd(den, *(x for row in num for x in row))
     if den < 0:
@@ -222,7 +221,7 @@ class BlockMatrix:
 
     kind: GroupKind
     p: int
-    num: IntMat
+    num: Rows
     den: int
 
     def __post_init__(self):
@@ -255,7 +254,7 @@ class BlockMatrix:
     def rows(self) -> Mat:
         return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.num)
 
-    def _int_block(self, i0: int, j0: int) -> IntMat:
+    def _int_block(self, i0: int, j0: int) -> Rows:
         n = self.n
         return tuple(row[j0 : j0 + n] for row in self.num[i0 : i0 + n])
 
@@ -275,7 +274,7 @@ class BlockMatrix:
 
 
 def _from_int_blocks(
-    kind: GroupKind, p: int, A: IntMat, B: IntMat, C: IntMat, D: IntMat, den: int = 1
+    kind: GroupKind, p: int, A: Rows, B: Rows, C: Rows, D: Rows, den: int = 1
 ) -> BlockMatrix:
     """[[A, B], [C, D]] / den for integer blocks."""
     top = tuple(ra + rb for ra, rb in zip(A, B))
@@ -300,7 +299,7 @@ def gamma(kind: GroupKind, p: int) -> BlockMatrix:
 # --------------------------------------------------------------- congruence
 
 
-def _congruent(num: IntMat, i0: int, j0: int, n: int, s: int, p: int, m: int) -> bool:
+def _congruent(num: Rows, i0: int, j0: int, n: int, s: int, p: int, m: int) -> bool:
     """Whether the n x n block of num at (i0, j0) is s * I modulo p^m: each
     entry minus its target is 0 or has v_p at least m, so p^m is never
     computed and the work is bounded by the entries, not by m."""
@@ -350,7 +349,7 @@ def in_level(g: BlockMatrix, m: int) -> bool:
 # ----------------------------------------------------- the coset invariant
 
 
-def _solve_dc(g: BlockMatrix) -> tuple[int, IntMat | None]:
+def _solve_dc(g: BlockMatrix) -> tuple[int, Rows | None]:
     """(D, D N_D^{-1} N_C): D^{-1}C is the second over the first, since the
     common denominator of the blocks cancels."""
     n = g.n
@@ -439,11 +438,11 @@ def anticanonical_radius(kind: GroupKind, vals: dict):
 # ------------------------------------------------------------------ sampling
 
 
-def _rand_int_mat(n: int, rng: random.Random) -> IntMat:
+def _rand_int_mat(n: int, rng: random.Random) -> Rows:
     return tuple(tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(n))
 
 
-def _rand_symmetric(n: int, rng: random.Random) -> IntMat:
+def _rand_symmetric(n: int, rng: random.Random) -> Rows:
     m = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -451,7 +450,7 @@ def _rand_symmetric(n: int, rng: random.Random) -> IntMat:
     return tuple(tuple(r) for r in m)
 
 
-def _levi(kind: GroupKind, p: int, A: IntMat, den: int) -> BlockMatrix:
+def _levi(kind: GroupKind, p: int, A: Rows, den: int) -> BlockMatrix:
     """[[a, 0], [0, a^{-T}]] for a = A / den.  One Bareiss solve gives
     X = det A^{-1}, so a^{-T} = den X^T / det over the denominator den det."""
     det, X = _bareiss_solve(A, _scalar(len(A), 1))
@@ -498,13 +497,13 @@ def random_parabolic_element(kind: GroupKind, p: int, rng: random.Random) -> Blo
     n = kind.n
     O = _scalar(n, 0)
 
-    def invertible() -> IntMat:
+    def invertible() -> Rows:
         while True:
             cand = _rand_int_mat(n, rng)
             if _nonsingular(cand):
                 return cand
 
-    def p_torus(mat: IntMat) -> IntMat:
+    def p_torus(mat: Rows) -> Rows:
         """p^2 * mat * diag(p^e_1, ..., p^e_n) with each e_i drawn from [-2, 2]."""
         exps = [rng.randint(-2, 2) + 2 for _ in range(n)]
         return tuple(tuple(x * p**e for x, e in zip(row, exps)) for row in mat)

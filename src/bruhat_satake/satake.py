@@ -498,15 +498,3 @@ def verify_determinant_factorization(case: SatakeCase, n: int, twist: bool = Tru
         "rhs": [poly_to_json(c) for c in rhs.coeffs],
         "first_difference": _first_difference(lhs, rhs),
     }
-
-
-def unitary_n1_expansion() -> dict:
-    """Both sides of the n = 1 unitary identity against (X - W_1)(X - q Z_1^{-1})."""
-    ring = unitary_m_ring(1)
-    expected = linear_factor(ring, variable("W1", ring)) * linear_factor(
-        ring, monomial(ring, 1, {"v": 2, "Z1": -1})
-    )
-    report = verify_determinant_factorization(SatakeCase.UNITARY, 1, twist=False)
-    expected_json = [poly_to_json(c) for c in expected.coeffs]
-    ok = report["verdict"] and report["lhs"] == expected_json and report["rhs"] == expected_json
-    return {"verdict": ok, "expected": expected_json, "factorization": report}

@@ -167,9 +167,9 @@ def simple_reflections(kind: GroupKind) -> list[WeylElement]:
 
 
 def parabolic_mark(kind: GroupKind) -> list[WeylElement]:
-    """Generators of W_I for the one fixed mark I = S - {s_n}."""
+    """Generators of W_I for the one fixed mark I = S - {s_n}, the last simple reflection in type C."""
     refl = simple_reflections(kind)
-    return refl[: kind.n - 1] + refl[kind.n :] if kind.family is Family.TYPE_A else refl[: kind.n - 1]
+    return refl[: kind.n - 1] + refl[kind.n :]
 
 
 def order(kind: GroupKind) -> int:

@@ -193,6 +193,19 @@ def test_is_isotropic_matches_the_gram_matrix(kind, q):
 
 
 @pytest.mark.parametrize(
+    "kind",
+    [weyl.GroupKind(family, n) for family in weyl.Family for n in (1, 2, 3)],
+    ids=lambda kind: f"{kind.family.value}{kind.n}",
+)
+@pytest.mark.parametrize("q", [2, 3])
+def test_parabolic_generators_are_the_borel_and_the_mark_lifts(kind, q):
+    # the Borel generators, then every simple reflection lift but the n-th
+    refl = flagfq.simple_reflection_matrices(kind, q)
+    mark = [mat for i, mat in enumerate(refl, 1) if i != kind.n]
+    assert flagfq.parabolic_generators(kind, q) == flagfq.borel_generators(kind, q) + mark
+
+
+@pytest.mark.parametrize(
     "gens,q",
     [
         (flagfq.parabolic_generators(weyl.type_c(2), 2), 2),
@@ -540,7 +553,7 @@ def test_weyl_matrix_guard_refuses_before_any_enumeration(monkeypatch):
     def enumeration_started(*args, **kwargs):
         raise AssertionError("enumeration started")
 
-    for name in ("rank_mod", "rref_mod", "matmul_mod"):
+    for name in ("rref_mod", "matmul_mod"):
         monkeypatch.setattr(flagfq.kernels, name, enumeration_started)
     monkeypatch.setattr(weyl.WeylElement, "__post_init__", enumeration_started)
     with pytest.raises(ValueError, match="exceeds the guard"):
@@ -680,7 +693,7 @@ def stacked_tau(U, q):
     ranked as a one-matrix stack."""
     n = len(U)
     stacked = np.vstack([np.array(U, dtype=np.int64), np.eye(n, 2 * n, dtype=np.int64)])
-    return int(flagfq.kernels.rank_mod(stacked[None], q)[0]) - n
+    return int(flagfq.kernels.rref_mod(stacked[None], q)[1][0]) - n
 
 
 def case_id(value):

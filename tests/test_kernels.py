@@ -62,13 +62,13 @@ def test_rref_matches_naive_oracle(q):
         red, rank = kernels.rref_mod(mat.tolist(), q)
         assert red == want.tolist()
         assert type(rank) is int and rank == want_rank
-        assert kernels.rank_mod(mat.tolist(), q) == want_rank
+        assert kernels.rref_mod(mat.tolist(), q)[1] == want_rank
         red, ranks = kernels.rref_mod(mat[None], q)
         assert (mat == before).all()  # the input is left alone
         assert red.shape == (1, *mat.shape) and red.dtype == np.uint8
         assert (red[0] == want).all()
         assert ranks.dtype == np.int64 and ranks.tolist() == [want_rank]
-        assert kernels.rank_mod(mat[None], q).tolist() == [want_rank]
+        assert kernels.rref_mod(mat[None], q)[1].tolist() == [want_rank]
     assert kernels.rref_mod(full_rank.tolist(), q)[1] == 4
 
 
@@ -80,7 +80,7 @@ def test_rref_is_idempotent_and_rank_correct(q):
     again, ranks2 = kernels.rref_mod(red, q)
     assert (again == red).all()
     assert (ranks == ranks2).all()
-    assert (kernels.rank_mod(mats, q) == ranks).all()
+    assert (kernels.rref_mod(mats, q)[1] == ranks).all()
 
 
 def naive_matmul(a, b, q):
@@ -306,6 +306,22 @@ def test_matmul_mod_refuses_operands_of_a_wrong_dimension_before_allocating():
         assert refusal_peak_bytes(lambda: kernels.matmul_mod(a, b, 3), message) < stack.size // 2
 
 
+def test_matmul_mod_refuses_a_right_operand_of_another_shape_before_allocating():
+    # b is (N, s, t) or (s, t) for a (N, r, s); a 3-D b of one matrix used to
+    # broadcast within one BLOCK of a and fail past it
+    for count in (kernels.BLOCK, kernels.BLOCK + 1):
+        a, b = np.ones((count, 4, 4), dtype=np.uint8), np.ones((1, 4, 4), dtype=np.uint8)
+        message = rf"^b of shape \(1, 4, 4\) does not match a of shape \({count}, 4, 4\)$"
+        assert refusal_peak_bytes(lambda: kernels.matmul_mod(a, b, 3), message) < a.size // 2
+    with pytest.raises(ValueError, match=r"^b of shape \(7, 4, 4\) does not match a of shape \(5, 4, 4\)$"):
+        kernels.matmul_mod(np.ones((5, 4, 4), dtype=np.int64), np.ones((7, 4, 4), dtype=np.int64), 3)
+    # int64 operands of 2^16 entries, whose byte copies would take 64 KB
+    stack = np.ones((4096, 4, 4), dtype=np.int64)
+    for b in (stack[:-1], np.ones((4096, 5, 4), dtype=np.int64), np.ones((5, 4), dtype=np.int64), stack[0, :3]):
+        message = rf"^b of shape \({', '.join(map(str, b.shape))},?\) does not match a of shape \(4096, 4, 4\)$"
+        assert refusal_peak_bytes(lambda: kernels.matmul_mod(stack, b, 3), message) < stack.size // 2
+
+
 @Q
 def test_rref_on_python_rows_matches_the_equal_array(q):
     # the equal array is the one-matrix stack mat[None]
@@ -333,7 +349,7 @@ def test_rref_on_python_rows_matches_the_equal_array(q):
             assert all(type(x) is int for row in red for x in row)
             assert red == want_red.tolist()
             assert type(rank) is int and rank == want_rank
-            rank_only = kernels.rank_mod(rows, q)
+            rank_only = kernels.rref_mod(rows, q)[1]
             assert type(rank_only) is int and rank_only == want_rank
             assert list(map(list, rows)) == before  # the input rows are left alone
         assert (want_red == naive_rref(mat, q)[0]).all()
@@ -372,7 +388,7 @@ def test_stacks_on_either_side_of_the_scalar_bound_match_the_oracle(q, shape, mo
                 want, want_rank = naive_rref(mats[i], q)
                 assert (red[i] == want).all()
                 assert ranks[i] == want_rank
-            assert (kernels.rank_mod(mats, q) == ranks).all()
+            assert (kernels.rref_mod(mats, q)[1] == ranks).all()
     assert widest * r <= kernels.SCALAR_STACK_ROWS < (widest + 1) * r
 
 
@@ -392,10 +408,8 @@ def test_rref_and_rank_refuse_an_array_that_is_not_a_stack(shape, dtype, monkeyp
 
     monkeypatch.setattr(kernels, "rref_rows", reduction_started)
     monkeypatch.setattr(kernels, "_rref_stack", reduction_started)
-    mats = np.ones(shape, dtype=dtype)
-    for fn in (kernels.rref_mod, kernels.rank_mod):
-        with pytest.raises(ValueError, match=f"got a {len(shape)}-D array"):
-            fn(mats, 3)
+    with pytest.raises(ValueError, match=f"got a {len(shape)}-D array"):
+        kernels.rref_mod(np.ones(shape, dtype=dtype), 3)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.bool_, object], ids=lambda d: np.dtype(d).name)
@@ -411,7 +425,6 @@ def test_every_kernel_refuses_a_stack_that_is_not_of_integers(dtype):
             lambda: kernels.matmul_mod(mats, ints, 3),
             lambda: kernels.matmul_mod(ints[None].repeat(count, axis=0), mats, 3),
             lambda: kernels.rref_mod(mats, 3),
-            lambda: kernels.rank_mod(mats, 3),
             lambda: kernels.mat_keys(mats, 3),
         ):
             with pytest.raises(ValueError, match=message):

@@ -223,15 +223,22 @@ def test_a_function_only_tests_call_is_flagged(tmp_path):
     assert uncalled(tmp_path) == ["weyl.orphan"]
 
 
+def _with_method_after_last_field(source: str, cls: str, method: str) -> str:
+    """``source`` with ``method`` (indented as a class body) inserted after
+    the last annotated field of class ``cls``, found by ``ast``."""
+    (node,) = [n for n in ast.parse(source).body if isinstance(n, ast.ClassDef) and n.name == cls]
+    last = [stmt for stmt in node.body if isinstance(stmt, ast.AnnAssign)][-1]
+    lines = source.splitlines(keepends=True)
+    return "".join(lines[: last.end_lineno]) + "\n" + method + "".join(lines[last.end_lineno :])
+
+
 def test_a_method_only_tests_call_is_flagged_though_numpy_shares_its_name(tmp_path):
     # flagfq.cover_lemma_check calls P.transpose(0, 2, 1) on a numpy stack,
     # which must not count as a caller of a test-only BlockMatrix.transpose
     for path in SRC.glob("*.py"):
         (tmp_path / path.name).write_text(path.read_text())
-    fields = "    p: int\n    num: IntMat\n    den: int\n"  # the last fields of BlockMatrix
-    padic = (SRC / "padic.py").read_text()
-    assert padic.count(fields) == 1
-    (tmp_path / "padic.py").write_text(padic.replace(fields, fields + "\n    def transpose(self):\n        return self\n"))
+    method = "    def transpose(self):\n        return self\n"
+    (tmp_path / "padic.py").write_text(_with_method_after_last_field((SRC / "padic.py").read_text(), "BlockMatrix", method))
     assert ".transpose(" in (SRC / "flagfq.py").read_text()
     assert uncalled(tmp_path) == ["padic.BlockMatrix.transpose"]
 
@@ -248,10 +255,8 @@ def test_a_method_the_acceptance_test_names_only_by_its_bare_name_is_flagged(tmp
     assert ".rows" in ACCEPTANCE.read_text()
     for path in SRC.glob("*.py"):
         (tmp_path / path.name).write_text(path.read_text())
-    fields = "    terms: tuple[tuple[tuple[int, ...], int], ...]\n"  # the last field of LaurentPoly
-    satake = (SRC / "satake.py").read_text()
-    assert satake.count(fields) == 1
-    (tmp_path / "satake.py").write_text(satake.replace(fields, fields + "\n    def rows(self):\n        return self.terms\n"))
+    method = "    def rows(self):\n        return self.terms\n"
+    (tmp_path / "satake.py").write_text(_with_method_after_last_field((SRC / "satake.py").read_text(), "LaurentPoly", method))
     assert uncalled(tmp_path) == ["satake.LaurentPoly.rows"]
 
 

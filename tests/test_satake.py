@@ -26,7 +26,6 @@ from bruhat_satake.satake import (
     t_g_real,
     t_g_unitary,
     t_m,
-    unitary_n1_expansion,
     variable,
     verify_determinant_factorization,
     w_vars,
@@ -394,11 +393,11 @@ def test_factorization_guards():
 
 
 def test_unitary_n1_expansion_matches_xw_xqz():
-    report = unitary_n1_expansion()
+    report = verify_determinant_factorization(SatakeCase.UNITARY, 1, twist=False)
     assert report["verdict"]
-    # (X - W1)(X - q Z1^{-1}) spelled out: constant v^2 W1 Z1^{-1}
-    const = report["expected"][0]["monomials"]
-    assert const == [{"exps": [2, 1, -1], "vcoeff": 1}]
+    # (X - W1)(X - q Z1^{-1}) spelled out: constant v^2 W1 Z1^{-1} on both sides
+    for side in ("lhs", "rhs"):
+        assert report[side][0]["monomials"] == [{"exps": [2, 1, -1], "vcoeff": 1}]
 
 
 def test_first_difference_reports_on_forced_mismatch():

@@ -42,6 +42,17 @@ def test_parabolic_subgroup_count(kind):
     assert len(parabolic_elements(kind)) == expected
 
 
+@pytest.mark.parametrize("family", list(weyl.Family), ids=lambda f: f.value)
+def test_the_mark_is_every_simple_reflection_but_the_nth(family):
+    # I = S - {s_n} in both families: s_n is the middle reflection of type A
+    # and the last of type C
+    for n in range(1, 9):
+        kind = weyl.GroupKind(family, n)
+        refl = [s.perm for s in weyl.simple_reflections(kind)]
+        assert [s.perm for s in weyl.parabolic_mark(kind)] == refl[: n - 1] + refl[n:]
+        assert len(refl) == (2 * n - 1 if family is weyl.Family.TYPE_A else n)
+
+
 def test_validation_rejects_bad_perms():
     with pytest.raises(ValueError):
         weyl.WeylElement(weyl.type_a(1), (1, 1))
